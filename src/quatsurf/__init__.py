@@ -6,15 +6,17 @@ Bonnet mates via spin transforms, and a marching solver for the
 conformal-deformation Cauchy problem.
 """
 
-from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
-                          qmul, qnorm, qnormsq, quat, realpart, sandwich,
-                          split_conformal, split_tangential, star, to_vec,
-                          value_tangential, value_transversal, wedge)
+from .quaternions import (QForm, anticonformal_defect, from_real, from_vec,
+                          qconj, qdot, qinv, qmul, qnorm, qnormsq, quat,
+                          realpart, sandwich, split_conformal,
+                          split_tangential, star, to_vec, value_tangential,
+                          value_transversal, wedge)
 from .charts import (ChartImmersion, CurvatureData, GridChart,
                      anticonformality_residual, build_immersion, deriv_x,
-                     deriv_y, field_stats, form_rms, holo_function_check,
-                     interior, relate_hopf, rms, tangentiality_residual,
-                     umbilics, weingarten_residual, weingarten_split)
+                     deriv_y, field_stats, floored_relative, form_rms,
+                     holo_function_check, interior, raw_frame, relate_hopf,
+                     rms, tangentiality_residual, umbilics,
+                     weingarten_residual, weingarten_split)
 from .quaddiff import (ChartCurve, QuadDifferential, check_holomorphic,
                        cr_residual, form_from_qdiff, noncharacteristic,
                        qdiff_from_form, stretch_directions, zero_locus)

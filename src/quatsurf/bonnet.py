@@ -10,13 +10,15 @@ carries a holomorphic quadratic differential whose zeros are the
 mates' umbilics and the dual's branch points.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .quaternions import (QForm, from_real, qconj, qdot, qinv, qmul, qnorm,
-                          qnormsq, star)
-from .charts import (ChartImmersion, build_immersion, closedness_residual,
-                     deriv_x, deriv_y, form_rms, interior, rms, umbilics,
-                     weingarten_split)
+from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
+                          qmul, qnorm, qnormsq, star)
+from .charts import (ChartImmersion, CurvatureData, build_immersion,
+                     closedness_residual, deriv_x, deriv_y, floored_relative,
+                     form_rms, interior, rms, umbilics, weingarten_split)
 from .quaddiff import (QuadDifferential, cr_residual, form_from_qdiff,
                        qdiff_from_form, zero_locus)
 from .duality import DualResult, integrate_form
@@ -35,17 +37,15 @@ class SpinField:
         self.grid = grid
         self.lam = lam
         self.row_span = row_span
-        sl = slice(None) if row_span is None \
-            else slice(row_span[0], row_span[1] + 1)
-        band = lam[sl]
+        lo, hi = self.band_rows()
+        band = lam[lo:hi + 1]
         if not np.isfinite(band).all():
             raise ValueError("non-finite spin value inside the band")
         mags = qnorm(band)
         if mags.min() <= 0.0:
             j, i = map(int, np.argwhere(mags == 0.0)[0])
             raise ValueError("spin field vanishes at node (j=%d, i=%d)"
-                             % (j + (0 if row_span is None else row_span[0]),
-                                i))
+                             % (j + lo, i))
 
     def band_rows(self):
         if self.row_span is None:
@@ -133,6 +133,7 @@ def _metric_tensor(form):
     return I
 
 
+@dataclass(eq=False)
 class BonnetPair:
     """The two mates and their comparison diagnostics.
 
@@ -145,40 +146,32 @@ class BonnetPair:
     avoids compounding path-integration noise under differentiation.
     """
 
-    def __init__(self, eps, fplus, fminus, Hplus, Hminus, Iplus, Iminus, D,
-                 lam_plus, lam_minus, form_plus, form_minus,
-                 curv_plus, curv_minus, metric_rel, D_cr_rel,
-                 congruence_rms, normal_recovery_rel, reports):
-        self.eps = eps
-        self.fplus = fplus
-        self.fminus = fminus
-        self.Hplus = Hplus
-        self.Hminus = Hminus
-        self.Iplus = Iplus
-        self.Iminus = Iminus
-        self.D = D
-        self.lam_plus = lam_plus
-        self.lam_minus = lam_minus
-        self.form_plus = form_plus
-        self.form_minus = form_minus
-        self.curv_plus = curv_plus
-        self.curv_minus = curv_minus
-        self.metric_rel = metric_rel
-        self.D_cr_rel = D_cr_rel
-        self.congruence_rms = congruence_rms
-        self.normal_recovery_rel = normal_recovery_rel
-        self.reports = reports
+    eps: float
+    fplus: ChartImmersion
+    fminus: ChartImmersion
+    Hplus: np.ndarray
+    Hminus: np.ndarray
+    Iplus: np.ndarray
+    Iminus: np.ndarray
+    D: QuadDifferential
+    lam_plus: np.ndarray
+    lam_minus: np.ndarray
+    form_plus: QForm
+    form_minus: QForm
+    curv_plus: CurvatureData
+    curv_minus: CurvatureData
+    metric_rel: float
+    D_cr_rel: float
+    congruence_rms: float
+    normal_recovery_rel: float
+    reports: dict
 
 
 def _dual_positions(dual):
     if isinstance(dual, DualResult):
         return dual.fstar
     arr = np.asarray(dual, dtype=np.float64)
-    if arr.shape[-1] == 3:
-        out = np.zeros(arr.shape[:-1] + (4,))
-        out[..., 1:] = arr
-        return out
-    return arr
+    return from_vec(arr) if arr.shape[-1] == 3 else arr
 
 
 def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
@@ -198,14 +191,6 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
     fp, rep_p = spin_integrate(imm, lam_p, basepoint, closed_tol, chart_tol)
     fm, rep_m = spin_integrate(imm, lam_m, basepoint, closed_tol, chart_tol)
 
-    form_p = spin_form(imm, lam_p)
-    form_m = spin_form(imm, lam_m)
-    Ip = _metric_tensor(form_p)
-    Im_ = _metric_tensor(form_m)
-    dI = Ip - Im_
-    den = np.sqrt(np.mean(Ip ** 2))
-    metric_rel = float(np.sqrt(np.mean(dI ** 2)) / den)
-
     # H from the integrated mates: an end-to-end check that integration
     # and curvature extraction commute at discretization order.
     Hp = weingarten_split(fp).H
@@ -214,8 +199,20 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
     # II and umbilics from the algebraic spin frames: the frames are
     # exact in lam and the background, so D is two derivative levels
     # cleaner than anything extracted from re-differentiated integrals.
-    curv_p = weingarten_split(_spin_frame(imm, lam_p))
-    curv_m = weingarten_split(_spin_frame(imm, lam_m))
+    # Each frame is dropped after its split (only its df is kept), so
+    # at most one frame's fields are alive at a time.
+    frame = _spin_frame(imm, lam_p)
+    form_p, curv_p = frame.df, weingarten_split(frame)
+    del frame
+    frame = _spin_frame(imm, lam_m)
+    form_m, curv_m = frame.df, weingarten_split(frame)
+    del frame
+
+    Ip = _metric_tensor(form_p)
+    Im_ = _metric_tensor(form_m)
+    dI = Ip - Im_
+    den = np.sqrt(np.mean(Ip ** 2))
+    metric_rel = float(np.sqrt(np.mean(dI ** 2)) / den)
 
     # Coefficient of the (second fundamental form) difference against
     # dz^2 with this chart orientation; sign chosen so that the pairing
@@ -224,10 +221,8 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
     Dphi = 0.5 * (dII[..., 1, 1] - dII[..., 0, 0]) + 1j * dII[..., 0, 1]
     D = QuadDifferential(imm.grid, Dphi)
     cr = cr_residual(D)
-    gx = deriv_x(Dphi.real, imm.grid.hx) + 1j * deriv_x(Dphi.imag,
-                                                        imm.grid.hx)
-    gy = deriv_y(Dphi.real, imm.grid.hy) + 1j * deriv_y(Dphi.imag,
-                                                        imm.grid.hy)
+    gx = deriv_x(Dphi, imm.grid.hx)
+    gy = deriv_y(Dphi, imm.grid.hy)
     # D carries one-sided-stencil noise in the outer two rings (it is
     # built from the mates' differentiated frames); its CR test applies
     # one more derivative, so four rings must be discarded before the
@@ -236,10 +231,8 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
         return interior(interior(a))
 
     gscale = rms(np.sqrt(np.abs(trim(gx)) ** 2 + np.abs(trim(gy)) ** 2))
-    length = max((imm.grid.nx - 1) * imm.grid.hx,
-                 (imm.grid.ny - 1) * imm.grid.hy)
-    gscale = max(gscale, rms(np.abs(Dphi)) / length)
-    D_cr_rel = rms(trim(cr)) / gscale if gscale > 0 else 0.0
+    D_cr_rel = floored_relative(imm.grid, rms(trim(cr)), gscale,
+                                rms(np.abs(Dphi)))
 
     cong = congruence_distance(fp.positions, fm.positions)
 
@@ -294,14 +287,12 @@ def _spin_frame(imm, lam):
     """Algebraic frame of the transformed immersion (no integration):
     fx~ = conj(lam) fx lam, N~ = lam^-1 N lam, e^{u~} = |lam|^2 e^u."""
     lam = _unwrap(lam)
-    lc = qconj(lam)
-    fxt = qmul(lc, qmul(imm.fx, lam))
-    fyt = qmul(lc, qmul(imm.fy, lam))
+    df = spin_form(imm, lam)
     Nt = qmul(qinv(lam), qmul(imm.N, lam))
     ut = imm.u + np.log(qnormsq(lam))
     zero = np.zeros_like(imm.u)
-    return ChartImmersion(imm.grid, np.zeros_like(imm.f), fxt, fyt, Nt, ut,
-                          zero)
+    return ChartImmersion(imm.grid, np.zeros_like(imm.f), df.ax, df.ay, Nt,
+                          ut, zero)
 
 
 def gauge_check(imm, lam, tau_tilde, tol=1e-3):

@@ -20,14 +20,18 @@ the conormal of the row aligns with a principal stretch direction of
 q, which is what the symbol machinery below quantifies.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .quaternions import (QForm, qconj, qdot, qinv, qmul, qnorm, qnormsq,
-                          to_vec, wedge)
+from .quaternions import (QForm, qconj, qinv, qmul, qnorm, qnormsq, to_vec,
+                          value_tangential, wedge)
 from .charts import (GridChart, build_immersion, closedness_residual,
-                     deriv_x, deriv_y, form_rms, rms, weingarten_split)
-from .quaddiff import (ChartCurve, QuadDifferential, form_from_qdiff,
-                       noncharacteristic, stretch_directions)
+                     deriv_x, deriv_y, floored_relative, form_rms, rms,
+                     weingarten_split)
+from .quaddiff import (ChartCurve, QuadDifferential, _line_angle_distance,
+                       form_from_qdiff, noncharacteristic,
+                       stretch_directions)
 from .duality import integrate_form
 from .bonnet import SpinField
 
@@ -54,18 +58,18 @@ def right_matrix(q):
     return M
 
 
+@dataclass(eq=False)
 class SymbolMap:
     """The principal symbol at one node and covector: the linear map
     alpha -> Re(Im(alpha B) N) + Im(A alpha) on quaternions, with
     A = xi2 fx - xi1 fy and B = xi1 tau_y - xi2 tau_x (both tangential).
     """
 
-    def __init__(self, matrix, A, B, xi, normalization):
-        self.matrix = matrix
-        self.A = A
-        self.B = B
-        self.xi = xi
-        self.normalization = normalization
+    matrix: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    xi: tuple
+    normalization: float
 
     def det(self):
         return float(np.linalg.det(self.matrix))
@@ -146,15 +150,10 @@ class CauchyProblem:
     def __init__(self, background, q, row, min_margin_deg=5.0,
                  zero_tol=1e-8):
         self.imm = background
-        grid = background.grid
-        if not isinstance(q, QuadDifferential):
-            phi = np.asarray(q, dtype=np.complex128)
-            if phi.ndim == 0:
-                phi = np.full((grid.ny, grid.nx), complex(phi))
-            q = QuadDifferential(grid, phi)
+        q = QuadDifferential.coerce(background.grid, q)
         self.q = q
         self.row = int(row)
-        self.curve = ChartCurve.grid_row(grid, self.row)
+        self.curve = ChartCurve.grid_row(background.grid, self.row)
         self.tau = form_from_qdiff(background, q)
         self.min_margin_deg = float(min_margin_deg)
         ok, margin = noncharacteristic(self.curve, q, imm=background,
@@ -334,12 +333,11 @@ def reconstruct(prob, spin, basepoint=None, closed_tol=5e-3,
     dty = deriv_x(tau_t.ay, sub.hx)
     dtau = dty - dtx
     tscale = rms(np.sqrt(qnormsq(dtx) + qnormsq(dty)))
-    length = max((sub.nx - 1) * sub.hx, (sub.ny - 1) * sub.hy)
-    tscale = max(tscale, form_rms(tau_t) / length)
-    tang = 0.5 * (dtau + qmul(new.N, qmul(dtau, new.N)))
+    tau_mag = form_rms(tau_t)
+    tang = value_tangential(dtau, new.N)
     perp = dtau - tang
-    q_res_tang = rms(qnorm(tang)) / tscale if tscale > 0 else 0.0
-    q_res_norm = rms(qnorm(perp)) / tscale if tscale > 0 else 0.0
+    q_res_tang = floored_relative(sub, rms(qnorm(tang)), tscale, tau_mag)
+    q_res_norm = floored_relative(sub, rms(qnorm(perp)), tscale, tau_mag)
 
     report = {
         "rows": (j_lo, j_hi),
@@ -376,11 +374,6 @@ def stretch_alignment(q, node, char_angles):
     targets = [horiz[j, i], vert[j, i]]
     errs = []
     for t in char_angles:
-        d = min(abs(_line_diff(t, s)) for s in targets)
+        d = min(_line_angle_distance(t, s) for s in targets)
         errs.append(np.degrees(d))
     return errs
-
-
-def _line_diff(a, b):
-    d = np.mod(a - b, np.pi)
-    return min(d, np.pi - d)

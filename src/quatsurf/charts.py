@@ -7,11 +7,13 @@ finite differences: centered stencils in the interior, one-sided at the
 two boundary rows/columns on each side.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .quaternions import (QForm, from_real, from_vec, qdot, qmul, qnorm,
-                          qnormsq, split_conformal, split_tangential,
-                          to_vec, value_tangential)
+from .quaternions import (QForm, anticonformal_defect, from_real, from_vec,
+                          qdot, qmul, qnorm, qnormsq, split_conformal,
+                          split_tangential, to_vec, value_tangential)
 
 
 class GridChart:
@@ -20,6 +22,8 @@ class GridChart:
     def __init__(self, nx, ny, hx, hy, x0=0.0, y0=0.0):
         if nx < 5 or ny < 5:
             raise ValueError("grid needs nx, ny >= 5 for the stencils")
+        if not np.isfinite([hx, hy, x0, y0]).all():
+            raise ValueError("grid spacings and origin must be finite")
         if hx <= 0 or hy <= 0:
             raise ValueError("grid spacings must be positive")
         self.nx = int(nx)
@@ -55,7 +59,10 @@ class GridChart:
 
 
 def deriv_x(field, hx):
-    """4th-order d/dx along axis 1 of an (ny, nx, ...) field."""
+    """4th-order d/dx along axis 1 of an (ny, nx, ...) field.  Complex
+    fields go part by part: complex division by 12 h rounds differently."""
+    if np.iscomplexobj(field):
+        return deriv_x(field.real, hx) + 1j * deriv_x(field.imag, hx)
     f = np.asarray(field, dtype=np.float64)
     d = np.empty_like(f)
     d[:, 2:-2] = (f[:, :-4] - 8 * f[:, 1:-3] + 8 * f[:, 3:-1] - f[:, 4:]) / (12 * hx)
@@ -71,7 +78,9 @@ def deriv_x(field, hx):
 
 
 def deriv_y(field, hy):
-    """4th-order d/dy along axis 0 of an (ny, nx, ...) field."""
+    """4th-order d/dy along axis 0, complex fields as in deriv_x."""
+    if np.iscomplexobj(field):
+        return deriv_y(field.real, hy) + 1j * deriv_y(field.imag, hy)
     f = np.asarray(field, dtype=np.float64)
     d = np.empty_like(f)
     d[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * hy)
@@ -101,6 +110,19 @@ def form_rms(form):
     return float(np.sqrt(np.mean(qnormsq(form.ax) + qnormsq(form.ay))))
 
 
+def floored_relative(grid, residual, dscale, magnitude):
+    """residual / max(dscale, magnitude / chart length), or 0 when both
+    vanish.
+
+    The floor matters for fields with constant components, where the
+    raw derivative scale is pure rounding error and a ratio against it
+    would be meaningless.
+    """
+    length = max((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
+    scale = max(dscale, magnitude / length)
+    return residual / scale if scale > 0 else 0.0
+
+
 def closedness_residual(grid, form):
     """Exterior-derivative residual of a one-form: (field, relative).
 
@@ -108,23 +130,24 @@ def closedness_residual(grid, form):
     over interior nodes only (re-differentiating across the switch from
     centered to one-sided stencils inflates the outer two rings by 1/h)
     against the larger of the cross-derivative magnitude and the form
-    magnitude divided by the chart length; the floor matters for forms
-    with constant components, where the raw derivative scale is pure
-    rounding error and a ratio against it would be meaningless.
+    magnitude divided by the chart length (see floored_relative).
     """
     d_yx = deriv_y(form.ax, grid.hy)
     d_xy = deriv_x(form.ay, grid.hx)
     field = qnorm(d_xy - d_yx)
     dscale = rms(np.sqrt(qnormsq(interior(d_yx)) + qnormsq(interior(d_xy))))
-    length = max((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
-    scale = max(dscale, form_rms(form) / length)
-    rel = rms(interior(field)) / scale if scale > 0 else 0.0
+    rel = floored_relative(grid, rms(interior(field)), dscale,
+                           form_rms(form))
     return field, rel
 
 
 def field_stats(field, interior_only=True):
-    """Mean/std/min/max of a scalar chart field (interior nodes by default)."""
+    """Mean/std/min/max of a scalar chart field (interior nodes by default)
+    over its finite nodes, e.g. a dual's H away from branch points."""
     a = interior(field) if interior_only else np.asarray(field)
+    finite = np.isfinite(a)
+    if finite.any() and not finite.all():
+        a = a[finite]
     return {"mean": float(np.mean(a)), "std": float(np.std(a)),
             "min": float(np.min(a)), "max": float(np.max(a))}
 
@@ -167,6 +190,21 @@ class ChartImmersion:
         return float(np.linalg.norm(p.max(axis=0) - p.min(axis=0)))
 
 
+def raw_frame(grid, f):
+    """Frame of quaternion positions f with no validation.
+
+    Returns (fx, fy, N, |fx|, |fy|, |fx x fy|); N is non-finite where
+    fx x fy vanishes.
+    """
+    fx = deriv_x(f, grid.hx)
+    fy = deriv_y(f, grid.hy)
+    cross = np.cross(fx[..., 1:], fy[..., 1:])
+    crossnorm = np.linalg.norm(cross, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        N = from_vec(cross / crossnorm[..., None])
+    return fx, fy, N, qnorm(fx), qnorm(fy), crossnorm
+
+
 def build_immersion(grid, samples, chart_tol=1e-3, frame_tol=1e-8):
     """Differentiate position samples and validate conformality.
 
@@ -190,13 +228,8 @@ def build_immersion(grid, samples, chart_tol=1e-3, frame_tol=1e-8):
         j, i = map(int, np.argwhere(bad)[0])
         raise ValueError("non-finite sample at node (j=%d, i=%d)" % (j, i))
 
-    fx = deriv_x(f, grid.hx)
-    fy = deriv_y(f, grid.hy)
-    nfx = qnorm(fx)
-    nfy = qnorm(fy)
+    fx, fy, N, nfx, nfy, crossnorm = raw_frame(grid, f)
     e2u = nfx * nfy
-    cross = np.cross(fx[..., 1:], fy[..., 1:])
-    crossnorm = np.linalg.norm(cross, axis=-1)
 
     # e2u == 0 means a vanishing partial; the relative test below would
     # pass it (0 < 0 is false), so catch it explicitly
@@ -205,7 +238,6 @@ def build_immersion(grid, samples, chart_tol=1e-3, frame_tol=1e-8):
         j, i = map(int, np.argwhere(degen)[0])
         raise ValueError("degenerate frame at node (j=%d, i=%d)" % (j, i))
 
-    N = from_vec(cross / crossnorm[..., None])
     conf = np.maximum(np.abs(nfx - nfy), np.abs(qdot(fx, fy))) / e2u
     inner = interior(conf)
     worst = float(np.max(inner))
@@ -219,19 +251,19 @@ def build_immersion(grid, samples, chart_tol=1e-3, frame_tol=1e-8):
     return ChartImmersion(grid, f, fx, fy, N, u, conf)
 
 
+@dataclass(eq=False)
 class CurvatureData:
     """Curvature extraction results: mean curvature H, the anti-conformal
     tangential one-form omega from the normal's derivative, the second
     fundamental form II, and the complex coefficient hopf_qd of its
     trace-free (2,0) part in the chart coordinate."""
 
-    def __init__(self, H, omega, II, hopf_qd, dN, conformal_part):
-        self.H = H
-        self.omega = omega
-        self.II = II
-        self.hopf_qd = hopf_qd
-        self.dN = dN
-        self.conformal_part = conformal_part
+    H: np.ndarray
+    omega: QForm
+    II: np.ndarray
+    hopf_qd: np.ndarray
+    dN: QForm
+    conformal_part: QForm
 
 
 def weingarten_split(imm):
@@ -261,16 +293,15 @@ def weingarten_split(imm):
 
 def weingarten_residual(imm, curv):
     """Pointwise |dN + H df - omega| and its chart-RMS relative to |dN|."""
-    H = curv.H[..., None]
-    resid = QForm(curv.dN.ax + H * imm.fx - curv.omega.ax,
-                  curv.dN.ay + H * imm.fy - curv.omega.ay)
+    resid = curv.dN + imm.df * curv.H[..., None] - curv.omega
     field = resid.norm()
     rel = form_rms(resid) / form_rms(curv.dN)
     return field, rel
 
 
 def anticonformality_residual(imm, curv, use_remainder=True):
-    """Chart-RMS of |star(w) + N w| relative to |dN| for the Hopf form w.
+    """Chart-RMS of anticonformal_defect(w, N) relative to |dN| for the
+    Hopf form w.
 
     The projector output curv.omega satisfies the identity exactly by
     construction (machine precision), so by default the residual is
@@ -280,14 +311,8 @@ def anticonformality_residual(imm, curv, use_remainder=True):
     Normalizing by |dN| rather than |w| keeps the figure meaningful on
     totally umbilic charts, where w itself shrinks to rounding noise.
     """
-    from .quaternions import star
-    if use_remainder:
-        H = curv.H[..., None]
-        w = QForm(curv.dN.ax + H * imm.fx, curv.dN.ay + H * imm.fy)
-    else:
-        w = curv.omega
-    s = star(w)
-    num = QForm(s.ax + qmul(imm.N, w.ax), s.ay + qmul(imm.N, w.ay))
+    w = curv.dN + imm.df * curv.H[..., None] if use_remainder else curv.omega
+    num = anticonformal_defect(w, imm.N)
     den = form_rms(curv.dN)
     return num.norm(), form_rms(num) / den if den > 0 else 0.0
 

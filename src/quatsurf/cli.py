@@ -10,10 +10,13 @@ operation, and node (when known) is printed to stderr.
 """
 
 import argparse
+import inspect
 import json
+import math
 import os
 import re
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,40 +59,41 @@ class _Step:
         self.operation = operation
 
 
+@dataclass
 class RunConfig:
     """Validated settings for one CLI invocation.
 
     Collects the command, input sources (generator name + parameters or
     input file paths), grid size, tolerances, output directory, and seed
     into one record.  ``as_dict`` returns the canonical form that is
-    embedded, along with its hash, in every report.
+    embedded, along with its hash, in every report.  The field defaults
+    are the CLI defaults: flags left unset fall through to them.
     """
 
-    def __init__(self, command, generator=None, params=None, input_path=None,
-                 qdiff_path=None, q=None, eps=1.0, row=None, steps=8,
-                 n=65, closed_tol=5e-3, chart_tol=1e-3, umbilic_tol=1e-6,
-                 classify_tol=1e-3, det_tol=0.01, outdir=None, seed=0,
-                 checks=None, kind=None, levels=3):
-        self.command = command
-        self.generator = generator
-        self.params = dict(params or {})
-        self.input_path = input_path
-        self.qdiff_path = qdiff_path
-        self.q = q
-        self.eps = eps
-        self.row = row
-        self.steps = steps
-        self.n = n
-        self.closed_tol = closed_tol
-        self.chart_tol = chart_tol
-        self.umbilic_tol = umbilic_tol
-        self.classify_tol = classify_tol
-        self.det_tol = det_tol
-        self.outdir = outdir
-        self.seed = seed
-        self.checks = list(checks or [])
-        self.kind = kind
-        self.levels = levels
+    command: str
+    generator: str | None = None
+    params: dict = field(default_factory=dict)
+    input_path: str | None = None
+    qdiff_path: str | None = None
+    q: str | None = None
+    eps: float = 1.0
+    row: int | None = None
+    steps: int = 8
+    n: int = 65
+    closed_tol: float = 5e-3
+    chart_tol: float = 1e-3
+    umbilic_tol: float = 1e-6
+    classify_tol: float = 1e-3
+    det_tol: float = 0.01
+    outdir: str | None = None
+    seed: int = 0
+    checks: list = field(default_factory=list)
+    kind: str | None = None
+    levels: int = 3
+
+    def __post_init__(self):
+        self.params = dict(self.params or {})
+        self.checks = list(self.checks or [])
         self.validate()
 
     def validate(self):
@@ -112,6 +116,17 @@ class RunConfig:
         if self.generator is not None and self.generator not in CATALOG:
             raise ConfigError("unknown generator %r; choose from %s"
                               % (self.generator, ", ".join(sorted(CATALOG))))
+        if self.generator is not None:
+            # --param sets the numeric keywords; n has its own flag
+            sig = inspect.signature(CATALOG[self.generator]).parameters
+            known = [k for k, p in sig.items()
+                     if k != "n" and isinstance(p.default, (int, float))]
+            unknown = sorted(set(self.params) - set(known))
+            if unknown:
+                raise ConfigError("generator %r has no parameter %s; "
+                                  "choose from %s"
+                                  % (self.generator, ", ".join(unknown),
+                                     ", ".join(known)))
         for path in (self.input_path, self.qdiff_path):
             if path is not None and not os.path.isfile(path):
                 raise ConfigError("input file does not exist: %s" % path)
@@ -178,6 +193,8 @@ def _parse_param_list(items):
             params[key] = float(raw)
         except ValueError:
             raise ConfigError("--param %s: %r is not a number" % (key, raw))
+        if not math.isfinite(params[key]):
+            raise ConfigError("--param %s must be finite, got %r" % (key, raw))
     return params
 
 
@@ -229,14 +246,6 @@ def _load_qdiff(config, imm, q_known, step):
 
 def _nodes_list(nodes, limit=64):
     return [[int(j), int(i)] for j, i in list(nodes)[:limit]]
-
-
-def _band_lam(spin):
-    """Spin values restricted to the solved band (outside rows are nan)."""
-    if spin.row_span is None:
-        return spin.lam
-    lo, hi = spin.row_span
-    return spin.lam[lo:hi + 1]
 
 
 def _position_fields(imm):
@@ -400,13 +409,14 @@ def _cmd_solve_ivp(config, outdir, step):
     step.at("io", "write_obj")
     write_obj(os.path.join(outdir, "%s_band.obj" % label),
               band.positions, comment="marched band")
+    lo, hi = spin.band_rows()
     results = {
         "label": label,
         "row": row,
         "steps": config.steps,
-        "rows_solved": [int(spin.row_span[0]), int(spin.row_span[1])],
+        "rows_solved": [int(lo), int(hi)],
         "wellposed": well,
-        "spin_norm": field_stats(qnorm(_band_lam(spin)),
+        "spin_norm": field_stats(qnorm(spin.lam[lo:hi + 1]),
                                  interior_only=False),
         "curve_match_rel": rep["curve_match_rel"],
         "closedness_rel": rep["closedness_rel"],
@@ -446,6 +456,7 @@ def _cmd_converge(config, outdir, step):
         if config.kind == "weingarten":
             step.at("charts", "weingarten_split")
             curv = weingarten_split(imm)
+            step.at("charts", "weingarten_residual")
             _, wrel = weingarten_residual(imm, curv)
             _, arel = anticonformality_residual(imm, curv)
             _, trel = tangentiality_residual(imm, curv)
@@ -456,17 +467,21 @@ def _cmd_converge(config, outdir, step):
             q = _load_qdiff(config, imm, q_known, step)
             step.at("duality", "integrate_dual")
             dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
+            step.at("charts", "weingarten_split")
             curv = weingarten_split(imm)
+            step.at("duality", "verify_duality")
             checks = verify_duality(imm, dual, curv)
             push("classical_rel", checks["classical_rel"])
             push("path_deviation", dual.path_deviation)
         elif config.kind == "bonnet":
             q = _load_qdiff(config, imm, q_known, step)
-            step.at("bonnet", "bonnet_pair")
+            step.at("duality", "integrate_dual")
             dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
+            step.at("bonnet", "bonnet_pair")
             pair = bonnet_pair(imm, dual, config.eps,
                                closed_tol=config.closed_tol,
                                chart_tol=config.chart_tol)
+            step.at("bonnet", "shape_distortion_check")
             _, dist_rel = shape_distortion_check(imm, dual, pair)
             dH = np.abs(interior(pair.Hplus) - interior(pair.Hminus))
             push("mean_curvature_diff_max", float(np.max(dH)))
@@ -475,12 +490,15 @@ def _cmd_converge(config, outdir, step):
         else:  # ivp
             q = _load_qdiff(config, imm, q_known, step)
             row = config.row if config.row is not None else imm.grid.ny // 2
-            step.at("cauchy", "march_solve")
+            step.at("cauchy", "check_wellposed")
             prob = CauchyProblem(imm, q, row)
+            step.at("cauchy", "march_solve")
             spin = march_solve(prob, config.steps)
+            step.at("cauchy", "reconstruct")
             _, rep = reconstruct(prob, spin, closed_tol=config.closed_tol,
                                  chart_tol=config.chart_tol)
-            dev = np.abs(qnorm(_band_lam(spin)) - 1.0)
+            lo, hi = spin.band_rows()
+            dev = np.abs(qnorm(spin.lam[lo:hi + 1]) - 1.0)
             push("spin_norm_dev_max", float(np.max(dev)))
             push("curve_match_rel", rep["curve_match_rel"])
             push("q_residual_normal_rel", rep["q_residual_normal_rel"])
@@ -591,8 +609,9 @@ def _check_march(n, seed):
     q = QuadDifferential.constant(gen.imm.grid, 1j)
     prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
     spin = march_solve(prob, 4)
-    lam = _band_lam(spin)
-    dev = float(np.max(qnorm(lam - quat(1.0, 0.0, 0.0, 0.0))))
+    lo, hi = spin.band_rows()
+    dev = float(np.max(qnorm(spin.lam[lo:hi + 1]
+                             - quat(1.0, 0.0, 0.0, 0.0))))
     return dev < 1e-3, {"spin_dev_max": dev}
 
 
@@ -754,29 +773,34 @@ def run(config):
 
 
 def _build_parser():
+    """Flags left unset are absent from the parsed namespace (SUPPRESS),
+    so RunConfig's field defaults apply to them."""
     parser = argparse.ArgumentParser(
         prog="quatsurf",
         description="curvature, duality, and Bonnet-pair analysis of "
                     "conformally parametrized surface patches")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                              **kwargs)
+
     def add_common(p, source=True):
         if source:
             p.add_argument("--generator", choices=sorted(CATALOG),
                            help="analytic test surface to sample")
-            p.add_argument("--param", action="append", default=[],
-                           metavar="KEY=VALUE",
+            p.add_argument("--param", action="append", metavar="KEY=VALUE",
                            help="generator parameter (repeatable)")
             p.add_argument("--input", dest="input_path",
                            help="CSV with columns x,y,px,py,pz")
-            p.add_argument("--n", type=int, default=65,
-                           help="grid nodes per side (default 65)")
+            p.add_argument("--n", type=int, help="grid nodes per side "
+                           "(default %d)" % RunConfig.n)
         p.add_argument("--outdir",
                        help="artifact directory (or set $%s)" % OUTDIR_ENV)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--closed-tol", type=float, default=5e-3)
-        p.add_argument("--chart-tol", type=float, default=1e-3)
-        p.add_argument("--umbilic-tol", type=float, default=1e-6)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--closed-tol", type=float)
+        p.add_argument("--chart-tol", type=float)
+        p.add_argument("--umbilic-tol", type=float)
 
     def add_qdiff(p):
         p.add_argument("--q", help="constant quadratic differential "
@@ -784,80 +808,62 @@ def _build_parser():
         p.add_argument("--qdiff", dest="qdiff_path",
                        help="CSV with columns x,y,re_phi,im_phi")
 
-    p = sub.add_parser("generate", help="sample a catalog surface to disk")
+    p = add_parser("generate", help="sample a catalog surface to disk")
     add_common(p)
 
-    p = sub.add_parser("analyze",
-                       help="curvature decomposition and umbilic report")
+    p = add_parser("analyze",
+                   help="curvature decomposition and umbilic report")
     add_common(p)
 
-    p = sub.add_parser("dual", help="integrate the dual surface")
-    add_common(p)
-    add_qdiff(p)
-
-    p = sub.add_parser("bonnet", help="build a Bonnet mate pair")
+    p = add_parser("dual", help="integrate the dual surface")
     add_common(p)
     add_qdiff(p)
-    p.add_argument("--eps", type=float, default=1.0,
-                   help="spectral parameter (default 1)")
 
-    p = sub.add_parser("solve-ivp",
-                       help="march the Cauchy problem off an initial row")
+    p = add_parser("bonnet", help="build a Bonnet mate pair")
+    add_common(p)
+    add_qdiff(p)
+    p.add_argument("--eps", type=float,
+                   help="spectral parameter (default %g)" % RunConfig.eps)
+
+    p = add_parser("solve-ivp",
+                   help="march the Cauchy problem off an initial row")
     add_common(p)
     add_qdiff(p)
     p.add_argument("--row", type=int, help="initial row (default: middle)")
-    p.add_argument("--steps", type=int, default=8,
-                   help="march steps per side (default 8)")
-    p.add_argument("--det-tol", type=float, default=0.01)
+    p.add_argument("--steps", type=int, help="march steps per side "
+                   "(default %d)" % RunConfig.steps)
+    p.add_argument("--det-tol", type=float)
 
-    p = sub.add_parser("verify", help="run built-in self checks")
+    p = add_parser("verify", help="run built-in self checks")
     p.add_argument("--all", action="store_true",
                    help="run every check (default when none named)")
-    p.add_argument("--check", action="append", default=[], dest="checks",
+    p.add_argument("--check", action="append", dest="checks",
                    help="run one named check (repeatable)")
     p.add_argument("--n", type=int, default=33)
     add_common(p, source=False)
 
-    p = sub.add_parser("converge",
-                       help="grid refinement ladder with observed orders")
+    p = add_parser("converge",
+                   help="grid refinement ladder with observed orders")
     add_common(p)
     add_qdiff(p)
     p.add_argument("--kind", choices=("weingarten", "dual", "bonnet", "ivp"),
                    help="which residual family to refine")
-    p.add_argument("--levels", type=int, default=3,
-                   help="ladder rungs: n, 2n-1, 4n-3 (default 3)")
-    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--levels", type=int, help="ladder rungs: n, 2n-1, 4n-3 "
+                   "(default %d)" % RunConfig.levels)
+    p.add_argument("--eps", type=float)
     p.add_argument("--row", type=int)
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=int)
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    args.pop("all", None)  # verify runs every check unless some are named
     step = _Step()
     try:
-        config = RunConfig(
-            args.command,
-            generator=getattr(args, "generator", None),
-            params=_parse_param_list(getattr(args, "param", [])),
-            input_path=getattr(args, "input_path", None),
-            qdiff_path=getattr(args, "qdiff_path", None),
-            q=getattr(args, "q", None),
-            eps=getattr(args, "eps", 1.0),
-            row=getattr(args, "row", None),
-            steps=getattr(args, "steps", 8),
-            n=getattr(args, "n", 65),
-            closed_tol=getattr(args, "closed_tol", 5e-3),
-            chart_tol=getattr(args, "chart_tol", 1e-3),
-            umbilic_tol=getattr(args, "umbilic_tol", 1e-6),
-            det_tol=getattr(args, "det_tol", 0.01),
-            outdir=args.outdir,
-            seed=args.seed,
-            checks=getattr(args, "checks", []),
-            kind=getattr(args, "kind", None),
-            levels=getattr(args, "levels", 3),
-        )
+        params = _parse_param_list(args.pop("param", None))
+        config = RunConfig(params=params, **args)
     except ConfigError as exc:
         return _emit_error(step, exc, 1)
     return run(config)

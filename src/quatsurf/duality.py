@@ -8,13 +8,16 @@ h^2/12 correction with 4th-order endpoint derivatives), which keeps
 path-independence deviations at the same order as the stencils.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .charts import (build_immersion, closedness_residual, deriv_x, deriv_y,
-                     form_rms, rms)
+from .charts import (GridChart, build_immersion, closedness_residual,
+                     deriv_x, deriv_y, form_rms, raw_frame, rms)
 from .quaddiff import QuadDifferential, form_from_qdiff, zero_locus
-from .quaternions import (QForm, from_real, qdot, qinv, qmul, qnorm,
-                          qnormsq, star, to_vec, wedge)
+from .quaternions import (QForm, anticonformal_defect, from_real, qdot, qinv,
+                          qmul, qnorm, qnormsq, to_vec, value_transversal,
+                          wedge)
 
 
 def _cumint_x(g, hx):
@@ -56,28 +59,11 @@ def integrate_form(grid, form, basepoint=(0, 0), route=None):
     return primitive, deviation
 
 
-def _raw_frame(grid, f):
-    """Frame fields of a position array without conformality validation.
-
-    Returns (fx, fy, N, e2u, ok) where ok masks nodes with a usable
-    (non-degenerate) frame; N is NaN outside the mask.
-    """
-    fx = deriv_x(f, grid.hx)
-    fy = deriv_y(f, grid.hy)
-    cross = np.cross(fx[..., 1:], fy[..., 1:])
-    cn = np.linalg.norm(cross, axis=-1)
-    e2u = qnorm(fx) * qnorm(fy)
-    ok = cn > 1e-12 * float(np.max(e2u))
-    N = np.zeros_like(f)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        N[..., 1:] = np.where(ok[..., None], cross / cn[..., None], np.nan)
-    return fx, fy, N, e2u, ok
-
-
 def _mean_curvature(grid, f):
     """Mean curvature of a position array via the conformal split,
     NaN where the frame degenerates."""
-    fx, fy, N, e2u, ok = _raw_frame(grid, f)
+    fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, f)
+    ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
     Nclean = np.where(ok[..., None], N, 0.0)
     Nx = deriv_x(Nclean, grid.hx)
     Ny = deriv_y(Nclean, grid.hy)
@@ -96,23 +82,21 @@ def _mean_curvature(grid, f):
     return np.where(bad, np.nan, H)
 
 
+@dataclass(eq=False)
 class DualResult:
     """Output of integrate_dual: the dual surface and its diagnostics."""
 
-    def __init__(self, grid, fstar, tau, closedness_field, closedness_rel,
-                 path_deviation, branch_nodes, branch_mults, pole_nodes,
-                 Hstar, basepoint):
-        self.grid = grid
-        self.fstar = fstar
-        self.tau = tau
-        self.closedness_field = closedness_field
-        self.closedness_rel = closedness_rel
-        self.path_deviation = path_deviation
-        self.branch_nodes = branch_nodes
-        self.branch_mults = branch_mults
-        self.pole_nodes = pole_nodes
-        self.Hstar = Hstar
-        self.basepoint = basepoint
+    grid: GridChart
+    fstar: np.ndarray
+    tau: QForm
+    closedness_field: np.ndarray
+    closedness_rel: float
+    path_deviation: float
+    branch_nodes: list
+    branch_mults: list
+    pole_nodes: list
+    Hstar: np.ndarray
+    basepoint: tuple
 
     @property
     def positions(self):
@@ -133,9 +117,7 @@ def integrate_dual(imm, q, basepoint=(0, 0), closed_tol=5e-3,
     differential and on charts where tau is measurably non-closed
     (the immersion is not isothermic for this q).
     """
-    if not isinstance(q, QuadDifferential):
-        q = QuadDifferential(imm.grid, np.broadcast_to(
-            np.asarray(q, np.complex128), (imm.grid.ny, imm.grid.nx)).copy())
+    q = QuadDifferential.coerce(imm.grid, q)
     if q.max_abs() == 0.0:
         raise ValueError("trivial differential")
 
@@ -179,12 +161,10 @@ def verify_duality(imm, dual, curv):
     """
     tau = dual.tau
     dN = curv.dN
-    H = curv.H[..., None]
     Hs = dual.Hstar
     ok = np.isfinite(Hs)
 
-    resid_a = QForm(dN.ax - Hs[..., None] * tau.ax + H * imm.fx,
-                    dN.ay - Hs[..., None] * tau.ay + H * imm.fy)
+    resid_a = dN - tau * Hs[..., None] + imm.df * curv.H[..., None]
     field_a = np.where(ok, resid_a.norm(), np.nan)
     rel_a = rms(field_a[ok]) / form_rms(dN)
 
@@ -194,11 +174,16 @@ def verify_duality(imm, dual, curv):
     den_b = rms(qnorm(W1))
     rel_b = rms(field_b) / den_b if den_b > 0 else 0.0
 
+    # a is undefined where df* vanishes (the dual's branch points), so
+    # the fit skips those nodes, as (a) skips nodes where H* is NaN
     num = qdot(curv.omega.ax, tau.ax) + qdot(curv.omega.ay, tau.ay)
     den = qnormsq(tau.ax) + qnormsq(tau.ay)
-    a_fit = num / den
-    resid_c = QForm(curv.omega.ax - a_fit[..., None] * tau.ax,
-                    curv.omega.ay - a_fit[..., None] * tau.ay)
+    fit = den > 0
+    a_fit = np.full(den.shape, np.nan)
+    a_fit[fit] = num[fit] / den[fit]
+    a = a_fit[fit][:, None]
+    resid_c = QForm(curv.omega.ax[fit] - a * tau.ax[fit],
+                    curv.omega.ay[fit] - a * tau.ay[fit])
     den_c = form_rms(curv.omega)
     rel_c = form_rms(resid_c) / den_c if den_c > 0 else 0.0
 
@@ -231,12 +216,9 @@ def classify_christoffel(immA, immB, tol=1e-3):
 
     dfB = immB.df
     scaleB = form_rms(dfB)
-    s = star(dfB)
-    anti = np.sqrt(qnormsq(s.ax + qmul(immA.N, dfB.ax))
-                   + qnormsq(s.ay + qmul(immA.N, dfB.ay)))
-    perp_x = 0.5 * (dfB.ax - qmul(immA.N, qmul(dfB.ax, immA.N)))
-    perp_y = 0.5 * (dfB.ay - qmul(immA.N, qmul(dfB.ay, immA.N)))
-    perp = np.sqrt(qnormsq(perp_x) + qnormsq(perp_y))
+    anti = anticonformal_defect(dfB, immA.N).norm()
+    perp = QForm(value_transversal(dfB.ax, immA.N),
+                 value_transversal(dfB.ay, immA.N)).norm()
     if rms(anti) / scaleB < tol and rms(perp) / scaleB < tol:
         return "dual_pair"
 

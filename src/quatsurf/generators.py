@@ -20,24 +20,25 @@ differential coefficient by e^{2 i rot}; this is how non-axis-aligned
 stretch foliations are produced for the Cauchy-problem tests.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import GridChart, build_immersion
+from .charts import ChartImmersion, GridChart, build_immersion
 from .quaddiff import QuadDifferential
 
 TWO_PI = 2.0 * np.pi
 
 
+@dataclass(eq=False)
 class GeneratorResult:
-    def __init__(self, name, params, imm, q_known=None, dual_known=None,
-                 note=""):
-        self.name = name
-        self.params = params
-        self.imm = imm
-        self.q_known = q_known
-        self.dual_known = dual_known
-        self.note = note
+    name: str
+    params: dict
+    imm: ChartImmersion
+    q_known: QuadDifferential | None = None
+    dual_known: np.ndarray | None = None
+    note: str = ""
 
 
 def _rotated_coords(grid, rotation):
@@ -153,6 +154,39 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
         note="minimal, H = 0; dual = Gauss map, branch at origin for order >= 2")
 
 
+def _two_sided_profile(rhs, s0, y_lo, y_hi, name):
+    """Integrate the profile ODE from y = 0 to y_hi and to y_lo.
+
+    Returns evaluate(y) -> states (len(s0),) + y.shape, taken from the
+    forward solution for y >= 0 and the backward one for y < 0.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    sols = {}
+    for end, key in ((y_hi, "fwd"), (y_lo, "bwd")):
+        if end == 0.0:
+            sols[key] = None
+            continue
+        sols[key] = solve_ivp(rhs, (0.0, end), s0, method="DOP853",
+                              rtol=1e-13, atol=1e-14, dense_output=True)
+        if not sols[key].success:
+            raise RuntimeError("%s profile integration failed" % name)
+
+    def evaluate(y):
+        y = np.asarray(y, dtype=float)
+        out = np.empty(s0.shape + y.shape)
+        pos = y >= 0
+        if pos.any():
+            if sols["fwd"] is None:
+                out[:, pos] = s0[:, None]
+            else:
+                out[:, pos] = sols["fwd"].sol(y[pos])
+        if (~pos).any():
+            out[:, ~pos] = sols["bwd"].sol(y[~pos])
+        return out
+
+    return evaluate
+
+
 def _delaunay_profile(neck, bulge, y_lo, y_hi):
     """Delaunay unduloid profile in isothermal coordinates.
 
@@ -169,30 +203,7 @@ def _delaunay_profile(neck, bulge, y_lo, y_hi):
         return [r * np.cos(psi), r * np.sin(psi), 2 * H * r - np.sin(psi),
                 -np.sin(psi) / r]
 
-    sols = {}
-    for lo, hi, key in ((0.0, y_hi, "fwd"), (0.0, y_lo, "bwd")):
-        if hi == lo:
-            sols[key] = None
-            continue
-        sols[key] = solve_ivp(rhs_full, (lo, hi), s0, method="DOP853",
-                              rtol=1e-13, atol=1e-14, dense_output=True)
-        if not sols[key].success:
-            raise RuntimeError("unduloid profile integration failed")
-
-    def evaluate(y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty((4,) + y.shape)
-        pos = y >= 0
-        if pos.any():
-            if sols["fwd"] is None:
-                out[:, pos] = np.asarray(s0)[:, None]
-            else:
-                out[:, pos] = sols["fwd"].sol(y[pos])
-        if (~pos).any():
-            out[:, ~pos] = sols["bwd"].sol(y[~pos])
-        return out
-
-    return evaluate, H
+    return _two_sided_profile(rhs_full, s0, y_lo, y_hi, "unduloid"), H
 
 
 def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
@@ -210,10 +221,7 @@ def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
                                  n, n)
     X, Y = _rotated_coords(grid, rotation)
     profile, H = _delaunay_profile(neck, bulge, float(Y.min()), float(Y.max()))
-    r, z, _, w = profile(Y.ravel())
-    r = r.reshape(Y.shape)
-    z = z.reshape(Y.shape)
-    w = w.reshape(Y.shape)
+    r, z, _, w = profile(Y)
     pos = np.stack([r * np.cos(X), r * np.sin(X), -z], axis=-1)
     imm = build_immersion(grid, pos, chart_tol=chart_tol)
     q = QuadDifferential.constant(grid, _phase(rotation))
@@ -248,23 +256,9 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
         thp = a * ct / np.hypot(a * st, c * ct)
         return [thp, c * thp * ct / (a * a * ct * ct)]
 
-    y_lo, y_hi = float(Y.min()), float(Y.max())
-    parts = {}
-    for lo, hi, key in ((0.0, y_hi, "fwd"), (0.0, y_lo, "bwd")):
-        parts[key] = solve_ivp(rhs, (lo, hi), [0.0, 0.0], method="DOP853",
-                               rtol=1e-13, atol=1e-14, dense_output=True) \
-            if hi != lo else None
-
-    yr = Y.ravel()
-    vals = np.empty((2, yr.size))
-    pos_mask = yr >= 0
-    if pos_mask.any():
-        vals[:, pos_mask] = parts["fwd"].sol(yr[pos_mask]) \
-            if parts["fwd"] is not None else 0.0
-    if (~pos_mask).any():
-        vals[:, ~pos_mask] = parts["bwd"].sol(yr[~pos_mask])
-    theta = vals[0].reshape(Y.shape)
-    w = vals[1].reshape(Y.shape)
+    profile = _two_sided_profile(rhs, [0.0, 0.0], float(Y.min()),
+                                 float(Y.max()), "ellipsoid")
+    theta, w = profile(Y)
     kappa = np.cos(theta)
     pos = np.stack([a * kappa * np.cos(X), -a * kappa * np.sin(X),
                     c * np.sin(theta)], axis=-1)

@@ -11,8 +11,8 @@ anti-conformal tangential one-forms through an immersion's frame.
 import numpy as np
 
 from .charts import deriv_x, deriv_y
-from .quaternions import (QForm, qdot, qinv, qmul, qnorm, qnormsq, star,
-                          to_vec)
+from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
+                          qnormsq, value_transversal)
 
 
 class QuadDifferential:
@@ -32,6 +32,17 @@ class QuadDifferential:
     @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full((grid.ny, grid.nx), value, dtype=np.complex128))
+
+    @classmethod
+    def coerce(cls, grid, q):
+        """Pass an instance through unchanged; broadcast a complex scalar
+        to the grid or wrap a complex (ny, nx) field."""
+        if isinstance(q, cls):
+            return q
+        phi = np.asarray(q, dtype=np.complex128)
+        if phi.ndim == 0:
+            phi = np.full((grid.ny, grid.nx), phi)
+        return cls(grid, phi)
 
     @classmethod
     def from_function(cls, grid, fn):
@@ -68,17 +79,11 @@ class ChartCurve:
         return cls(pts, tans)
 
 
-def _as_phi(q):
-    return q.phi if isinstance(q, QuadDifferential) else np.asarray(q, np.complex128)
-
-
 def cr_residual(q):
     """Holomorphy defect |d phi/dx + i d phi/dy| / 2 per node (the
     conjugate-coordinate derivative), by finite differences."""
-    phi = _as_phi(q)
-    grid = q.grid
-    px = deriv_x(phi.real, grid.hx) + 1j * deriv_x(phi.imag, grid.hx)
-    py = deriv_y(phi.real, grid.hy) + 1j * deriv_y(phi.imag, grid.hy)
+    px = deriv_x(q.phi, q.grid.hx)
+    py = deriv_y(q.phi, q.grid.hy)
     return 0.5 * np.abs(px + 1j * py)
 
 
@@ -119,7 +124,7 @@ def zero_locus(q, tol=1e-8):
     a group larger than a 3x3 block flags non-isolation.  Raises on the
     zero differential, which carries no information.
     """
-    phi = _as_phi(q)
+    phi = q.phi
     scale = float(np.max(np.abs(phi)))
     if scale == 0.0:
         raise ValueError("trivial differential")
@@ -166,7 +171,7 @@ def stretch_directions(q, tol=1e-8):
     vertical: the orthogonal field.  Zero nodes (|phi| < tol max|phi|)
     are masked with NaN; evaluating a single zero node raises instead.
     """
-    phi = _as_phi(q)
+    phi = q.phi
     scale = float(np.max(np.abs(phi)))
     if scale == 0.0:
         raise ValueError("trivial differential")
@@ -206,7 +211,7 @@ def noncharacteristic(curve, q, imm=None, zero_tol=1e-8, min_margin_deg=5.0):
     ok requires margin >= min_margin_deg.  Curves touching the zero
     locus are rejected (the foliations degenerate there).
     """
-    phi = _as_phi(q)
+    phi = q.phi
     scale = float(np.max(np.abs(phi)))
     if scale == 0.0:
         raise ValueError("trivial differential")
@@ -228,10 +233,7 @@ def form_from_qdiff(imm, q):
     tau(d/dx) = fx^{-1} (Re phi + Im phi N), tau(d/dy) = -N tau(d/dx).
     Accepts a QuadDifferential or a bare complex field/scalar.
     """
-    phi = q.phi if isinstance(q, QuadDifferential) else q
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.ndim == 0:
-        phi = np.full(imm.N.shape[:-1], complex(phi))
+    phi = QuadDifferential.coerce(imm.grid, q).phi
     a = np.ascontiguousarray(phi.real)[..., None]
     b = np.ascontiguousarray(phi.imag)[..., None]
     fxinv = qinv(imm.fx)
@@ -252,14 +254,11 @@ def qdiff_from_form(imm, tau, tol=1e-3):
     scale = float(np.sqrt(np.mean(qnormsq(tau.ax) + qnormsq(tau.ay))))
     if scale == 0.0:
         return QuadDifferential(imm.grid, np.zeros((imm.grid.ny, imm.grid.nx)))
-    s = star(tau)
-    anti = np.sqrt(qnormsq(s.ax + qmul(imm.N, tau.ax))
-                   + qnormsq(s.ay + qmul(imm.N, tau.ay)))
+    anti = anticonformal_defect(tau, imm.N).norm()
     if float(np.sqrt(np.mean(anti ** 2))) > tol * scale:
         raise ValueError("form is not anti-conformal for this immersion")
-    perp_x = 0.5 * (tau.ax - qmul(imm.N, qmul(tau.ax, imm.N)))
-    perp_y = 0.5 * (tau.ay - qmul(imm.N, qmul(tau.ay, imm.N)))
-    perp = np.sqrt(qnormsq(perp_x) + qnormsq(perp_y))
+    perp = QForm(value_transversal(tau.ax, imm.N),
+                 value_transversal(tau.ay, imm.N)).norm()
     if float(np.sqrt(np.mean(perp ** 2))) > tol * scale:
         raise ValueError("form is not tangential for this immersion")
     prod = qmul(imm.fx, tau.ax)

@@ -162,6 +162,12 @@ def split_conformal(form, N):
     return kc, ka
 
 
+def anticonformal_defect(form, N):
+    """star(form) + N form, which vanishes exactly when form is
+    anti-conformal; its norm is twice that of the conformal part."""
+    return star(form) + form.lmul(N)
+
+
 def value_tangential(q, N):
     """Tangential part of a quaternion value: (q + N q N)/2.
 

@@ -86,6 +86,12 @@ def test_bonnet_pair_cylinder(surf, dual_of):
         assert rep["closedness_rel"] < 5e-3
         assert rep["metric_identity_rel"] < 1e-3
 
+    # bare dual positions, as R^3 vectors or quaternions, give the same mates
+    for fstar in (dual.positions, dual.fstar):
+        same = qs.bonnet_pair(g.imm, fstar, eps=1.0)
+        assert same.congruence_rms == pytest.approx(pair.congruence_rms,
+                                                    rel=1e-9)
+
 
 def test_bonnet_pair_rejects_bad_eps(surf, dual_of):
     g = surf("cylinder")

@@ -38,6 +38,25 @@ def test_derivatives_exact_on_quartics():
     assert np.max(np.abs(deriv_y(f, g.hy) - fy)) < 1e-11
 
 
+def test_complex_derivatives_match_the_part_by_part_split():
+    g = GridChart(nx=17, ny=13, hx=0.1, hy=0.2, x0=-0.5, y0=-1.0)
+    X, Y = g.mesh()
+    w = np.exp((0.7 + 1.3j) * (X + 1j * Y)) + 1j * RNG.standard_normal(X.shape)
+    assert np.array_equal(deriv_x(w, g.hx),
+                          deriv_x(w.real, g.hx) + 1j * deriv_x(w.imag, g.hx))
+    assert np.array_equal(deriv_y(w, g.hy),
+                          deriv_y(w.real, g.hy) + 1j * deriv_y(w.imag, g.hy))
+
+
+@pytest.mark.parametrize("bad", [{"hx": np.nan}, {"hy": np.inf},
+                                 {"x0": np.nan}, {"y0": -np.inf}])
+def test_grid_chart_rejects_non_finite_geometry(bad):
+    spec = {"nx": 9, "ny": 9, "hx": 0.1, "hy": 0.1, "x0": 0.0, "y0": 0.0}
+    spec.update(bad)
+    with pytest.raises(ValueError, match="finite"):
+        GridChart(**spec)
+
+
 def test_derivative_convergence_is_fourth_order():
     errs = []
     for n in (33, 65):
@@ -67,6 +86,10 @@ def test_rms_and_field_stats():
     assert stats["std"] == pytest.approx(0.0)
     full = field_stats(a, interior_only=False)
     assert full["max"] == pytest.approx(1000.0)
+    a[4, 4] = np.nan  # non-finite nodes are skipped unless all are
+    assert field_stats(a) == {"mean": 3.0, "std": 0.0, "min": 3.0,
+                              "max": 3.0}
+    assert np.isnan(field_stats(np.full((9, 9), np.nan))["mean"])
 
 
 def test_build_immersion_rejects_bad_input():

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -49,6 +50,8 @@ def test_analyze_report_structure(tmp_path):
     assert rep["command"] == "analyze"
     assert len(rep["config_hash"]) == 16
     assert rep["grid"]["ny"] == rep["grid"]["nx"] == 65
+    # unset flags fall through to the RunConfig defaults
+    assert (rep["config"]["eps"], rep["config"]["steps"]) == (1.0, 8)
     assert set(rep["tolerances"]) == {"closed_tol", "chart_tol",
                                       "umbilic_tol", "classify_tol",
                                       "det_tol"}
@@ -118,6 +121,55 @@ def test_numerical_error_has_module_and_operation(tmp_path, capsys):
     assert payload["module"] == "quatsurf.duality"
     assert payload["operation"] == "integrate_dual"
     assert "not isothermic" in payload["message"]
+
+
+def test_converge_error_names_the_failing_stage(tmp_path, capsys):
+    # the n=17 cylinder already fails closedness inside integrate_dual,
+    # before bonnet_pair runs
+    code = main(["converge", "--generator", "cylinder", "--kind", "bonnet",
+                 "--n", "17", "--outdir", str(tmp_path / "c")])
+    assert code == 2
+    payload = last_stderr_json(capsys)
+    assert payload["module"] == "quatsurf.duality"
+    assert payload["operation"] == "integrate_dual"
+    assert "not isothermic" in payload["message"]
+
+
+@pytest.mark.parametrize("param", ["bogus=1", "n=9", "x_span=1",
+                                   "radius=nan", "radius=-inf"])
+def test_bad_generator_param_is_config_error(param, tmp_path, capsys):
+    code = main(["analyze", "--generator", "cylinder", "--n", "17",
+                 "--param", param, "--outdir", str(tmp_path / "p")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["exit_code"] == 1
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+def test_dual_report_is_finite_at_a_branch_point(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    assert main(["dual", "--generator", "enneper", "--param", "order=2",
+                 "--n", "33", "--outdir", out]) == 0
+    assert capsys.readouterr().err == ""
+    res = read_report(out, "dual")["results"]
+    assert res["branch_nodes"] == [[16, 16]]
+    assert res["real_multiple_rel"] < 1e-3
+    leaves = list(_leaves(res))
+    assert not any(v in ("nan", "inf", "-inf") for v in leaves)
+    assert all(math.isfinite(v) for v in leaves if isinstance(v, float))
 
 
 def test_error_node_is_machine_readable(tmp_path, capsys):

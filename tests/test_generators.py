@@ -83,6 +83,16 @@ def test_sphere_extent_parameter():
     assert narrow.imm.conformality_residual < wide.imm.conformality_residual
 
 
+@pytest.mark.parametrize("name", ["unduloid", "ellipsoid_of_revolution"])
+def test_profile_ode_failure_raises(name, monkeypatch):
+    class Failed:
+        success = False
+
+    monkeypatch.setattr(qs.generators, "solve_ivp", lambda *a, **k: Failed())
+    with pytest.raises(RuntimeError, match="profile integration failed"):
+        make_surface(name, n=17)
+
+
 def test_unknown_parameter_rejected():
     with pytest.raises(TypeError):
         make_surface("cylinder", n=33, wavelength=2.0)

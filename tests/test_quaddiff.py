@@ -28,6 +28,17 @@ def test_constant_and_sampled_constructors():
     assert q2.phi[8, 4] == pytest.approx(-1.0)  # z = i
 
 
+def test_coerce_scalar_field_and_instance():
+    g = centered_grid(9)
+    q = QuadDifferential.coerce(g, 1j)
+    assert q.phi.shape == (9, 9) and np.all(q.phi == 1j)
+    assert QuadDifferential.coerce(g, q) is q
+    field = (1.0 + 2.0j) * np.arange(81.0).reshape(9, 9)
+    assert np.array_equal(QuadDifferential.coerce(g, field).phi, field)
+    with pytest.raises(ValueError, match="shape"):
+        QuadDifferential.coerce(g, np.ones((9, 8)))
+
+
 def test_cr_residual_separates_holomorphic_from_not():
     g = centered_grid(33)
     holo = QuadDifferential.from_function(g, lambda z: z ** 3 - 2 * z)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from quatsurf.quaternions import (QForm, from_real, from_vec, qconj, qdot,
-                                  qinv, qmul, qnorm, qnormsq, quat, realpart,
-                                  sandwich, split_conformal, split_tangential,
-                                  star, to_vec, value_tangential,
+from quatsurf.quaternions import (QForm, anticonformal_defect, from_real,
+                                  from_vec, qconj, qdot, qinv, qmul, qnorm,
+                                  qnormsq, quat, realpart, sandwich,
+                                  split_conformal, split_tangential, star,
+                                  to_vec, value_tangential,
                                   value_transversal, wedge)
 
 RNG = np.random.default_rng(20240817)
@@ -107,6 +108,16 @@ def test_conformal_split_is_a_projector_pair():
     # idempotence
     kc2, _ = split_conformal(kc, N)
     assert np.max((kc2 - kc).norm()) < 1e-12
+
+
+def test_anticonformal_defect_is_twice_the_conformal_part():
+    N = _random_unit_normals((9, 9))
+    w = QForm(RNG.standard_normal((9, 9, 4)), RNG.standard_normal((9, 9, 4)))
+    kc, ka = split_conformal(w, N)
+    want = 2.0 * kc.norm()
+    got = anticonformal_defect(w, N).norm()
+    assert np.max(np.abs(got - want) / want) < 1e-14
+    assert np.max(anticonformal_defect(ka, N).norm()) < 1e-12
 
 
 def test_tangential_split():
