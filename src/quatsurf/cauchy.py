@@ -36,26 +36,25 @@ from .duality import integrate_form
 from .bonnet import SpinField
 
 
+# The Hamilton product's table on the basis (1, i, j, k), taken from
+# qmul once: _PRODUCTS[a, b] = e_a e_b.  Both multiplication matrices
+# are q contracted with it; every entry is one signed component of q.
+_BASIS = np.eye(4)
+_PRODUCTS = qmul(_BASIS[:, None, :], _BASIS[None, :, :])
+_LEFT = _PRODUCTS.transpose(0, 2, 1).reshape(4, 16)   # q e_k = q_a e_a e_k
+_RIGHT = _PRODUCTS.transpose(1, 2, 0).reshape(4, 16)  # e_k q = q_a e_k e_a
+
+
 def left_matrix(q):
     """(..., 4, 4) matrix of alpha -> q alpha."""
-    w, x, y, z = (q[..., k] for k in range(4))
-    M = np.empty(q.shape[:-1] + (4, 4))
-    M[..., 0, 0], M[..., 0, 1], M[..., 0, 2], M[..., 0, 3] = w, -x, -y, -z
-    M[..., 1, 0], M[..., 1, 1], M[..., 1, 2], M[..., 1, 3] = x, w, -z, y
-    M[..., 2, 0], M[..., 2, 1], M[..., 2, 2], M[..., 2, 3] = y, z, w, -x
-    M[..., 3, 0], M[..., 3, 1], M[..., 3, 2], M[..., 3, 3] = z, -y, x, w
-    return M
+    q = np.asarray(q, dtype=np.float64)
+    return (q @ _LEFT).reshape(q.shape[:-1] + (4, 4))
 
 
 def right_matrix(q):
     """(..., 4, 4) matrix of alpha -> alpha q."""
-    w, x, y, z = (q[..., k] for k in range(4))
-    M = np.empty(q.shape[:-1] + (4, 4))
-    M[..., 0, 0], M[..., 0, 1], M[..., 0, 2], M[..., 0, 3] = w, -x, -y, -z
-    M[..., 1, 0], M[..., 1, 1], M[..., 1, 2], M[..., 1, 3] = x, w, z, -y
-    M[..., 2, 0], M[..., 2, 1], M[..., 2, 2], M[..., 2, 3] = y, -z, w, x
-    M[..., 3, 0], M[..., 3, 1], M[..., 3, 2], M[..., 3, 3] = z, y, -x, w
-    return M
+    q = np.asarray(q, dtype=np.float64)
+    return (q @ _RIGHT).reshape(q.shape[:-1] + (4, 4))
 
 
 @dataclass(eq=False)

@@ -194,14 +194,24 @@ def raw_frame(grid, f):
     """Frame of quaternion positions f with no validation.
 
     Returns (fx, fy, N, |fx|, |fy|, |fx x fy|); N is non-finite where
-    fx x fy vanishes.
+    fx x fy vanishes.  The cross product and its norm are written out
+    in the operation order of np.cross and np.linalg.norm, so they are
+    bit-identical to them (tested).
     """
     fx = deriv_x(f, grid.hx)
     fy = deriv_y(f, grid.hy)
-    cross = np.cross(fx[..., 1:], fy[..., 1:])
-    crossnorm = np.linalg.norm(cross, axis=-1)
+    ax, ay, az = fx[..., 1], fx[..., 2], fx[..., 3]
+    bx, by, bz = fy[..., 1], fy[..., 2], fy[..., 3]
+    cx = ay * bz - az * by
+    cy = az * bx - ax * bz
+    cz = ax * by - ay * bx
+    crossnorm = np.sqrt((cx * cx + cy * cy) + cz * cz)
+    N = np.empty_like(fx)
+    N[..., 0] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        N = from_vec(cross / crossnorm[..., None])
+        np.divide(cx, crossnorm, out=N[..., 1])
+        np.divide(cy, crossnorm, out=N[..., 2])
+        np.divide(cz, crossnorm, out=N[..., 3])
     return fx, fy, N, qnorm(fx), qnorm(fy), crossnorm
 
 

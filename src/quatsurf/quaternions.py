@@ -43,16 +43,25 @@ def realpart(q):
 
 
 def qmul(a, b):
-    """Quaternion product, broadcasting over leading axes."""
+    """Quaternion product, broadcasting over leading axes.
+
+    Written component by component in the operation order of the
+    sum/cross form aw bw - av.bv, aw bv + bw av + av x bv, so results
+    are bit-identical to it (the tests hold both forms equal with ==,
+    which does not tell -0.0 from 0.0; the sum form's sign of an exact
+    zero varied with the array size anyway):
+    w = aw bw - ((ax bx + ay by) + az bz) and
+    x = (aw bx + bw ax) + (ay bz - az by), cyclically for y and z.
+    """
     a = np.asarray(a, dtype=QUAT_DTYPE)
     b = np.asarray(b, dtype=QUAT_DTYPE)
-    aw, av = a[..., 0], a[..., 1:]
-    bw, bv = b[..., 0], b[..., 1:]
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.empty(shape, dtype=QUAT_DTYPE)
-    out[..., 0] = aw * bw - np.sum(av * bv, axis=-1)
-    out[..., 1:] = (aw[..., None] * bv + bw[..., None] * av
-                    + np.cross(av, bv))
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=QUAT_DTYPE)
+    out[..., 0] = aw * bw - ((ax * bx + ay * by) + az * bz)
+    out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
+    out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
+    out[..., 3] = (aw * bz + bw * az) + (ax * by - ay * bx)
     return out
 
 
@@ -64,7 +73,11 @@ def qconj(q):
 
 
 def qnormsq(q):
-    return np.sum(np.square(np.asarray(q, dtype=QUAT_DTYPE)), axis=-1)
+    """|q|^2 as ((w w + x x) + y y) + z z: the order of a sum over the
+    last axis, so bit-identical to np.sum(q**2, axis=-1) (tested)."""
+    q = np.asarray(q, dtype=QUAT_DTYPE)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return ((w * w + x * x) + y * y) + z * z
 
 
 def qnorm(q):
@@ -79,8 +92,12 @@ def qinv(q):
 
 
 def qdot(a, b):
-    """Euclidean inner product of the 4-component representations."""
-    return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
+    """Euclidean inner product of the 4-component representations, in
+    the order of qnormsq (and of np.sum(a*b, axis=-1))."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return (((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+             + a[..., 2] * b[..., 2]) + a[..., 3] * b[..., 3])
 
 
 def sandwich(q, p):

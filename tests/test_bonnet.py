@@ -93,6 +93,30 @@ def test_bonnet_pair_cylinder(surf, dual_of):
                                                     rel=1e-9)
 
 
+def test_bonnet_pair_fields_match_the_public_entry_points(surf, dual_of):
+    # spin_integrate and _spin_frame, called on their own, give the same
+    # bits as the fields bonnet_pair stores; a pair that shares one spin
+    # form per sign between them must keep this
+    g = surf("catenoid")
+    dual = dual_of("catenoid")
+    pair = qs.bonnet_pair(g.imm, dual, eps=0.8)
+    for side, lam, mate, form, curv in (
+            ("plus", pair.lam_plus, pair.fplus, pair.form_plus,
+             pair.curv_plus),
+            ("minus", pair.lam_minus, pair.fminus, pair.form_minus,
+             pair.curv_minus)):
+        new, rep = spin_integrate(g.imm, lam)
+        assert np.array_equal(new.f, mate.f)
+        assert np.array_equal(new.N, mate.N)
+        assert rep == pair.reports[side]
+        frame = _spin_frame(g.imm, lam)
+        assert np.array_equal(frame.fx, form.ax)
+        assert np.array_equal(frame.fy, form.ay)
+        split = qs.weingarten_split(frame)
+        assert np.array_equal(split.II, curv.II)
+        assert np.array_equal(split.H, curv.H)
+
+
 def test_bonnet_pair_rejects_bad_eps(surf, dual_of):
     g = surf("cylinder")
     dual = dual_of("cylinder")

@@ -13,8 +13,10 @@ import quatsurf as qs
 from quatsurf import qnorm
 from quatsurf.cauchy import (CauchyProblem, build_background,
                              characteristic_angles, check_wellposed,
-                             march_solve, reconstruct, stretch_alignment,
-                             symbol, symbol_det_profile)
+                             left_matrix, march_solve, reconstruct,
+                             right_matrix, stretch_alignment, symbol,
+                             symbol_det_profile)
+from quatsurf.quaternions import qmul
 
 ROT = np.pi / 4
 
@@ -145,3 +147,30 @@ def test_build_background_constant_rotation(surf):
     d = qs.congruence_distance(new.positions, g.imm.positions[lo:hi + 1])
     assert d < 1e-4
     assert rep["closedness_rel"] < 5e-3
+
+
+def test_multiplication_matrices_apply_the_product():
+    rng = np.random.default_rng(7)
+    for shape in ((), (9,), (3, 5)):
+        q = rng.standard_normal(shape + (4,))
+        a = rng.standard_normal(shape + (4,))
+        L, R = left_matrix(q), right_matrix(q)
+        assert L.shape == R.shape == shape + (4, 4)
+        scale = qnorm(q) * qnorm(a)
+        left = np.einsum("...rk,...k->...r", L, a)
+        right = np.einsum("...rk,...k->...r", R, a)
+        assert np.all(qnorm(left - qmul(q, a)) <= 1e-14 * scale)
+        assert np.all(qnorm(right - qmul(a, q)) <= 1e-14 * scale)
+
+
+def test_multiplication_matrices_hold_signed_components():
+    # each entry is exactly one signed component of q: the tables as
+    # they read in the algebra
+    q = np.random.default_rng(8).standard_normal((6, 4))
+    w, x, y, z = (q[:, k] for k in range(4))
+    left = np.stack([np.stack(r, -1) for r in (
+        (w, -x, -y, -z), (x, w, -z, y), (y, z, w, -x), (z, -y, x, w))], -2)
+    right = np.stack([np.stack(r, -1) for r in (
+        (w, -x, -y, -z), (x, w, z, -y), (y, -z, w, x), (z, y, -x, w))], -2)
+    assert np.array_equal(left_matrix(q), left)
+    assert np.array_equal(right_matrix(q), right)
