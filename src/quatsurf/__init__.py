@@ -7,8 +7,8 @@ conformal-deformation Cauchy problem.
 """
 
 from .quaternions import (QForm, anticonformal_defect, from_real, from_vec,
-                          qconj, qdot, qinv, qmul, qnorm, qnormsq, quat,
-                          realpart, sandwich, split_conformal,
+                          qconj, qdot, qinv, qiszero, qmul, qnorm, qnormsq,
+                          quat, realpart, sandwich, split_conformal,
                           split_tangential, star, to_vec, value_tangential,
                           value_transversal, wedge)
 from .charts import (ChartImmersion, CurvatureData, GridChart,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
-                          qmul, qnorm, qnormsq, star)
+                          qiszero, qmul, qnorm, qnormsq, star)
 from .charts import (ChartImmersion, CurvatureData, build_immersion,
                      closedness_residual, deriv_x, deriv_y, floored_relative,
                      form_rms, interior, rms, umbilics, weingarten_split)
@@ -41,9 +41,9 @@ class SpinField:
         band = lam[lo:hi + 1]
         if not np.isfinite(band).all():
             raise ValueError("non-finite spin value inside the band")
-        mags = qnorm(band)
-        if mags.min() <= 0.0:
-            j, i = map(int, np.argwhere(mags == 0.0)[0])
+        zero = qiszero(band)
+        if zero.any():
+            j, i = map(int, np.argwhere(zero)[0])
             raise ValueError("spin field vanishes at node (j=%d, i=%d)"
                              % (j + lo, i))
 
@@ -73,7 +73,7 @@ def spin_closedness(imm, lam):
     means the transformed differential integrates to a surface.
     """
     lam = _unwrap(lam)
-    if qnorm(lam).min() == 0.0:
+    if qiszero(lam).any():
         raise ValueError("spin field vanishes on the chart")
     lam_x = deriv_x(lam, imm.grid.hx)
     lam_y = deriv_y(lam, imm.grid.hy)
@@ -92,7 +92,7 @@ def spin_integrate(imm, lam, basepoint=(0, 0), closed_tol=5e-3,
     (immersion, report).
     """
     lam = _unwrap(lam)
-    if qnorm(lam).min() == 0.0:
+    if qiszero(lam).any():
         raise ValueError("spin field vanishes on the chart")
     form = spin_form(imm, lam)
     _, rel = closedness_residual(imm.grid, form)

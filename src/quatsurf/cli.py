@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,24 +39,16 @@ DEFAULT_OUTDIR = "quatsurf-out"
 COMMANDS = ("generate", "analyze", "dual", "bonnet", "solve-ivp", "verify",
             "converge")
 
+# errors from the CLI's own code are reported under this module name, also
+# when it runs as __main__
+_CLI_MODULE = "quatsurf.cli"
+
 # node coordinates embedded in library error messages, e.g. "(j=3, i=17)"
 _NODE_RE = re.compile(r"\(j=(\d+),\s*i=(\d+)\)")
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (exit code 1)."""
-
-
-class _Step:
-    """Tracks which module/operation is active, for error reports."""
-
-    def __init__(self):
-        self.module = "quatsurf.cli"
-        self.operation = "parse"
-
-    def at(self, module, operation):
-        self.module = "quatsurf." + module
-        self.operation = operation
 
 
 @dataclass
@@ -117,10 +109,12 @@ class RunConfig:
             raise ConfigError("unknown generator %r; choose from %s"
                               % (self.generator, ", ".join(sorted(CATALOG))))
         if self.generator is not None:
-            # --param sets the numeric keywords; n has its own flag
+            # --param sets the numeric keywords; n and chart_tol have
+            # their own flags
             sig = inspect.signature(CATALOG[self.generator]).parameters
             known = [k for k, p in sig.items()
-                     if k != "n" and isinstance(p.default, (int, float))]
+                     if k not in ("n", "chart_tol")
+                     and isinstance(p.default, (int, float))]
             unknown = sorted(set(self.params) - set(known))
             if unknown:
                 raise ConfigError("generator %r has no parameter %s; "
@@ -206,7 +200,7 @@ def _parse_complex(text):
                           "(use forms like 1, -2.5, 1j, 0.5+0.5j)" % text)
 
 
-def _load_surface(config, step):
+def _load_surface(config):
     """Build the working immersion from the generator or an input file.
 
     Returns (immersion, q_known, dual_known, label).  Generator metadata
@@ -214,27 +208,24 @@ def _load_surface(config, step):
     differential to the catalog value.
     """
     if config.generator is not None:
-        step.at("generators", "make_surface")
-        gen = make_surface(config.generator, n=config.n, **config.params)
+        gen = make_surface(config.generator, n=config.n,
+                           chart_tol=config.chart_tol, **config.params)
         return gen.imm, gen.q_known, gen.dual_known, gen.name
-    step.at("io", "read_positions_csv")
     grid, positions = read_positions_csv(config.input_path)
-    step.at("charts", "build_immersion")
     imm = build_immersion(grid, positions, chart_tol=config.chart_tol)
     label = os.path.splitext(os.path.basename(config.input_path))[0]
     return imm, None, None, label
 
 
-def _load_qdiff(config, imm, q_known, step):
+def _load_qdiff(config, imm, q_known):
     """Resolve the quadratic differential: --qdiff file, --q constant, or
     the generator's catalog value."""
     if config.qdiff_path is not None:
-        step.at("io", "read_qdiff_csv")
         grid, phi = read_qdiff_csv(config.qdiff_path)
         if grid.ny != imm.grid.ny or grid.nx != imm.grid.nx:
-            raise ValueError("quadratic differential grid %dx%d does not "
-                             "match surface grid %dx%d"
-                             % (grid.ny, grid.nx, imm.grid.ny, imm.grid.nx))
+            raise ConfigError("quadratic differential grid %dx%d does not "
+                              "match surface grid %dx%d"
+                              % (grid.ny, grid.nx, imm.grid.ny, imm.grid.nx))
         return QuadDifferential(imm.grid, phi)
     if config.q is not None:
         return QuadDifferential.constant(imm.grid, _parse_complex(config.q))
@@ -254,18 +245,102 @@ def _position_fields(imm):
 
 
 # ---------------------------------------------------------------------------
+# pipeline stages: (config, imm[, q]) -> (objects, results), shared by the
+# command handlers and the converge ladder
+
+
+def _analyze(config, imm):
+    curv = weingarten_split(imm)
+    _, wrel = weingarten_residual(imm, curv)
+    _, arel = anticonformality_residual(imm, curv)
+    _, trel = tangentiality_residual(imm, curv)
+    _, hrel = relate_hopf(imm, curv)
+    return curv, {
+        "H": field_stats(curv.H),
+        "hopf_abs": field_stats(np.abs(curv.hopf_qd)),
+        "weingarten_rel": wrel,
+        "anticonformality_rel": arel,
+        "tangentiality_rel": trel,
+        "hopf_consistency_rel": hrel,
+        "conformality_residual": imm.conformality_residual,
+    }
+
+
+def _dual(config, imm, q):
+    dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
+    checks = verify_duality(imm, dual, weingarten_split(imm))
+    return dual, {
+        "closedness_rel": dual.closedness_rel,
+        "path_deviation": dual.path_deviation,
+        "branch_nodes": _nodes_list(dual.branch_nodes),
+        "branch_multiplicities": [int(m) for m in dual.branch_mults],
+        "pole_count": len(dual.pole_nodes),
+        "H_dual": field_stats(dual.Hstar),
+        "classical_rel": checks["classical_rel"],
+        "wedge_rel": checks["wedge_rel"],
+        "real_multiple_rel": checks["real_multiple_rel"],
+        "fitted_vs_Hdual_rms": checks["fitted_vs_Hstar_rms"],
+    }
+
+
+def _bonnet(config, imm, q):
+    dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
+    pair = bonnet_pair(imm, dual, config.eps, closed_tol=config.closed_tol,
+                       chart_tol=config.chart_tol)
+    _, dist_rel = shape_distortion_check(imm, dual, pair)
+    dH = np.abs(interior(pair.Hplus) - interior(pair.Hminus))
+    floor = 1e-3 * imm.diameter()
+    return (dual, pair), {
+        "eps": config.eps,
+        "metric_rel": pair.metric_rel,
+        "mean_curvature_diff_max": float(np.max(dH)),
+        "H_plus": field_stats(pair.Hplus),
+        "H_minus": field_stats(pair.Hminus),
+        "congruence_rms": pair.congruence_rms,
+        "congruence_floor": floor,
+        "noncongruent": bool(pair.congruence_rms > floor),
+        "normal_recovery_rel": pair.normal_recovery_rel,
+        "distortion_identity_rel": dist_rel,
+        "distortion_cr_rel": pair.D_cr_rel,
+    }
+
+
+def _solve_ivp(config, imm, q):
+    row = config.row if config.row is not None else imm.grid.ny // 2
+    if not (0 <= row < imm.grid.ny):
+        raise ConfigError("row %d outside grid (ny=%d)" % (row, imm.grid.ny))
+    prob = CauchyProblem(imm, q, row)
+    well = check_wellposed(prob, det_tol=config.det_tol)
+    spin = march_solve(prob, config.steps)
+    band, rep = reconstruct(prob, spin, closed_tol=config.closed_tol,
+                            chart_tol=config.chart_tol)
+    lo, hi = spin.band_rows()
+    return band, {
+        "row": row,
+        "steps": config.steps,
+        "rows_solved": [int(lo), int(hi)],
+        "wellposed": well,
+        "spin_norm": field_stats(qnorm(spin.lam[lo:hi + 1]),
+                                 interior_only=False),
+        "curve_match_rel": rep["curve_match_rel"],
+        "closedness_rel": rep["closedness_rel"],
+        "q_residual_tangential_rel": rep["q_residual_tangential_rel"],
+        "q_residual_normal_rel": rep["q_residual_normal_rel"],
+        "path_deviation": rep["path_deviation"],
+    }
+
+
+# ---------------------------------------------------------------------------
 # command handlers: each returns (results dict, grid) and writes artifacts
 
 
-def _cmd_generate(config, outdir, step):
-    imm, q_known, dual_known, label = _load_surface(config, step)
-    step.at("io", "write_obj")
+def _cmd_generate(config, outdir):
+    imm, q_known, dual_known, label = _load_surface(config)
     write_obj(os.path.join(outdir, "%s_surface.obj" % label), imm.positions,
               comment="generated surface: %s" % label)
     fields = _position_fields(imm)
     fields["log_density"] = imm.u
     fields["conformality"] = imm.conformality_field
-    step.at("io", "write_field_csv")
     write_field_csv(os.path.join(outdir, "%s_fields.csv" % label),
                     imm.grid, fields)
     results = {
@@ -279,70 +354,31 @@ def _cmd_generate(config, outdir, step):
     return results, imm.grid
 
 
-def _cmd_analyze(config, outdir, step):
-    imm, q_known, _, label = _load_surface(config, step)
-    step.at("charts", "weingarten_split")
-    curv = weingarten_split(imm)
-    step.at("charts", "weingarten_residual")
-    _, wrel = weingarten_residual(imm, curv)
-    _, arel = anticonformality_residual(imm, curv)
-    _, trel = tangentiality_residual(imm, curv)
-    _, hrel = relate_hopf(imm, curv)
-    step.at("charts", "umbilics")
+def _cmd_analyze(config, outdir):
+    imm, _, _, label = _load_surface(config)
+    curv, results = _analyze(config, imm)
     umb = umbilics(curv, tol=config.umbilic_tol)
-    step.at("io", "write_field_csv")
     write_field_csv(os.path.join(outdir, "%s_curvature.csv" % label),
                     imm.grid,
                     {"H": curv.H,
                      "re_hopf": curv.hopf_qd.real,
                      "im_hopf": curv.hopf_qd.imag,
                      "conformality": imm.conformality_field})
-    results = {
-        "label": label,
-        "H": field_stats(curv.H),
-        "hopf_abs": field_stats(np.abs(curv.hopf_qd)),
-        "umbilic_count": len(umb),
-        "umbilic_nodes": _nodes_list(umb),
-        "weingarten_rel": wrel,
-        "anticonformality_rel": arel,
-        "tangentiality_rel": trel,
-        "hopf_consistency_rel": hrel,
-        "conformality_residual": imm.conformality_residual,
-    }
+    results.update(label=label, umbilic_count=len(umb),
+                   umbilic_nodes=_nodes_list(umb))
     return results, imm.grid
 
 
-def _cmd_dual(config, outdir, step):
-    imm, q_known, dual_known, label = _load_surface(config, step)
-    q = _load_qdiff(config, imm, q_known, step)
-    step.at("duality", "integrate_dual")
-    dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
-    step.at("charts", "weingarten_split")
-    curv = weingarten_split(imm)
-    step.at("duality", "verify_duality")
-    checks = verify_duality(imm, dual, curv)
-    step.at("io", "write_obj")
+def _cmd_dual(config, outdir):
+    imm, q_known, dual_known, label = _load_surface(config)
+    dual, results = _dual(config, imm, _load_qdiff(config, imm, q_known))
     write_obj(os.path.join(outdir, "%s_dual.obj" % label), dual.positions,
               comment="dual surface of %s" % label)
-    results = {
-        "label": label,
-        "closedness_rel": dual.closedness_rel,
-        "path_deviation": dual.path_deviation,
-        "branch_nodes": _nodes_list(dual.branch_nodes),
-        "branch_multiplicities": [int(m) for m in dual.branch_mults],
-        "pole_count": len(dual.pole_nodes),
-        "H_dual": field_stats(dual.Hstar),
-        "classical_rel": checks["classical_rel"],
-        "wedge_rel": checks["wedge_rel"],
-        "real_multiple_rel": checks["real_multiple_rel"],
-        "fitted_vs_Hdual_rms": checks["fitted_vs_Hstar_rms"],
-    }
+    results["label"] = label
     if not dual.branch_nodes:
-        step.at("duality", "as_immersion")
         istar = dual.as_immersion(chart_tol=config.chart_tol)
         flip = qnorm(istar.N + imm.N)
         results["normal_flip_rms"] = float(rms(interior(flip)))
-        step.at("duality", "classify_christoffel")
         results["classify"] = classify_christoffel(
             imm, istar, tol=config.classify_tol)
     if dual_known is not None:
@@ -353,78 +389,41 @@ def _cmd_dual(config, outdir, step):
     return results, imm.grid
 
 
-def _cmd_bonnet(config, outdir, step):
-    imm, q_known, _, label = _load_surface(config, step)
-    q = _load_qdiff(config, imm, q_known, step)
-    step.at("duality", "integrate_dual")
-    dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
-    step.at("bonnet", "bonnet_pair")
-    pair = bonnet_pair(imm, dual, config.eps,
-                       closed_tol=config.closed_tol,
-                       chart_tol=config.chart_tol)
-    step.at("bonnet", "shape_distortion_check")
-    _, dist_rel = shape_distortion_check(imm, dual, pair)
-    step.at("bonnet", "umbilic_branch_correspondence")
+def _cmd_bonnet(config, outdir):
+    imm, q_known, _, label = _load_surface(config)
+    (dual, pair), results = _bonnet(config, imm,
+                                    _load_qdiff(config, imm, q_known))
     corr = umbilic_branch_correspondence(pair, dual, tol=config.umbilic_tol)
-    step.at("io", "write_obj")
     write_obj(os.path.join(outdir, "%s_mate_plus.obj" % label),
               pair.fplus.positions, comment="mate at +eps")
     write_obj(os.path.join(outdir, "%s_mate_minus.obj" % label),
               pair.fminus.positions, comment="mate at -eps")
-    dH = np.abs(interior(pair.Hplus) - interior(pair.Hminus))
-    diam = imm.diameter()
-    results = {
-        "label": label,
-        "eps": config.eps,
-        "metric_rel": pair.metric_rel,
-        "mean_curvature_diff_max": float(np.max(dH)),
-        "H_plus": field_stats(pair.Hplus),
-        "H_minus": field_stats(pair.Hminus),
-        "congruence_rms": pair.congruence_rms,
-        "congruence_floor": 1e-3 * diam,
-        "noncongruent": bool(pair.congruence_rms > 1e-3 * diam),
-        "normal_recovery_rel": pair.normal_recovery_rel,
-        "distortion_identity_rel": dist_rel,
-        "distortion_cr_rel": pair.D_cr_rel,
-        "umbilic_branch_match": corr["all_match"],
-        "distortion_zeros": _nodes_list(corr["distortion_zeros"]),
-    }
+    results.update(label=label, umbilic_branch_match=corr["all_match"],
+                   distortion_zeros=_nodes_list(corr["distortion_zeros"]))
     return results, imm.grid
 
 
-def _cmd_solve_ivp(config, outdir, step):
-    imm, q_known, _, label = _load_surface(config, step)
-    q = _load_qdiff(config, imm, q_known, step)
-    row = config.row if config.row is not None else imm.grid.ny // 2
-    if not (0 <= row < imm.grid.ny):
-        raise ConfigError("row %d outside grid (ny=%d)" % (row, imm.grid.ny))
-    step.at("cauchy", "check_wellposed")
-    prob = CauchyProblem(imm, q, row)
-    well = check_wellposed(prob, det_tol=config.det_tol)
-    step.at("cauchy", "march_solve")
-    spin = march_solve(prob, config.steps)
-    step.at("cauchy", "reconstruct")
-    band, rep = reconstruct(prob, spin, closed_tol=config.closed_tol,
-                            chart_tol=config.chart_tol)
-    step.at("io", "write_obj")
+def _cmd_solve_ivp(config, outdir):
+    imm, q_known, _, label = _load_surface(config)
+    band, results = _solve_ivp(config, imm, _load_qdiff(config, imm, q_known))
     write_obj(os.path.join(outdir, "%s_band.obj" % label),
               band.positions, comment="marched band")
-    lo, hi = spin.band_rows()
-    results = {
-        "label": label,
-        "row": row,
-        "steps": config.steps,
-        "rows_solved": [int(lo), int(hi)],
-        "wellposed": well,
-        "spin_norm": field_stats(qnorm(spin.lam[lo:hi + 1]),
-                                 interior_only=False),
-        "curve_match_rel": rep["curve_match_rel"],
-        "closedness_rel": rep["closedness_rel"],
-        "q_residual_tangential_rel": rep["q_residual_tangential_rel"],
-        "q_residual_normal_rel": rep["q_residual_normal_rel"],
-        "path_deviation": rep["path_deviation"],
-    }
+    results["label"] = label
     return results, imm.grid
+
+
+# converge --kind: the stage it runs, whether that stage takes a quadratic
+# differential, and the result names it records at each rung
+_KINDS = {
+    "weingarten": (_analyze, False, ("weingarten_rel", "anticonformality_rel",
+                                     "tangentiality_rel")),
+    "dual": (_dual, True, ("classical_rel", "path_deviation")),
+    "bonnet": (_bonnet, True, ("mean_curvature_diff_max",
+                               "distortion_identity_rel",
+                               "distortion_cr_rel")),
+    "ivp": (_solve_ivp, True, ("spin_norm_dev_max", "curve_match_rel",
+                               "q_residual_normal_rel")),
+}
 
 
 def _ladder(config):
@@ -442,72 +441,27 @@ def _orders(values):
     return out
 
 
-def _cmd_converge(config, outdir, step):
+def _cmd_converge(config, outdir):
+    stage, takes_q, names = _KINDS[config.kind]
     ns = _ladder(config)
-    series = {}
-
-    def push(name, value):
-        series.setdefault(name, []).append(float(value))
-
+    series = {name: [] for name in names}
+    grid = None
     for n in ns:
-        step.at("generators", "make_surface")
-        gen = make_surface(config.generator, n=n, **config.params)
-        imm, q_known = gen.imm, gen.q_known
-        if config.kind == "weingarten":
-            step.at("charts", "weingarten_split")
-            curv = weingarten_split(imm)
-            step.at("charts", "weingarten_residual")
-            _, wrel = weingarten_residual(imm, curv)
-            _, arel = anticonformality_residual(imm, curv)
-            _, trel = tangentiality_residual(imm, curv)
-            push("weingarten_rel", wrel)
-            push("anticonformality_rel", arel)
-            push("tangentiality_rel", trel)
-        elif config.kind == "dual":
-            q = _load_qdiff(config, imm, q_known, step)
-            step.at("duality", "integrate_dual")
-            dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
-            step.at("charts", "weingarten_split")
-            curv = weingarten_split(imm)
-            step.at("duality", "verify_duality")
-            checks = verify_duality(imm, dual, curv)
-            push("classical_rel", checks["classical_rel"])
-            push("path_deviation", dual.path_deviation)
-        elif config.kind == "bonnet":
-            q = _load_qdiff(config, imm, q_known, step)
-            step.at("duality", "integrate_dual")
-            dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
-            step.at("bonnet", "bonnet_pair")
-            pair = bonnet_pair(imm, dual, config.eps,
-                               closed_tol=config.closed_tol,
-                               chart_tol=config.chart_tol)
-            step.at("bonnet", "shape_distortion_check")
-            _, dist_rel = shape_distortion_check(imm, dual, pair)
-            dH = np.abs(interior(pair.Hplus) - interior(pair.Hminus))
-            push("mean_curvature_diff_max", float(np.max(dH)))
-            push("distortion_identity_rel", dist_rel)
-            push("distortion_cr_rel", pair.D_cr_rel)
-        else:  # ivp
-            q = _load_qdiff(config, imm, q_known, step)
-            row = config.row if config.row is not None else imm.grid.ny // 2
-            step.at("cauchy", "check_wellposed")
-            prob = CauchyProblem(imm, q, row)
-            step.at("cauchy", "march_solve")
-            spin = march_solve(prob, config.steps)
-            step.at("cauchy", "reconstruct")
-            _, rep = reconstruct(prob, spin, closed_tol=config.closed_tol,
-                                 chart_tol=config.chart_tol)
-            lo, hi = spin.band_rows()
-            dev = np.abs(qnorm(spin.lam[lo:hi + 1]) - 1.0)
-            push("spin_norm_dev_max", float(np.max(dev)))
-            push("curve_match_rel", rep["curve_match_rel"])
-            push("q_residual_normal_rel", rep["q_residual_normal_rel"])
-
+        imm, q_known, _, _ = _load_surface(replace(config, n=n))
+        if grid is None:
+            grid = imm.grid  # the report grid is the first rung's
+        args = (_load_qdiff(config, imm, q_known),) if takes_q else ()
+        _, results = stage(config, imm, *args)
+        if config.kind == "ivp":
+            # max | |lam| - 1 | over the band, from its min and max
+            stats = results["spin_norm"]
+            results["spin_norm_dev_max"] = max(stats["max"] - 1.0,
+                                               1.0 - stats["min"])
+        for name in names:
+            series[name].append(float(results[name]))
     table = {name: {"residuals": vals, "orders": _orders(vals)}
              for name, vals in series.items()}
-    results = {"kind": config.kind, "grid_sizes": ns, "series": table}
-    grid = make_surface(config.generator, n=ns[0], **config.params).imm.grid
-    return results, grid
+    return {"kind": config.kind, "grid_sizes": ns, "series": table}, grid
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +607,7 @@ VERIFY_CHECKS = [
 ]
 
 
-def _cmd_verify(config, outdir, step):
+def _cmd_verify(config, outdir):
     names = [name for name, _ in VERIFY_CHECKS]
     if config.checks:
         unknown = [c for c in config.checks if c not in names]
@@ -666,7 +620,6 @@ def _cmd_verify(config, outdir, step):
     outcomes = {}
     failures = 0
     for name, fn in selected:
-        step.at("cli", "verify:" + name)
         passed, metrics = fn(config.n, config.seed)
         outcomes[name] = {"passed": bool(passed), "metrics": metrics}
         if not passed:
@@ -696,15 +649,31 @@ _HANDLERS = {
 # report plumbing and entry point
 
 
-def _emit_error(step, exc, code):
+def _locate(exc, operation):
+    """(module, operation) an error is reported under: the outermost
+    public function of a library module in its traceback, else the CLI
+    itself with the given operation."""
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        name = tb.tb_frame.f_code.co_name
+        if module.startswith("quatsurf.") and module != _CLI_MODULE \
+                and not name.startswith("_"):
+            return module, name
+        tb = tb.tb_next
+    return _CLI_MODULE, operation
+
+
+def _emit_error(exc, code, operation):
     node = None
     match = _NODE_RE.search(str(exc))
     if match:
         node = [int(match.group(1)), int(match.group(2))]
+    module, operation = _locate(exc, operation)
     payload = {
         "error": type(exc).__name__,
-        "module": step.module,
-        "operation": step.operation,
+        "module": module,
+        "operation": operation,
         "message": str(exc),
         "node": node,
         "exit_code": code,
@@ -741,13 +710,10 @@ def _print_summary(command, results):
 
 
 def run(config):
-    step = _Step()
     try:
         outdir = config.outdir or os.environ.get(OUTDIR_ENV, DEFAULT_OUTDIR)
-        step.at("io", "ensure_outdir")
         ensure_outdir(outdir)
-        handler = _HANDLERS[config.command]
-        results, grid = handler(config, outdir, step)
+        results, grid = _HANDLERS[config.command](config, outdir)
         cfg = config.as_dict()
         report = {
             "command": config.command,
@@ -757,7 +723,6 @@ def run(config):
             "tolerances": config.tolerances(),
             "results": results,
         }
-        step.at("io", "write_report")
         name = config.command.replace("-", "_") + "_report.json"
         write_report(os.path.join(outdir, name), report)
         print("%s: report written to %s"
@@ -767,9 +732,68 @@ def run(config):
             return 2
         return 0
     except ConfigError as exc:
-        return _emit_error(step, exc, 1)
+        return _emit_error(exc, 1, config.command)
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        return _emit_error(step, exc, 2)
+        return _emit_error(exc, 2, config.command)
+
+
+# every option with its argparse settings; each command below lists exactly
+# the options its code reads
+_FLAGS = {
+    "--generator": dict(choices=sorted(CATALOG),
+                        help="analytic test surface to sample"),
+    "--param": dict(action="append", metavar="KEY=VALUE",
+                    help="numeric generator parameter (repeatable)"),
+    "--input": dict(dest="input_path", help="CSV with columns x,y,px,py,pz"),
+    "--n": dict(type=int, help="grid nodes per side (default %d, verify 33)"
+                % RunConfig.n),
+    "--outdir": dict(help="artifact directory (or set $%s)" % OUTDIR_ENV),
+    "--q": dict(help="constant quadratic differential coefficient, "
+                     "e.g. '1j' or '0.5+0.5j'"),
+    "--qdiff": dict(dest="qdiff_path",
+                    help="CSV with columns x,y,re_phi,im_phi"),
+    "--eps": dict(type=float,
+                  help="spectral parameter (default %g)" % RunConfig.eps),
+    "--row": dict(type=int, help="initial row (default: middle)"),
+    "--steps": dict(type=int, help="march steps per side (default %d)"
+                    % RunConfig.steps),
+    "--closed-tol": dict(type=float, help="closedness tolerance (default %g)"
+                         % RunConfig.closed_tol),
+    "--chart-tol": dict(type=float, help="conformal chart tolerance "
+                        "(default %g)" % RunConfig.chart_tol),
+    "--umbilic-tol": dict(type=float, help="umbilic tolerance (default %g)"
+                          % RunConfig.umbilic_tol),
+    "--det-tol": dict(type=float, help="symbol determinant tolerance "
+                      "(default %g)" % RunConfig.det_tol),
+    "--seed": dict(type=int, help="random seed (default %d)" % RunConfig.seed),
+    "--kind": dict(choices=tuple(_KINDS),
+                   help="which residual family to refine"),
+    "--levels": dict(type=int, help="ladder rungs: n, 2n-1, 4n-3 "
+                     "(default %d)" % RunConfig.levels),
+    "--all": dict(action="store_true",
+                  help="run every check (default when none named)"),
+    "--check": dict(action="append", dest="checks",
+                    help="run one named check (repeatable)"),
+}
+_SOURCE = ("--generator", "--param", "--input", "--n", "--outdir",
+           "--chart-tol")
+_QDIFF = ("--q", "--qdiff", "--closed-tol")
+_COMMAND_FLAGS = {
+    "generate": ("sample a catalog surface to disk", _SOURCE),
+    "analyze": ("curvature decomposition and umbilic report",
+                _SOURCE + ("--umbilic-tol",)),
+    "dual": ("integrate the dual surface", _SOURCE + _QDIFF),
+    "bonnet": ("build a Bonnet mate pair",
+               _SOURCE + _QDIFF + ("--eps", "--umbilic-tol")),
+    "solve-ivp": ("march the Cauchy problem off an initial row",
+                  _SOURCE + _QDIFF + ("--row", "--steps", "--det-tol")),
+    "verify": ("run built-in self checks",
+               ("--all", "--check", "--n", "--outdir", "--seed")),
+    "converge": ("grid refinement ladder with observed orders",
+                 ("--kind", "--levels", "--generator", "--param", "--n",
+                  "--outdir", "--chart-tol", "--q", "--closed-tol", "--eps",
+                  "--row", "--steps", "--det-tol")),
+}
 
 
 def _build_parser():
@@ -780,92 +804,23 @@ def _build_parser():
         description="curvature, duality, and Bonnet-pair analysis of "
                     "conformally parametrized surface patches")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, argument_default=argparse.SUPPRESS,
-                              **kwargs)
-
-    def add_common(p, source=True):
-        if source:
-            p.add_argument("--generator", choices=sorted(CATALOG),
-                           help="analytic test surface to sample")
-            p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                           help="generator parameter (repeatable)")
-            p.add_argument("--input", dest="input_path",
-                           help="CSV with columns x,y,px,py,pz")
-            p.add_argument("--n", type=int, help="grid nodes per side "
-                           "(default %d)" % RunConfig.n)
-        p.add_argument("--outdir",
-                       help="artifact directory (or set $%s)" % OUTDIR_ENV)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--closed-tol", type=float)
-        p.add_argument("--chart-tol", type=float)
-        p.add_argument("--umbilic-tol", type=float)
-
-    def add_qdiff(p):
-        p.add_argument("--q", help="constant quadratic differential "
-                                   "coefficient, e.g. '1j' or '0.5+0.5j'")
-        p.add_argument("--qdiff", dest="qdiff_path",
-                       help="CSV with columns x,y,re_phi,im_phi")
-
-    p = add_parser("generate", help="sample a catalog surface to disk")
-    add_common(p)
-
-    p = add_parser("analyze",
-                   help="curvature decomposition and umbilic report")
-    add_common(p)
-
-    p = add_parser("dual", help="integrate the dual surface")
-    add_common(p)
-    add_qdiff(p)
-
-    p = add_parser("bonnet", help="build a Bonnet mate pair")
-    add_common(p)
-    add_qdiff(p)
-    p.add_argument("--eps", type=float,
-                   help="spectral parameter (default %g)" % RunConfig.eps)
-
-    p = add_parser("solve-ivp",
-                   help="march the Cauchy problem off an initial row")
-    add_common(p)
-    add_qdiff(p)
-    p.add_argument("--row", type=int, help="initial row (default: middle)")
-    p.add_argument("--steps", type=int, help="march steps per side "
-                   "(default %d)" % RunConfig.steps)
-    p.add_argument("--det-tol", type=float)
-
-    p = add_parser("verify", help="run built-in self checks")
-    p.add_argument("--all", action="store_true",
-                   help="run every check (default when none named)")
-    p.add_argument("--check", action="append", dest="checks",
-                   help="run one named check (repeatable)")
-    p.add_argument("--n", type=int, default=33)
-    add_common(p, source=False)
-
-    p = add_parser("converge",
-                   help="grid refinement ladder with observed orders")
-    add_common(p)
-    add_qdiff(p)
-    p.add_argument("--kind", choices=("weingarten", "dual", "bonnet", "ivp"),
-                   help="which residual family to refine")
-    p.add_argument("--levels", type=int, help="ladder rungs: n, 2n-1, 4n-3 "
-                   "(default %d)" % RunConfig.levels)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--row", type=int)
-    p.add_argument("--steps", type=int)
+    for command, (text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=text,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    sub.choices["verify"].set_defaults(n=33)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(_build_parser().parse_args(argv))
     args.pop("all", None)  # verify runs every check unless some are named
-    step = _Step()
     try:
         params = _parse_param_list(args.pop("param", None))
         config = RunConfig(params=params, **args)
     except ConfigError as exc:
-        return _emit_error(step, exc, 1)
+        return _emit_error(exc, 1, "parse")
     return run(config)
 
 

@@ -84,11 +84,24 @@ def qnorm(q):
     return np.sqrt(qnormsq(q))
 
 
+def qiszero(q):
+    """True where all four components are zero.  |q|^2 underflows to 0
+    for nonzero q with components below about 1e-162, so it cannot tell."""
+    return np.all(np.asarray(q) == 0.0, axis=-1)
+
+
 def qinv(q):
+    q = np.asarray(q, dtype=QUAT_DTYPE)
     n2 = qnormsq(q)
-    if np.any(n2 == 0.0):
+    small = n2 == 0.0
+    if not np.any(small):
+        return qconj(q) / n2[..., None]
+    if np.any(qiszero(q[small])):
         raise ZeroDivisionError("quaternion inverse of zero")
-    return qconj(q) / n2[..., None]
+    # |q|^2 underflowed: invert q / s, with s the largest |component|
+    s = np.where(small, np.max(np.abs(q), axis=-1), 1.0)[..., None]
+    p = q / s
+    return qconj(p) / (qnormsq(p)[..., None] * s)
 
 
 def qdot(a, b):

@@ -40,6 +40,19 @@ def test_spin_integrate_rejects_vanishing(surf):
         spin_integrate(g.imm, lam)
 
 
+def test_spin_checks_accept_a_tiny_nonzero_node(surf):
+    # |lam|^2 underflows to 0 at this node, yet lam does not vanish there
+    g = surf("cylinder")
+    lam = np.broadcast_to(from_real(1.0), g.imm.f.shape).copy()
+    lam[5, 5] = [1e-200, 1e-200, 0.0, 0.0]
+    assert qnormsq(lam[5, 5]) == 0.0
+    SpinField(g.imm.grid, lam)
+    assert np.isfinite(spin_closedness(g.imm, lam)).all()
+    # the jump to ~0 at one node is not closed, but it is not "vanishing"
+    with pytest.raises(ValueError, match="not closed"):
+        spin_integrate(g.imm, lam)
+
+
 def test_spin_field_band_validation(surf):
     g = surf("cylinder")
     ny, nx = g.imm.grid.ny, g.imm.grid.nx

@@ -109,6 +109,7 @@ def test_unknown_generator_is_config_error(tmp_path, capsys):
     assert payload["exit_code"] == 1
     assert payload["error"] == "ConfigError"
     assert payload["module"] == "quatsurf.cli"
+    assert payload["operation"] == "parse"
 
 
 def test_numerical_error_has_module_and_operation(tmp_path, capsys):
@@ -136,7 +137,8 @@ def test_converge_error_names_the_failing_stage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("param", ["bogus=1", "n=9", "x_span=1",
-                                   "radius=nan", "radius=-inf"])
+                                   "radius=nan", "radius=-inf",
+                                   "chart_tol=0.01"])
 def test_bad_generator_param_is_config_error(param, tmp_path, capsys):
     code = main(["analyze", "--generator", "cylinder", "--n", "17",
                  "--param", param, "--outdir", str(tmp_path / "p")])
@@ -261,3 +263,99 @@ def test_runconfig_validation():
     cfg.validate()
     d = cfg.as_dict()
     assert d["command"] == "analyze"
+
+
+IVP = ["--generator", "cylinder", "--n", "17",
+       "--param", "rotation=0.7853981633974483", "--q", "1j"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--generator", "cylinder", "--n", "17", "--q", "bogus"],
+    ["solve-ivp"] + IVP + ["--row", "99"],
+    ["verify", "--check", "nope"],
+    ["converge", "--kind", "ivp", "--levels", "2"] + IVP + ["--row", "99"],
+], ids=["dual-q", "solve-ivp-row", "verify-check", "converge-row"])
+def test_cli_errors_name_the_command(argv, tmp_path, capsys):
+    code = main(argv + ["--outdir", str(tmp_path / "o")])
+    assert code == 1
+    payload = last_stderr_json(capsys)
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) \
+        == ("quatsurf.cli", argv[0])
+
+
+def test_qdiff_grid_mismatch_is_config_error(tmp_path, capsys):
+    path = tmp_path / "phi.csv"
+    with open(path, "w") as fh:
+        fh.write("x,y,re_phi,im_phi\n")
+        for j in range(5):
+            for i in range(5):
+                fh.write("%g,%g,1,0\n" % (0.25 * i, 0.25 * j))
+    code = main(["dual", "--generator", "cylinder", "--n", "17",
+                 "--qdiff", str(path), "--outdir", str(tmp_path / "o")])
+    assert code == 1
+    payload = last_stderr_json(capsys)
+    assert payload["error"] == "ConfigError"
+    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
+                                                         "dual")
+    assert "5x5" in payload["message"] and "17x17" in payload["message"]
+
+
+@pytest.mark.parametrize("kind, argv, names", [
+    ("dual", ["--generator", "catenoid", "--n", "17"],
+     {"classical_rel", "path_deviation"}),
+    ("bonnet", ["--generator", "unduloid", "--n", "33"],
+     {"mean_curvature_diff_max", "distortion_identity_rel",
+      "distortion_cr_rel"}),
+    ("ivp", IVP,
+     {"spin_norm_dev_max", "curve_match_rel", "q_residual_normal_rel"}),
+])
+def test_converge_kinds(kind, argv, names, tmp_path):
+    out = str(tmp_path / "c")
+    assert main(["converge", "--kind", kind, "--levels", "2"] + argv
+                + ["--outdir", out]) == 0
+    res = read_report(out, "converge")["results"]
+    n = int(argv[argv.index("--n") + 1])
+    assert res["grid_sizes"] == [n, 2 * n - 1]
+    assert set(res["series"]) == names
+    assert all(len(row["residuals"]) == 2 for row in res["series"].values())
+
+
+def test_tolerance_flags_change_the_outcome(tmp_path, capsys):
+    out = str(tmp_path / "t")
+    assert main(["dual", "--generator", "catenoid", "--n", "33",
+                 "--closed-tol", "1e-12", "--outdir", out]) == 2
+    assert main(["generate", "--generator", "cylinder", "--n", "33",
+                 "--chart-tol", "1e-14", "--outdir", out]) == 2
+    payload = last_stderr_json(capsys)
+    assert (payload["module"], payload["operation"]) \
+        == ("quatsurf.generators", "make_surface")
+    assert main(["solve-ivp"] + IVP + ["--det-tol", "2",
+                                        "--outdir", out]) == 2
+    assert last_stderr_json(capsys)["operation"] == "check_wellposed"
+    counts = []
+    for extra in ([], ["--umbilic-tol", "0.05"]):
+        assert main(["analyze", "--generator", "enneper", "--param",
+                     "order=2", "--n", "33", "--outdir", out] + extra) == 0
+        counts.append(read_report(out, "analyze")["results"]
+                      ["umbilic_count"])
+    assert counts == [1, 9]
+
+
+# flags a command accepted without reading them
+UNREAD_FLAGS = (
+    [(c, "--seed") for c in ("generate", "analyze", "dual", "bonnet",
+                             "solve-ivp", "converge")]
+    + [(c, "--closed-tol") for c in ("generate", "analyze", "verify")]
+    + [(c, "--umbilic-tol") for c in ("generate", "dual", "solve-ivp",
+                                       "verify", "converge")]
+    + [("verify", "--chart-tol"), ("converge", "--input"),
+       ("converge", "--qdiff")])
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flags_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from quatsurf.quaternions import (QForm, anticonformal_defect, from_real,
-                                  from_vec, qconj, qdot, qinv, qmul, qnorm,
-                                  qnormsq, quat, realpart, sandwich,
+                                  from_vec, qconj, qdot, qinv, qiszero, qmul,
+                                  qnorm, qnormsq, quat, realpart, sandwich,
                                   split_conformal, split_tangential, star,
                                   to_vec, value_tangential,
                                   value_transversal, wedge)
@@ -46,6 +46,33 @@ def test_inverse():
     assert np.max(qnorm(qmul(qinv(a), a) - ONE)) < 1e-12
     with pytest.raises(ZeroDivisionError):
         qinv(np.zeros(4))
+
+
+def test_inverse_when_norm_squared_underflows():
+    # |q|^2 = 5e-400 underflows to 0, but q is not zero
+    q = np.array([1e-200, 2e-200, 0.0, 0.0])
+    assert qnormsq(q) == 0.0 and not qiszero(q)
+    inv = qinv(q)
+    assert np.allclose(inv, [2e199, -4e199, 0.0, 0.0], rtol=1e-15, atol=0)
+    assert np.allclose(qmul(q, inv), ONE, rtol=0, atol=1e-15)
+    # in a batch, the rescaled path leaves the other rows' bits alone
+    a = RNG.standard_normal((8, 4))
+    batch = a.copy()
+    batch[3] = q
+    got = qinv(batch)
+    assert np.array_equal(np.delete(got, 3, axis=0),
+                          np.delete(qinv(a), 3, axis=0))
+    assert np.array_equal(got[3], inv)
+    batch[5] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        qinv(batch)
+
+
+def test_iszero_needs_all_four_components_zero():
+    q = np.zeros((3, 4))
+    q[1, 2] = 1e-300
+    q[2, 0] = -0.0
+    assert qiszero(q).tolist() == [True, False, True]
 
 
 def test_embeddings_and_projections():
