@@ -57,90 +57,85 @@ def right_matrix(q):
     return (q @ _RIGHT).reshape(q.shape[:-1] + (4, 4))
 
 
+def _system(A, B, N):
+    """(..., 4, 4) matrix of alpha -> (Im(A alpha), -<N, Im(alpha B)>)
+    for quaternions A, B and normals N given as (..., 3) vectors."""
+    M = np.empty(np.broadcast_shapes(A.shape, B.shape)[:-1] + (4, 4))
+    M[..., 0:3, :] = left_matrix(A)[..., 1:4, :]
+    M[..., 3, :] = -np.einsum("...k,...kc->...c", N,
+                              right_matrix(B)[..., 1:4, :])
+    return M
+
+
 @dataclass(eq=False)
 class SymbolMap:
-    """The principal symbol at one node and covector: the linear map
-    alpha -> Re(Im(alpha B) N) + Im(A alpha) on quaternions, with
-    A = xi2 fx - xi1 fy and B = xi1 tau_y - xi2 tau_x (both tangential).
-    """
+    """The principal symbol for a covector xi: the linear map
+    alpha -> (Im(df(v) alpha), -<N, Im(alpha tau(v))>) on quaternions,
+    v = (xi2, -xi1), at one node or a stack of nodes."""
 
     matrix: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    xi: tuple
-    normalization: float
+    normalization: np.ndarray
 
     def det(self):
-        return float(np.linalg.det(self.matrix))
+        return np.linalg.det(self.matrix)
 
     def normalized_det(self):
         return self.det() / self.normalization
 
     def kernel_dim(self, tol=1e-8):
         s = np.linalg.svd(self.matrix, compute_uv=False)
-        top = s[0] if s[0] > 0 else 1.0
-        return int(np.sum(s < tol * top))
+        top = np.where(s[..., :1] > 0, s[..., :1], 1.0)
+        return np.sum(s < tol * top, axis=-1)
 
 
 def symbol(imm, tau, node, xi):
-    """Principal symbol at a grid node for covector xi = (xi1, xi2)."""
-    j, i = node
+    """Principal symbol at node = (j, i) for covector xi = (xi1, xi2);
+    node indexes the grid arrays, so a slice or index arrays in it give
+    the symbols of those nodes as one stack."""
+    node = tuple(node)
     xi1, xi2 = float(xi[0]), float(xi[1])
-    A = xi2 * imm.fx[j, i] - xi1 * imm.fy[j, i]
-    B = xi1 * tau.ay[j, i] - xi2 * tau.ax[j, i]
-    N = imm.N[j, i]
-    M = np.zeros((4, 4))
-    M[1:4, :] = left_matrix(A)[1:4, :]
-    M[0, :] = -N[1:] @ right_matrix(B)[1:4, :]
-    e2u = float(np.exp(2.0 * imm.u[j, i]))
-    taumag = np.sqrt(float(qnormsq(tau.ax[j, i]) + qnormsq(tau.ay[j, i])) / 2)
-    phimag = taumag * float(np.exp(imm.u[j, i]))
-    ximag4 = (xi1 ** 2 + xi2 ** 2) ** 2
-    normalization = e2u * phimag * ximag4
-    if normalization == 0.0:
-        normalization = 1.0
-    return SymbolMap(M, A, B, (xi1, xi2), normalization)
+    M = _system(xi2 * imm.fx[node] - xi1 * imm.fy[node],
+                xi2 * tau.ax[node] - xi1 * tau.ay[node], to_vec(imm.N[node]))
+    u = imm.u[node]
+    taumag = np.sqrt((qnormsq(tau.ax[node]) + qnormsq(tau.ay[node])) / 2)
+    normalization = (np.exp(2.0 * u) * (taumag * np.exp(u))
+                     * (xi1 ** 2 + xi2 ** 2) ** 2)
+    return SymbolMap(M, np.where(normalization == 0.0, 1.0, normalization))
+
+
+def _pencil(imm, tau, node):
+    """Symbols P1, P2 at xi = (1, 0), (0, 1): M(xi) = xi1 P1 + xi2 P2."""
+    return symbol(imm, tau, node, (1.0, 0.0)), symbol(imm, tau, node,
+                                                      (0.0, 1.0))
 
 
 def symbol_det_profile(imm, tau, node, n_angles=720):
     """Normalized symbol determinant over covector angles in [0, 2 pi)."""
     angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    dets = np.array([symbol(imm, tau, node,
-                            (np.cos(t), np.sin(t))).normalized_det()
-                     for t in angles])
-    return angles, dets
+    P1, P2 = _pencil(imm, tau, node)
+    M = (np.cos(angles)[:, None, None] * P1.matrix
+         + np.sin(angles)[:, None, None] * P2.matrix)
+    return angles, np.linalg.det(M) / P1.normalization
 
 
-def characteristic_angles(imm, tau, node, n_angles=720, refine_iters=50):
-    """Angles in [0, 2 pi) where the symbol determinant vanishes,
-    located by sign change and bisection."""
-    angles, dets = symbol_det_profile(imm, tau, node, n_angles)
-    zeros = []
+def characteristic_angles(imm, tau, node):
+    """Sorted angles t in [0, 2 pi) where the symbol at the covector
+    (cos t, sin t) is singular: each real eigenvalue alpha / beta of the
+    pencil (P1, -P2) gives the line t = atan2(alpha, beta), t + pi."""
+    import scipy.linalg
 
-    def det_at(t):
-        return symbol(imm, tau, node, (np.cos(t), np.sin(t))).normalized_det()
-
-    for k in range(n_angles):
-        a, b = angles[k], angles[(k + 1) % n_angles] \
-            if k + 1 < n_angles else 2 * np.pi
-        da, db = dets[k], dets[(k + 1) % n_angles]
-        if da == 0.0:
-            zeros.append(a)
-            continue
-        if da * db < 0:
-            lo, hi, dlo = a, b, da
-            for _ in range(refine_iters):
-                mid = 0.5 * (lo + hi)
-                dm = det_at(mid)
-                if dm == 0.0:
-                    lo = hi = mid
-                    break
-                if dlo * dm < 0:
-                    hi = mid
-                else:
-                    lo, dlo = mid, dm
-            zeros.append(0.5 * (lo + hi))
-    return sorted(z % (2 * np.pi) for z in zeros)
+    j, i = node
+    if not (np.any(tau.ax[j, i]) or np.any(tau.ay[j, i])):
+        raise ValueError("the symbol pencil is singular at node (j=%d, i=%d):"
+                         " the differential vanishes there" % (j, i))
+    P1, P2 = _pencil(imm, tau, (j, i))
+    alpha, beta = scipy.linalg.eigvals(P1.matrix, -P2.matrix,
+                                       homogeneous_eigvals=True)
+    real = alpha.imag == 0
+    t = np.arctan2(alpha.real[real], beta.real[real])
+    t = np.concatenate([t, t + np.pi]) % (2 * np.pi)
+    # a root just below 0 rounds to 2 pi under the modulo
+    return sorted(np.where(t < 2 * np.pi, t, 0.0))
 
 
 class CauchyProblem:
@@ -155,8 +150,7 @@ class CauchyProblem:
         self.curve = ChartCurve.grid_row(background.grid, self.row)
         self.tau = form_from_qdiff(background, q)
         self.min_margin_deg = float(min_margin_deg)
-        ok, margin = noncharacteristic(self.curve, q, imm=background,
-                                       zero_tol=zero_tol,
+        ok, margin = noncharacteristic(self.curve, q, zero_tol=zero_tol,
                                        min_margin_deg=min_margin_deg)
         self.margin_deg = margin
         self.margin_ok = ok
@@ -169,10 +163,9 @@ def check_wellposed(prob, det_tol=0.01):
     xi = (0, 1) at every curve node and the angular margin between the
     curve and the stretch foliations; raises on a characteristic curve.
     """
-    dets = [abs(symbol(prob.imm, prob.tau, (prob.row, i),
-                       (0.0, 1.0)).normalized_det())
-            for i in range(prob.imm.grid.nx)]
-    min_det = float(np.min(dets))
+    dets = symbol(prob.imm, prob.tau, (prob.row, slice(None)),
+                  (0.0, 1.0)).normalized_det()
+    min_det = float(np.min(np.abs(dets)))
     report = {
         "row": prob.row,
         "min_normalized_det": min_det,
@@ -207,10 +200,7 @@ def _solve_row(lam, j, fields, grid, cond_limit):
     taux, tauy = fields["taux"][j], fields["tauy"][j]
     wz = fields["wz"][j]
 
-    M = np.zeros((lam.shape[0], 4, 4))
-    M[:, 0:3, :] = left_matrix(qmul(lc, fx))[:, 1:4, :]
-    M[:, 3, :] = -np.einsum("nk,nkc->nc", Nv,
-                            right_matrix(qmul(lai, taux))[:, 1:4, :])
+    M = _system(qmul(lc, fx), qmul(lai, taux), Nv)
 
     b = np.zeros((lam.shape[0], 4))
     b[:, 0:3] = qmul(lc, qmul(fy, lam_x))[:, 1:4]
@@ -227,20 +217,17 @@ def _solve_row(lam, j, fields, grid, cond_limit):
     return np.linalg.solve(M, b[..., None])[..., 0]
 
 
-def march_solve(prob, steps, h_march=None, lam0=None, cond_limit=1e8,
-                collapse_tol=1e-6):
+def march_solve(prob, steps, lam0=None, cond_limit=1e8, collapse_tol=1e-6):
     """March the spin field away from the initial row (both directions).
 
     steps counts rows marched per side; the result is a SpinField whose
     band spans the reached rows, with lam equal to the initial data on
-    the curve row exactly.  Uses an explicit predictor-corrector step in
-    the march direction and 4th-order differences along rows.
+    the curve row exactly.  Uses an explicit predictor-corrector step of
+    one grid row in the march direction and 4th-order differences along
+    rows.
     """
     check_wellposed(prob)
     grid = prob.imm.grid
-    if h_march is not None and not np.isclose(h_march, grid.hy):
-        raise ValueError("march step must equal the grid row spacing "
-                         "(background fields live on grid rows)")
     fields = _row_fields(prob)
 
     lam = np.full((grid.ny, grid.nx, 4), np.nan)

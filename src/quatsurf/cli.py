@@ -31,7 +31,7 @@ from .bonnet import (bonnet_pair, shape_distortion_check,
 from .cauchy import CauchyProblem, check_wellposed, march_solve, reconstruct
 from .generators import CATALOG, make_surface
 from .align import similarity_distance
-from .io import (config_hash, ensure_outdir, read_positions_csv,
+from .io import (ConfigError, config_hash, ensure_outdir, read_positions_csv,
                  read_qdiff_csv, write_field_csv, write_obj, write_report)
 
 OUTDIR_ENV = "QUATSURF_OUTDIR"
@@ -45,10 +45,6 @@ _CLI_MODULE = "quatsurf.cli"
 
 # node coordinates embedded in library error messages, e.g. "(j=3, i=17)"
 _NODE_RE = re.compile(r"\(j=(\d+),\s*i=(\d+)\)")
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (exit code 1)."""
 
 
 @dataclass

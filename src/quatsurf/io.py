@@ -16,6 +16,11 @@ from .charts import GridChart
 FLOAT_FMT = "%.17g"
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration, unreadable input file or unusable
+    output directory (exit code 1 on the command line)."""
+
+
 def write_obj(path, positions, comment=None):
     """Write an (ny, nx, 3) position grid as a triangulated OBJ mesh.
 
@@ -81,14 +86,14 @@ def _infer_grid(x, y):
     ys = np.unique(y)
     nx, ny = xs.size, ys.size
     if nx < 5 or ny < 5:
-        raise ValueError("CSV grid too small (need at least 5 x 5 nodes)")
+        raise ConfigError("CSV grid too small (need at least 5 x 5 nodes)")
     if nx * ny != x.size:
-        raise ValueError("CSV nodes do not form a full rectangular grid")
+        raise ConfigError("CSV nodes do not form a full rectangular grid")
     for vals, name in ((xs, "x"), (ys, "y")):
         d = np.diff(vals)
         if np.any(np.abs(d - d[0]) > 1e-9 * max(abs(d[0]), 1e-30)):
-            raise ValueError("CSV %s coordinates are not uniformly spaced"
-                             % name)
+            raise ConfigError("CSV %s coordinates are not uniformly spaced"
+                              % name)
     grid = GridChart(nx, ny, float(xs[1] - xs[0]), float(ys[1] - ys[0]),
                      float(xs[0]), float(ys[0]))
     jj = np.searchsorted(ys, y)
@@ -97,15 +102,19 @@ def _infer_grid(x, y):
 
 
 def _read_csv(path, required):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read CSV %s: %s" % (path, exc)) from exc
     missing = [c for c in required if c not in header]
     if missing:
-        raise ValueError("CSV %s is missing columns: %s"
-                         % (path, ", ".join(missing)))
+        raise ConfigError("CSV %s is missing columns: %s"
+                          % (path, ", ".join(missing)))
     if rows.shape[1] != len(header):
-        raise ValueError("CSV row width does not match its header")
+        raise ConfigError("CSV %s row width does not match its header"
+                          % path)
     return {name: rows[:, k] for k, name in enumerate(header)}
 
 
@@ -118,7 +127,7 @@ def read_positions_csv(path):
     pos[jj, ii, 1] = cols["py"]
     pos[jj, ii, 2] = cols["pz"]
     if not np.isfinite(pos).all():
-        raise ValueError("CSV does not cover every grid node")
+        raise ConfigError("CSV does not cover every grid node")
     return grid, pos
 
 
@@ -129,7 +138,7 @@ def read_qdiff_csv(path):
     phi = np.full((grid.ny, grid.nx), np.nan, dtype=np.complex128)
     phi[jj, ii] = cols["re_phi"] + 1j * cols["im_phi"]
     if not np.isfinite(phi).all():
-        raise ValueError("CSV does not cover every grid node")
+        raise ConfigError("CSV does not cover every grid node")
     return grid, phi
 
 
@@ -175,5 +184,9 @@ def write_report(path, report):
 
 
 def ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot use %s as output directory: %s"
+                          % (path, exc.strerror or exc)) from exc
     return path

@@ -203,7 +203,7 @@ def _bilinear(field, grid, points):
             + (1 - tx) * ty * f[j0 + 1, i0] + tx * ty * f[j0 + 1, i0 + 1])
 
 
-def noncharacteristic(curve, q, imm=None, zero_tol=1e-8, min_margin_deg=5.0):
+def noncharacteristic(curve, q, zero_tol=1e-8, min_margin_deg=5.0):
     """Test transversality of a chart curve to both stretch foliations.
 
     Returns (ok, margin_deg): margin is the minimum angle (degrees)

@@ -76,6 +76,27 @@ def test_check_wellposed_report(prob):
     assert rep["angular_margin_deg"] == pytest.approx(45.0, abs=1e-6)
 
 
+def test_check_wellposed_is_the_row_of_symbols(prob):
+    rep = check_wellposed(prob)
+    dets = [abs(symbol(prob.imm, prob.tau, (16, i), (0.0, 1.0))
+                .normalized_det()) for i in range(prob.imm.grid.nx)]
+    want = min(dets)
+    assert abs(rep["min_normalized_det"] - want) <= 4 * np.spacing(want)
+
+
+def test_characteristic_angles_refuse_a_zero_of_q(surf):
+    # q = -2z vanishes at the centre node: every covector is
+    # characteristic there and the pencil is singular
+    g = surf("enneper", 33, order=2)
+    tau = qs.form_from_qdiff(g.imm, g.q_known)
+    with pytest.raises(ValueError, match=r"\(j=16, i=16\)"):
+        characteristic_angles(g.imm, tau, (16, 16))
+    # next to it one root lies a rounding error below angle 0
+    found = characteristic_angles(g.imm, tau, (16, 17))
+    assert len(found) == 4
+    assert all(0.0 <= t < 2 * np.pi for t in found)
+
+
 def test_characteristic_curve_rejected(surf):
     g = surf("cylinder", 33, rotation=ROT)
     # real constant differential: stretch directions land on the grid
@@ -99,9 +120,20 @@ def test_march_holds_identity_solution(prob):
     assert np.abs(band - ident).max() < 2e-4
 
 
+def test_march_keeps_q_compatibility_off_the_identity(prob):
+    # a varying initial spin gives the q row (the fourth row of each
+    # system) work to do: with its sign flipped q_residual_normal_rel
+    # reads about 0.2
+    th = 0.1 * np.sin(np.linspace(0.0, 2 * np.pi, prob.imm.grid.nx))
+    mu = np.zeros((prob.imm.grid.nx, 4))
+    mu[:, 0] = np.cos(th)
+    mu[:, 1] = np.sin(th)
+    _, rep = reconstruct(prob, march_solve(prob, steps=8, lam0=mu))
+    assert rep["closedness_rel"] < 5e-3
+    assert rep["q_residual_normal_rel"] < 5e-3
+
+
 def test_march_argument_validation(prob):
-    with pytest.raises(ValueError, match="row spacing"):
-        march_solve(prob, steps=2, h_march=0.5 * prob.imm.grid.hy)
     with pytest.raises(ValueError, match=r"\(nx, 4\)"):
         march_solve(prob, steps=2, lam0=np.ones((7, 4)))
     zero0 = np.zeros((prob.imm.grid.nx, 4))

@@ -342,6 +342,68 @@ def test_tolerance_flags_change_the_outcome(tmp_path, capsys):
     assert counts == [1, 9]
 
 
+def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code = main(["analyze", "--generator", "cylinder", "--n", "17",
+                 "--outdir", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.io",
+                                                         "ensure_outdir")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+GRID_7 = [(str(0.1 * i), str(0.1 * j)) for j in range(7) for i in range(7)]
+# ways to break a well-formed 7 x 7 node CSV
+MALFORMED = ["missing_column", "narrow_rows", "ragged_row", "non_numeric"]
+
+
+def _malformed_csv(path, header, kind):
+    width = len(header) - 2
+    rows = [xy + ("1",) * width for xy in GRID_7]
+    if kind == "missing_column":
+        header = header[:-1]
+        rows = [r[:-1] for r in rows]
+    elif kind == "narrow_rows":
+        rows = [r[:-1] for r in rows]
+    elif kind == "ragged_row":
+        rows[3] = rows[3][:-1]
+    else:
+        rows[3] = rows[3][:-1] + ("abc",)
+    _write_csv(path, header, rows)
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@pytest.mark.parametrize("argv, header, operation", [
+    (["analyze", "--input"], ["x", "y", "px", "py", "pz"],
+     "read_positions_csv"),
+    (["dual", "--generator", "cylinder", "--n", "17", "--qdiff"],
+     ["x", "y", "re_phi", "im_phi"], "read_qdiff_csv"),
+], ids=["input", "qdiff"])
+def test_malformed_csv_is_config_error(kind, argv, header, operation,
+                                       tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    _malformed_csv(path, header, kind)
+    code = main(argv + [str(path), "--outdir", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.io",
+                                                         operation)
+
+
 # flags a command accepted without reading them
 UNREAD_FLAGS = (
     [(c, "--seed") for c in ("generate", "analyze", "dual", "bonnet",
