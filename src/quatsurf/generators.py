@@ -23,7 +23,6 @@ stretch foliations are produced for the Cauchy-problem tests.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charts import ChartImmersion, GridChart, build_immersion
 from .quaddiff import QuadDifferential
@@ -160,6 +159,8 @@ def _two_sided_profile(rhs, s0, y_lo, y_hi, name):
     Returns evaluate(y) -> states (len(s0),) + y.shape, taken from the
     forward solution for y >= 0 and the backward one for y < 0.
     """
+    # imported on first use, so that import quatsurf loads no scipy
+    from scipy.integrate import solve_ivp
     s0 = np.asarray(s0, dtype=float)
     sols = {}
     for end, key in ((y_hi, "fwd"), (y_lo, "bwd")):

@@ -5,6 +5,7 @@ sorted JSON keys, no timestamps, so identical inputs give byte-identical
 artifacts.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -14,11 +15,34 @@ import numpy as np
 from .charts import GridChart
 
 FLOAT_FMT = "%.17g"
+# rows formatted per write by the OBJ and CSV writers
+_CHUNK = 4096
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration, unreadable input file or unusable
-    output directory (exit code 1 on the command line)."""
+    """Invalid run configuration, unreadable input file, unusable
+    output directory or unwritable artifact (exit code 1 on the command
+    line)."""
+
+
+def _write_rows(fh, fmt, table):
+    """Write each row of a 2-D table as fmt % row, _CHUNK rows per write,
+    so no more than one chunk of text exists at a time."""
+    for start in range(0, len(table), _CHUNK):
+        block = table[start:start + _CHUNK]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+@contextlib.contextmanager
+def _open_for_write(path):
+    """Text file opened for writing; an OSError (unwritable path, a
+    directory in the way, a full disk) becomes a ConfigError naming it."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s"
+                          % (path, exc.strerror or exc)) from exc
 
 
 def write_obj(path, positions, comment=None):
@@ -31,22 +55,16 @@ def write_obj(path, positions, comment=None):
     if pos.ndim != 3 or pos.shape[2] != 3:
         raise ValueError("positions must be (ny, nx, 3)")
     ny, nx = pos.shape[:2]
-    lines = []
-    if comment:
-        lines.append("# " + comment)
-    for j in range(ny):
-        for i in range(nx):
-            lines.append("v " + " ".join(FLOAT_FMT % c for c in pos[j, i]))
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            a = j * nx + i + 1
-            b = a + 1
-            c = a + nx + 1
-            d = a + nx
-            lines.append("f %d %d %d" % (a, b, c))
-            lines.append("f %d %d %d" % (a, c, d))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # vertex number a of each cell's (j, i) corner; two triangles per cell
+    a = (np.arange(ny - 1)[:, None] * nx + np.arange(1, nx)).ravel()
+    faces = np.stack([a, a + 1, a + nx + 1, a, a + nx + 1, a + nx],
+                     axis=1).reshape(-1, 3)
+    with _open_for_write(path) as fh:
+        if comment:
+            fh.write("# " + comment + "\n")
+        _write_rows(fh, "v " + " ".join([FLOAT_FMT] * 3) + "\n",
+                    pos.reshape(-1, 3))
+        _write_rows(fh, "f %d %d %d\n", faces)
     return path
 
 
@@ -65,6 +83,9 @@ def write_field_csv(path, grid, fields):
         arr = np.asarray(fields[name])
         if arr.shape[:2] != (grid.ny, grid.nx):
             raise ValueError("field %r does not match the grid" % name)
+        if np.iscomplexobj(arr):
+            raise ValueError("field %r is complex; write its real and "
+                             "imaginary parts as two fields" % name)
         if arr.ndim == 2:
             cols.append(name)
             data.append(arr.ravel())
@@ -74,10 +95,10 @@ def write_field_csv(path, grid, fields):
                 data.append(arr[..., k].ravel())
         else:
             raise ValueError("field %r has unsupported rank" % name)
-    with open(path, "w") as fh:
+    table = np.stack(data, axis=1)
+    with _open_for_write(path) as fh:
         fh.write(",".join(cols) + "\n")
-        for r in range(grid.ny * grid.nx):
-            fh.write(",".join(FLOAT_FMT % col[r] for col in data) + "\n")
+        _write_rows(fh, ",".join([FLOAT_FMT] * len(cols)) + "\n", table)
     return path
 
 
@@ -178,7 +199,7 @@ def config_hash(config):
 
 def write_report(path, report):
     text = canonical_json(report)
-    with open(path, "w") as fh:
+    with _open_for_write(path) as fh:
         fh.write(text)
     return path
 

@@ -356,6 +356,26 @@ def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):
                                                          "ensure_outdir")
 
 
+@pytest.mark.parametrize("command, blocked, operation", [
+    ("analyze", "analyze_report.json", "write_report"),
+    ("generate", "cylinder_surface.obj", "write_obj"),
+    ("analyze", "cylinder_curvature.csv", "write_field_csv"),
+])
+def test_unwritable_artifact_is_config_error(command, blocked, operation,
+                                             tmp_path, capsys):
+    (tmp_path / blocked).mkdir()
+    code = main([command, "--generator", "cylinder", "--n", "17",
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.io",
+                                                         operation)
+    assert str(tmp_path / blocked) in payload["message"]
+
+
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

@@ -1,7 +1,12 @@
 """Catalog surfaces: conformality, curvature values, known differentials."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.integrate
 
 import quatsurf as qs
 from quatsurf.charts import interior, rms, weingarten_split
@@ -88,9 +93,21 @@ def test_profile_ode_failure_raises(name, monkeypatch):
     class Failed:
         success = False
 
-    monkeypatch.setattr(qs.generators, "solve_ivp", lambda *a, **k: Failed())
+    # the generators import solve_ivp on first use, so patch it at its source
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Failed())
     with pytest.raises(RuntimeError, match="profile integration failed"):
         make_surface(name, n=17)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(qs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, quatsurf, quatsurf.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_parameter_rejected():

@@ -75,6 +75,13 @@ def test_field_csv_rejects_mismatched_grid(tmp_path):
                         {"h": np.zeros((3, 3))})
 
 
+def test_field_csv_rejects_complex_field(tmp_path):
+    grid = small_grid()
+    with pytest.raises(ValueError, match="is complex"):
+        write_field_csv(tmp_path / "c.csv", grid,
+                        {"phi": np.zeros((6, 5), dtype=complex)})
+
+
 def test_qdiff_csv_roundtrip(tmp_path):
     grid = small_grid()
     rng = np.random.default_rng(3)
