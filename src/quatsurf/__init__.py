@@ -8,28 +8,25 @@ conformal-deformation Cauchy problem.
 
 from .quaternions import (QForm, anticonformal_defect, from_real, from_vec,
                           qconj, qdot, qinv, qiszero, qmul, qnorm, qnormsq,
-                          quat, realpart, sandwich, split_conformal,
-                          split_tangential, star, to_vec, value_tangential,
-                          value_transversal, wedge)
+                          quat, split_conformal, split_tangential, star,
+                          to_vec, value_tangential, value_transversal, wedge)
 from .charts import (ChartImmersion, CurvatureData, GridChart,
                      anticonformality_residual, build_immersion, deriv_x,
                      deriv_y, field_stats, floored_relative, form_rms,
-                     holo_function_check, interior, raw_frame, relate_hopf,
-                     rms, tangentiality_residual, umbilics,
-                     weingarten_residual, weingarten_split)
+                     interior, raw_frame, relate_hopf, rms,
+                     tangentiality_residual, umbilics, weingarten_residual,
+                     weingarten_split)
 from .quaddiff import (ChartCurve, QuadDifferential, check_holomorphic,
                        cr_residual, form_from_qdiff, noncharacteristic,
                        qdiff_from_form, stretch_directions, zero_locus)
 from .duality import (DualResult, classify_christoffel, integrate_dual,
                       integrate_form, verify_duality)
-from .bonnet import (BonnetPair, SpinField, bonnet_pair,
-                     cmc_eps_uniqueness, gauge_check,
-                     shape_distortion_check, spin_closedness, spin_form,
-                     spin_integrate, umbilic_branch_correspondence)
+from .bonnet import (BonnetPair, SpinField, bonnet_pair, cmc_eps_uniqueness,
+                     shape_distortion_check, spin_form, spin_integrate,
+                     umbilic_branch_correspondence)
 from .cauchy import (CauchyProblem, SymbolMap, build_background,
                      characteristic_angles, check_wellposed, march_solve,
-                     reconstruct, stretch_alignment, symbol,
-                     symbol_det_profile)
+                     reconstruct, stretch_alignment, symbol)
 from .generators import (GeneratorResult, CATALOG, catenoid, cylinder,
                          ellipsoid_of_revolution, enneper, make_surface,
                          sphere, unduloid)

@@ -20,9 +20,13 @@ from .charts import (ChartImmersion, CurvatureData, build_immersion,
                      closedness_residual, deriv_x, deriv_y, floored_relative,
                      form_rms, interior, rms, umbilics, weingarten_split)
 from .quaddiff import (QuadDifferential, cr_residual, form_from_qdiff,
-                       qdiff_from_form, zero_locus)
+                       zero_locus)
 from .duality import DualResult, integrate_form
 from .align import congruence_distance
+
+# relative misfit of dH = c d|fstar|^2, and spread of the recovered
+# eps^2, that cmc_eps_uniqueness accepts
+_CMC_FIT_TOL = 1e-3
 
 
 class SpinField:
@@ -53,45 +57,20 @@ class SpinField:
         return self.row_span
 
 
-def _unwrap(lam):
-    if isinstance(lam, SpinField):
-        return lam.lam
-    return np.asarray(lam, dtype=np.float64)
-
-
 def spin_form(imm, lam):
     """The transformed differential conj(lam) df lam as a one-form."""
-    lam = _unwrap(lam)
     lc = qconj(lam)
     return QForm(qmul(lc, qmul(imm.fx, lam)), qmul(lc, qmul(imm.fy, lam)))
 
 
-def spin_closedness(imm, lam):
-    """Per-node norm of Im(conj(lam)(fx lam_y - fy lam_x)).
-
-    This is half the exterior derivative of conj(lam) df lam, so zero
-    means the transformed differential integrates to a surface.
-    """
-    lam = _unwrap(lam)
-    if qiszero(lam).any():
-        raise ValueError("spin field vanishes on the chart")
-    lam_x = deriv_x(lam, imm.grid.hx)
-    lam_y = deriv_y(lam, imm.grid.hy)
-    mix = qmul(qconj(lam), qmul(imm.fx, lam_y) - qmul(imm.fy, lam_x))
-    mix[..., 0] = 0.0
-    return qnorm(mix)
-
-
-def spin_integrate(imm, lam, basepoint=(0, 0), closed_tol=5e-3,
-                   chart_tol=1e-3):
+def spin_integrate(imm, lam, closed_tol=5e-3, chart_tol=1e-3):
     """Integrate the spin-transformed differential to a new immersion.
 
-    Checks closedness first, integrates from the basepoint with value
-    f(basepoint), validates the result as a conformal chart, and
+    Checks closedness first, integrates from the lower-left node with
+    value f there, validates the result as a conformal chart, and
     verifies the induced-metric identity I~ = |lam|^4 I.  Returns
     (immersion, report).
     """
-    lam = _unwrap(lam)
     if qiszero(lam).any():
         raise ValueError("spin field vanishes on the chart")
     form = spin_form(imm, lam)
@@ -101,8 +80,8 @@ def spin_integrate(imm, lam, basepoint=(0, 0), closed_tol=5e-3,
             "spin transform is not closed: residual %.3e > %.3e"
             % (rel, closed_tol))
 
-    prim, path_dev = integrate_form(imm.grid, form, basepoint)
-    ftilde = prim + imm.f[basepoint[0], basepoint[1]]
+    prim, path_dev = integrate_form(imm.grid, form)
+    ftilde = prim + imm.f[0, 0]
     new = build_immersion(imm.grid, ftilde, chart_tol=chart_tol)
 
     lam4 = qnormsq(lam) ** 2
@@ -137,8 +116,8 @@ def _metric_tensor(form):
 class BonnetPair:
     """The two mates and their comparison diagnostics.
 
-    Iplus/Iminus are evaluated from the transform forms (exact algebra,
-    so their agreement tests the |lam+| = |lam-| identity, not the
+    metric_rel compares the induced metrics of the two transform forms
+    (exact algebra, so it tests the |lam+| = |lam-| identity, not the
     integrator); Hplus/Hminus come from finite differences on the
     integrated mates and agree only at discretization order.
     curv_plus/curv_minus (and D, which is built from them) use the
@@ -151,13 +130,7 @@ class BonnetPair:
     fminus: ChartImmersion
     Hplus: np.ndarray
     Hminus: np.ndarray
-    Iplus: np.ndarray
-    Iminus: np.ndarray
     D: QuadDifferential
-    lam_plus: np.ndarray
-    lam_minus: np.ndarray
-    form_plus: QForm
-    form_minus: QForm
     curv_plus: CurvatureData
     curv_minus: CurvatureData
     metric_rel: float
@@ -174,12 +147,11 @@ def _dual_positions(dual):
     return from_vec(arr) if arr.shape[-1] == 3 else arr
 
 
-def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
-                chart_tol=1e-3):
+def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
     """Build the mates for lam = fstar +- eps and compare them."""
     eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     fstar = _dual_positions(dual)
     lam_p = fstar + from_real(eps)
     lam_m = fstar - from_real(eps)
@@ -188,8 +160,8 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
         raise ValueError("eps on the singular sphere: the spin factor "
                          "vanishes at a node")
 
-    fp, rep_p = spin_integrate(imm, lam_p, basepoint, closed_tol, chart_tol)
-    fm, rep_m = spin_integrate(imm, lam_m, basepoint, closed_tol, chart_tol)
+    fp, rep_p = spin_integrate(imm, lam_p, closed_tol, chart_tol)
+    fm, rep_m = spin_integrate(imm, lam_m, closed_tol, chart_tol)
 
     # H from the integrated mates: an end-to-end check that integration
     # and curvature extraction commute at discretization order.
@@ -199,17 +171,15 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
     # II and umbilics from the algebraic spin frames: the frames are
     # exact in lam and the background, so D is two derivative levels
     # cleaner than anything extracted from re-differentiated integrals.
-    # Each frame is dropped after its split (only its df is kept), so
-    # at most one frame's fields are alive at a time.
+    # Each frame is dropped after its split and metric, so at most one
+    # frame's fields are alive at a time.
     frame = _spin_frame(imm, lam_p)
-    form_p, curv_p = frame.df, weingarten_split(frame)
+    Ip, curv_p = _metric_tensor(frame.df), weingarten_split(frame)
     del frame
     frame = _spin_frame(imm, lam_m)
-    form_m, curv_m = frame.df, weingarten_split(frame)
+    Im_, curv_m = _metric_tensor(frame.df), weingarten_split(frame)
     del frame
 
-    Ip = _metric_tensor(form_p)
-    Im_ = _metric_tensor(form_m)
     dI = Ip - Im_
     den = np.sqrt(np.mean(Ip ** 2))
     metric_rel = float(np.sqrt(np.mean(dI ** 2)) / den)
@@ -241,10 +211,8 @@ def bonnet_pair(imm, dual, eps, basepoint=(0, 0), closed_tol=5e-3,
         back = qmul(lam, qmul(mate.N, qinv(lam)))
         rec = max(rec, rms(qnorm(back - imm.N)))
 
-    return BonnetPair(eps, fp, fm, Hp, Hm, Ip, Im_, D,
-                      lam_p, lam_m, form_p, form_m, curv_p, curv_m,
-                      metric_rel, D_cr_rel, cong, rec,
-                      {"plus": rep_p, "minus": rep_m})
+    return BonnetPair(eps, fp, fm, Hp, Hm, D, curv_p, curv_m, metric_rel,
+                      D_cr_rel, cong, rec, {"plus": rep_p, "minus": rep_m})
 
 
 def shape_distortion_check(imm, dual, pair):
@@ -286,7 +254,6 @@ def umbilic_branch_correspondence(pair, dual, tol=1e-6):
 def _spin_frame(imm, lam):
     """Algebraic frame of the transformed immersion (no integration):
     fx~ = conj(lam) fx lam, N~ = lam^-1 N lam, e^{u~} = |lam|^2 e^u."""
-    lam = _unwrap(lam)
     df = spin_form(imm, lam)
     Nt = qmul(qinv(lam), qmul(imm.N, lam))
     ut = imm.u + np.log(qnormsq(lam))
@@ -295,59 +262,32 @@ def _spin_frame(imm, lam):
                           ut, zero)
 
 
-def gauge_check(imm, lam, tau_tilde, tol=1e-3):
-    """Conjugation consistency of the form/differential pairing under a
-    spin transform.
-
-    Reads tau_tilde as a differential with respect to the transformed
-    frame, re-expresses that differential as a form with respect to the
-    original immersion, and compares against lam tau_tilde conj(lam).
-    Pointwise algebra: the residual is at rounding level whenever
-    tau_tilde is anti-conformal and tangential for the transformed
-    frame.  Returns (per-node field, relative RMS).
-    """
-    lam = _unwrap(lam)
-    frame_t = _spin_frame(imm, lam)
-    phi_t = qdiff_from_form(frame_t, tau_tilde, tol=tol)
-    lhs = form_from_qdiff(imm, phi_t)
-    rhs = QForm(qmul(lam, qmul(tau_tilde.ax, qconj(lam))),
-                qmul(lam, qmul(tau_tilde.ay, qconj(lam))))
-    resid = lhs - rhs
-    rel = form_rms(resid) / form_rms(rhs)
-    return resid.norm(), rel
-
-
-def cmc_eps_uniqueness(imm, dual, H_field=None, fstar=None, fit_tol=1e-3,
-                       cmc_tol=1e-6):
+def cmc_eps_uniqueness(imm, dual, H_field=None):
     """Solve dH = c d|fstar|^2 in least squares and recover the unique
     eps = sqrt(H/c - |fstar|^2) when the relation holds with a positive
     constant; returns None when the data admit no such eps (including
-    every CMC input, where c = 0).  Rejects minimal surfaces: with
-    H = 0 the construction has no epsilon to determine.
+    every CMC input, where H varies by less than 1e-6 relative, so
+    c = 0).  The fit must hold to _CMC_FIT_TOL.  Rejects minimal
+    surfaces: with H = 0 the construction has no epsilon to determine.
     """
-    grid = imm.grid if imm is not None else dual.grid
+    grid = imm.grid
     if H_field is None:
         H_field = weingarten_split(imm).H
     H = np.asarray(H_field, dtype=np.float64)
-    if fstar is None:
-        fstar = _dual_positions(dual)
-    s = qnormsq(np.asarray(fstar, dtype=np.float64))
+    s = qnormsq(np.asarray(_dual_positions(dual), dtype=np.float64))
 
     # minimal test against a curvature scale, not machine zero: H of a
     # sampled minimal surface is pure stencil noise (~1e-6 at n=65)
-    if imm is not None:
-        curvscale = rms(qnorm(deriv_x(imm.N, grid.hx))
-                        + qnorm(deriv_y(imm.N, grid.hy))) \
-            / max(rms(qnorm(imm.fx)), 1e-300)
-    else:
-        curvscale = 1.0
+    curvscale = rms(qnorm(deriv_x(imm.N, grid.hx))
+                    + qnorm(deriv_y(imm.N, grid.hy))) \
+        / max(rms(qnorm(imm.fx)), 1e-300)
     if rms(H) < 1e-4 * max(curvscale, 1e-300):
         raise ValueError("mean curvature vanishes identically: epsilon "
                          "determination needs a non-minimal surface")
 
     sl = (slice(2, -2), slice(2, -2))
     mean_H = float(np.mean(H[sl]))
-    if mean_H != 0.0 and float(np.std(H[sl])) / abs(mean_H) < cmc_tol:
+    if mean_H != 0.0 and float(np.std(H[sl])) / abs(mean_H) < 1e-6:
         return None
     Hx = deriv_x(H, grid.hx)[sl]
     Hy = deriv_y(H, grid.hy)[sl]
@@ -362,12 +302,12 @@ def cmc_eps_uniqueness(imm, dual, H_field=None, fstar=None, fit_tol=1e-3,
         return None
     c = float(np.sum(Hx * sx + Hy * sy) / ds2)
     misfit = np.sqrt(np.mean((Hx - c * sx) ** 2 + (Hy - c * sy) ** 2)) / dH
-    if misfit > fit_tol or c <= 0:
+    if misfit > _CMC_FIT_TOL or c <= 0:
         return None
     eps2 = H / c - s
     m = float(np.mean(eps2[sl]))
     if m <= 0:
         return None
-    if float(np.std(eps2[sl])) > fit_tol * max(m, rms(s)):
+    if float(np.std(eps2[sl])) > _CMC_FIT_TOL * max(m, rms(s)):
         return None
     return float(np.sqrt(m))

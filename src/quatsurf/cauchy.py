@@ -24,16 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (QForm, qconj, qinv, qmul, qnorm, qnormsq, to_vec,
-                          value_tangential, wedge)
+from .quaternions import (QForm, qconj, qinv, qiszero, qmul, qnorm, qnormsq,
+                          to_vec, value_tangential, wedge)
 from .charts import (GridChart, build_immersion, closedness_residual,
                      deriv_x, deriv_y, floored_relative, form_rms, rms,
                      weingarten_split)
-from .quaddiff import (ChartCurve, QuadDifferential, _line_angle_distance,
-                       form_from_qdiff, noncharacteristic,
-                       stretch_directions)
+from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
+                       _line_angle_distance, form_from_qdiff,
+                       noncharacteristic, stretch_directions)
 from .duality import integrate_form
 from .bonnet import SpinField
+
+# largest condition number of a row's 4x4 systems the march accepts
+_COND_LIMIT = 1e8
 
 
 # The Hamilton product's table on the basis (1, i, j, k), taken from
@@ -45,13 +48,13 @@ _LEFT = _PRODUCTS.transpose(0, 2, 1).reshape(4, 16)   # q e_k = q_a e_a e_k
 _RIGHT = _PRODUCTS.transpose(1, 2, 0).reshape(4, 16)  # e_k q = q_a e_k e_a
 
 
-def left_matrix(q):
+def _left_matrix(q):
     """(..., 4, 4) matrix of alpha -> q alpha."""
     q = np.asarray(q, dtype=np.float64)
     return (q @ _LEFT).reshape(q.shape[:-1] + (4, 4))
 
 
-def right_matrix(q):
+def _right_matrix(q):
     """(..., 4, 4) matrix of alpha -> alpha q."""
     q = np.asarray(q, dtype=np.float64)
     return (q @ _RIGHT).reshape(q.shape[:-1] + (4, 4))
@@ -61,9 +64,9 @@ def _system(A, B, N):
     """(..., 4, 4) matrix of alpha -> (Im(A alpha), -<N, Im(alpha B)>)
     for quaternions A, B and normals N given as (..., 3) vectors."""
     M = np.empty(np.broadcast_shapes(A.shape, B.shape)[:-1] + (4, 4))
-    M[..., 0:3, :] = left_matrix(A)[..., 1:4, :]
+    M[..., 0:3, :] = _left_matrix(A)[..., 1:4, :]
     M[..., 3, :] = -np.einsum("...k,...kc->...c", N,
-                              right_matrix(B)[..., 1:4, :])
+                              _right_matrix(B)[..., 1:4, :])
     return M
 
 
@@ -81,11 +84,6 @@ class SymbolMap:
 
     def normalized_det(self):
         return self.det() / self.normalization
-
-    def kernel_dim(self, tol=1e-8):
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        top = np.where(s[..., :1] > 0, s[..., :1], 1.0)
-        return np.sum(s < tol * top, axis=-1)
 
 
 def symbol(imm, tau, node, xi):
@@ -107,15 +105,6 @@ def _pencil(imm, tau, node):
     """Symbols P1, P2 at xi = (1, 0), (0, 1): M(xi) = xi1 P1 + xi2 P2."""
     return symbol(imm, tau, node, (1.0, 0.0)), symbol(imm, tau, node,
                                                       (0.0, 1.0))
-
-
-def symbol_det_profile(imm, tau, node, n_angles=720):
-    """Normalized symbol determinant over covector angles in [0, 2 pi)."""
-    angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    P1, P2 = _pencil(imm, tau, node)
-    M = (np.cos(angles)[:, None, None] * P1.matrix
-         + np.sin(angles)[:, None, None] * P2.matrix)
-    return angles, np.linalg.det(M) / P1.normalization
 
 
 def characteristic_angles(imm, tau, node):
@@ -141,19 +130,14 @@ def characteristic_angles(imm, tau, node):
 class CauchyProblem:
     """Background immersion + differential + grid-row initial curve."""
 
-    def __init__(self, background, q, row, min_margin_deg=5.0,
-                 zero_tol=1e-8):
+    def __init__(self, background, q, row):
         self.imm = background
         q = QuadDifferential.coerce(background.grid, q)
         self.q = q
         self.row = int(row)
         self.curve = ChartCurve.grid_row(background.grid, self.row)
         self.tau = form_from_qdiff(background, q)
-        self.min_margin_deg = float(min_margin_deg)
-        ok, margin = noncharacteristic(self.curve, q, zero_tol=zero_tol,
-                                       min_margin_deg=min_margin_deg)
-        self.margin_deg = margin
-        self.margin_ok = ok
+        self.margin_ok, self.margin_deg = noncharacteristic(self.curve, q)
 
 
 def check_wellposed(prob, det_tol=0.01):
@@ -171,13 +155,13 @@ def check_wellposed(prob, det_tol=0.01):
         "min_normalized_det": min_det,
         "angular_margin_deg": prob.margin_deg,
         "det_tol": det_tol,
-        "min_margin_deg": prob.min_margin_deg,
+        "min_margin_deg": _MIN_MARGIN_DEG,
     }
     if not prob.margin_ok or min_det < det_tol:
         raise ValueError(
             "characteristic initial curve: margin %.2f deg "
             "(need >= %.2f), min normalized |det| %.3e (need >= %.3e)"
-            % (prob.margin_deg, prob.min_margin_deg, min_det, det_tol))
+            % (prob.margin_deg, _MIN_MARGIN_DEG, min_det, det_tol))
     return report
 
 
@@ -190,7 +174,7 @@ def _row_fields(prob):
             "taux": prob.tau.ax, "tauy": prob.tau.ay, "wz": wz}
 
 
-def _solve_row(lam, j, fields, grid, cond_limit):
+def _solve_row(lam, j, fields, grid):
     """lam_y on row j from the 4x4 systems; lam is the (nx, 4) row."""
     lam_x = deriv_x(lam[None], grid.hx)[0]
     lc = qconj(lam)
@@ -209,22 +193,25 @@ def _solve_row(lam, j, fields, grid, cond_limit):
 
     conds = np.linalg.cond(M)
     worst = int(np.argmax(conds))
-    if conds[worst] > cond_limit:
+    if conds[worst] > _COND_LIMIT:
         raise RuntimeError(
             "march aborted: system condition %.3e exceeds %.1e at node "
             "(j=%d, i=%d); the march is approaching a characteristic "
-            "direction" % (float(conds[worst]), cond_limit, j, worst))
+            "direction" % (float(conds[worst]), _COND_LIMIT, j, worst))
     return np.linalg.solve(M, b[..., None])[..., 0]
 
 
-def march_solve(prob, steps, lam0=None, cond_limit=1e8, collapse_tol=1e-6):
+def march_solve(prob, steps, lam0=None):
     """March the spin field away from the initial row (both directions).
 
     steps counts rows marched per side; the result is a SpinField whose
     band spans the reached rows, with lam equal to the initial data on
     the curve row exactly.  Uses an explicit predictor-corrector step of
     one grid row in the march direction and 4th-order differences along
-    rows.
+    rows.  lam0 must be finite and nonzero at every node, as a SpinField
+    must.  The march aborts where a row system's condition number
+    exceeds _COND_LIMIT or min |lam| on a row falls below 1e-6 of its
+    initial value.
     """
     check_wellposed(prob)
     grid = prob.imm.grid
@@ -238,8 +225,11 @@ def march_solve(prob, steps, lam0=None, cond_limit=1e8, collapse_tol=1e-6):
         row0 = np.asarray(lam0, dtype=np.float64)
         if row0.shape != (grid.nx, 4):
             raise ValueError("initial spin row must be (nx, 4)")
-        if qnorm(row0).min() <= 0:
-            raise ValueError("initial spin row vanishes at a node")
+        for bad, what in ((~np.isfinite(row0).all(axis=-1), "is non-finite"),
+                          (qiszero(row0), "vanishes")):
+            if bad.any():
+                raise ValueError("initial spin row %s at node (j=%d, i=%d)"
+                                 % (what, prob.row, int(np.argmax(bad))))
     lam[prob.row] = row0
     ref_mag = float(qnorm(row0).min())
 
@@ -251,12 +241,12 @@ def march_solve(prob, steps, lam0=None, cond_limit=1e8, collapse_tol=1e-6):
             jn = j + direction
             if jn < 0 or jn >= grid.ny:
                 break
-            k1 = _solve_row(lam[j], j, fields, grid, cond_limit)
+            k1 = _solve_row(lam[j], j, fields, grid)
             pred = lam[j] + h * k1
-            k2 = _solve_row(pred, jn, fields, grid, cond_limit)
+            k2 = _solve_row(pred, jn, fields, grid)
             lam[jn] = lam[j] + 0.5 * h * (k1 + k2)
             low = float(qnorm(lam[jn]).min())
-            if low < collapse_tol * ref_mag:
+            if low < 1e-6 * ref_mag:
                 raise RuntimeError(
                     "march aborted: |lambda| collapsed to %.3e of its "
                     "initial size at row j=%d" % (low / ref_mag, jn))
@@ -267,9 +257,9 @@ def march_solve(prob, steps, lam0=None, cond_limit=1e8, collapse_tol=1e-6):
     return SpinField(grid, lam, row_span=(j_lo, j_hi))
 
 
-def reconstruct(prob, spin, basepoint=None, closed_tol=5e-3,
-                chart_tol=1e-3):
-    """Integrate the deformed differential over the marched band.
+def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
+    """Integrate the deformed differential over the marched band, from
+    the first node of the initial row.
 
     Returns (immersion on the band sub-grid, report) where the report
     carries (a) the match of the new differential to the background one
@@ -292,21 +282,16 @@ def reconstruct(prob, spin, basepoint=None, closed_tol=5e-3,
 
     lc = qconj(lam_b)
     form = QForm(qmul(lc, qmul(fx_b, lam_b)), qmul(lc, qmul(fy_b, lam_b)))
-    closed_field, closed_rel = closedness_residual(sub, form)
+    _, closed_rel = closedness_residual(sub, form)
     if closed_rel > closed_tol:
         raise ValueError("transformed differential is not closed: "
                          "residual %.3e > %.3e" % (closed_rel, closed_tol))
 
-    if basepoint is None:
-        basepoint = (prob.row, 0)
-    jb, ib = int(basepoint[0]), int(basepoint[1])
-    if not (j_lo <= jb <= j_hi):
-        raise ValueError("basepoint row outside the marched band")
-    prim, path_dev = integrate_form(sub, form, basepoint=(jb - j_lo, ib))
-    ftilde = prim + prob.imm.f[jb, ib]
+    jc = prob.row - j_lo
+    prim, path_dev = integrate_form(sub, form, basepoint=(jc, 0))
+    ftilde = prim + prob.imm.f[prob.row, 0]
     new = build_immersion(sub, ftilde, chart_tol=chart_tol)
 
-    jc = prob.row - j_lo
     dnum = np.sqrt(qnormsq(new.fx[jc] - prob.imm.fx[prob.row])
                    + qnormsq(new.fy[jc] - prob.imm.fy[prob.row]))
     dden = rms(np.sqrt(qnormsq(prob.imm.fx[prob.row])
@@ -332,12 +317,12 @@ def reconstruct(prob, spin, basepoint=None, closed_tol=5e-3,
         "q_residual_tangential_rel": float(q_res_tang),
         "q_residual_normal_rel": float(q_res_norm),
         "path_deviation": float(path_dev),
-        "basepoint": (jb, ib),
+        "basepoint": (prob.row, 0),
     }
     return new, report
 
 
-def build_background(imm, q, row, mu_row, steps, **march_kwargs):
+def build_background(imm, q, row, mu_row, steps):
     """Extend initial-curve data conj(mu) df mu off the curve into an
     honest conformal immersion.
 
@@ -347,7 +332,7 @@ def build_background(imm, q, row, mu_row, steps, **march_kwargs):
     curve.  Returns (immersion on the band, spin field, report).
     """
     prob = CauchyProblem(imm, q, row)
-    spin = march_solve(prob, steps, lam0=mu_row, **march_kwargs)
+    spin = march_solve(prob, steps, lam0=mu_row)
     new, report = reconstruct(prob, spin)
     return new, spin, report
 

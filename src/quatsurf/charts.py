@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (QForm, anticonformal_defect, from_real, from_vec,
-                          qdot, qmul, qnorm, qnormsq, split_conformal,
-                          split_tangential, to_vec, value_tangential)
+from .quaternions import (QForm, anticonformal_defect, from_vec, qdot, qnorm,
+                          qnormsq, split_conformal, split_tangential, to_vec)
 
 
 class GridChart:
@@ -178,10 +177,6 @@ class ChartImmersion:
         return QForm(self.fx, self.fy)
 
     @property
-    def expu(self):
-        return np.exp(self.u)
-
-    @property
     def positions(self):
         return to_vec(self.f)
 
@@ -215,11 +210,11 @@ def raw_frame(grid, f):
     return fx, fy, N, qnorm(fx), qnorm(fy), crossnorm
 
 
-def build_immersion(grid, samples, chart_tol=1e-3, frame_tol=1e-8):
+def build_immersion(grid, samples, chart_tol=1e-3):
     """Differentiate position samples and validate conformality.
 
     samples: (ny, nx, 3) positions, or (ny, nx, 4) imaginary quaternions.
-    Rejects non-finite input, degenerate frames |fx x fy| < frame_tol e^{2u},
+    Rejects non-finite input, degenerate frames |fx x fy| < 1e-8 e^{2u},
     and charts whose interior conformality residual exceeds chart_tol.
     """
     samples = np.asarray(samples, dtype=np.float64)
@@ -243,7 +238,7 @@ def build_immersion(grid, samples, chart_tol=1e-3, frame_tol=1e-8):
 
     # e2u == 0 means a vanishing partial; the relative test below would
     # pass it (0 < 0 is false), so catch it explicitly
-    degen = (e2u == 0.0) | (crossnorm < frame_tol * e2u)
+    degen = (e2u == 0.0) | (crossnorm < 1e-8 * e2u)
     if degen.any():
         j, i = map(int, np.argwhere(degen)[0])
         raise ValueError("degenerate frame at node (j=%d, i=%d)" % (j, i))
@@ -273,7 +268,6 @@ class CurvatureData:
     II: np.ndarray
     hopf_qd: np.ndarray
     dN: QForm
-    conformal_part: QForm
 
 
 def weingarten_split(imm):
@@ -298,7 +292,7 @@ def weingarten_split(imm):
     II[..., 1, 0] = II12
     II[..., 1, 1] = II22
     hopf_qd = 0.25 * (II11 - II22) - 0.5j * II12
-    return CurvatureData(H, omega, II, hopf_qd, dN, cpart)
+    return CurvatureData(H, omega, II, hopf_qd, dN)
 
 
 def weingarten_residual(imm, curv):
@@ -309,19 +303,18 @@ def weingarten_residual(imm, curv):
     return field, rel
 
 
-def anticonformality_residual(imm, curv, use_remainder=True):
+def anticonformality_residual(imm, curv):
     """Chart-RMS of anticonformal_defect(w, N) relative to |dN| for the
     Hopf form w.
 
     The projector output curv.omega satisfies the identity exactly by
-    construction (machine precision), so by default the residual is
-    evaluated on the Weingarten remainder w = dN + H df, whose defect
-    against anti-conformality is a genuine discretization-order
-    quantity.  Pass use_remainder=False to check the projector output.
+    construction (machine precision), so the residual is evaluated on
+    the Weingarten remainder w = dN + H df, whose defect against
+    anti-conformality is a genuine discretization-order quantity.
     Normalizing by |dN| rather than |w| keeps the figure meaningful on
     totally umbilic charts, where w itself shrinks to rounding noise.
     """
-    w = curv.dN + imm.df * curv.H[..., None] if use_remainder else curv.omega
+    w = curv.dN + imm.df * curv.H[..., None]
     num = anticonformal_defect(w, imm.N)
     den = form_rms(curv.dN)
     return num.norm(), form_rms(num) / den if den > 0 else 0.0
@@ -357,21 +350,3 @@ def umbilics(curv, tol=1e-6):
     scale = float(np.max(np.abs(curv.II)))
     hits = np.argwhere(np.abs(curv.hopf_qd) < tol * scale)
     return [(int(j), int(i)) for j, i in hits]
-
-
-def holo_function_check(imm, w):
-    """Residual field of the holomorphicity test for a complex function.
-
-    w is a complex (ny, nx) field a + i b.  Builds g = a + b N, forms the
-    two-form value gx fy - gy fx and returns the magnitude of its
-    tangential part.  For holomorphic w this shrinks at discretization
-    order; for w = conj(z) it sits near 2 e^u.
-    """
-    w = np.asarray(w)
-    a = np.ascontiguousarray(w.real, dtype=np.float64)
-    b = np.ascontiguousarray(w.imag, dtype=np.float64)
-    g = from_real(a) + b[..., None] * imm.N
-    gx = deriv_x(g, imm.grid.hx)
-    gy = deriv_y(g, imm.grid.hy)
-    T = qmul(gx, imm.fy) - qmul(gy, imm.fx)
-    return qnorm(value_tangential(T, imm.N))

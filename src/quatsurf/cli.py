@@ -10,6 +10,7 @@ operation, and node (when known) is printed to stderr.
 """
 
 import argparse
+import cmath
 import inspect
 import json
 import math
@@ -94,6 +95,8 @@ class RunConfig:
             raise ConfigError("levels must be at least 1")
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
+        if not math.isfinite(self.eps):
+            raise ConfigError("eps must be finite, got %r" % self.eps)
         if self.eps <= 0:
             raise ConfigError("eps must be positive, got %g" % self.eps)
         for name in ("closed_tol", "chart_tol", "umbilic_tol",
@@ -190,10 +193,13 @@ def _parse_param_list(items):
 
 def _parse_complex(text):
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise ConfigError("cannot parse %r as a complex number "
                           "(use forms like 1, -2.5, 1j, 0.5+0.5j)" % text)
+    if not cmath.isfinite(value):
+        raise ConfigError("--q must be finite, got %r" % text)
+    return value
 
 
 def _load_surface(config):

@@ -89,14 +89,12 @@ class DualResult:
     grid: GridChart
     fstar: np.ndarray
     tau: QForm
-    closedness_field: np.ndarray
     closedness_rel: float
     path_deviation: float
     branch_nodes: list
     branch_mults: list
     pole_nodes: list
     Hstar: np.ndarray
-    basepoint: tuple
 
     @property
     def positions(self):
@@ -108,43 +106,42 @@ class DualResult:
         return build_immersion(self.grid, self.positions, chart_tol=chart_tol)
 
 
-def integrate_dual(imm, q, basepoint=(0, 0), closed_tol=5e-3,
-                   branch_tol=1e-6, pole_tol=25.0):
+def integrate_dual(imm, q, closed_tol=5e-3):
     """Integrate the dual surface from a holomorphic differential.
 
     Reconstructs tau = df\\q, measures its closedness, and integrates
-    from the basepoint (default lower-left node).  Fails on the zero
-    differential and on charts where tau is measurably non-closed
-    (the immersion is not isothermic for this q).
+    from the lower-left node.  Fails on the zero differential and on
+    charts where tau is measurably non-closed (the immersion is not
+    isothermic for this q).  Branch nodes are the zeros of q below
+    1e-6 max|phi|; pole nodes are where |tau| exceeds 25 times its
+    median.
     """
     q = QuadDifferential.coerce(imm.grid, q)
     if q.max_abs() == 0.0:
         raise ValueError("trivial differential")
 
     tau = form_from_qdiff(imm, q)
-    closedness, closedness_rel = closedness_residual(imm.grid, tau)
+    _, closedness_rel = closedness_residual(imm.grid, tau)
     if closedness_rel > closed_tol:
         raise ValueError(
             "not isothermic for this q: closedness residual %.3e > %.3e"
             % (closedness_rel, closed_tol))
 
-    fstar, path_dev = integrate_form(imm.grid, tau, basepoint)
+    fstar, path_dev = integrate_form(imm.grid, tau)
 
     try:
-        branch_nodes, branch_mults, _ = zero_locus(q, tol=branch_tol)
+        branch_nodes, branch_mults, _ = zero_locus(q, tol=1e-6)
     except ValueError:
         branch_nodes, branch_mults = [], []
 
     taumag = tau.norm()
     med = float(np.median(taumag))
-    blowup = taumag > pole_tol * med if med > 0 else np.zeros_like(taumag, bool)
-    pole_mask = q.pole_mask | blowup
-    pole_nodes = [(int(j), int(i)) for j, i in np.argwhere(pole_mask)]
+    blowup = taumag > 25.0 * med if med > 0 else np.zeros_like(taumag, bool)
+    pole_nodes = [(int(j), int(i)) for j, i in np.argwhere(blowup)]
 
     Hstar = _mean_curvature(imm.grid, fstar)
-    return DualResult(imm.grid, fstar, tau, closedness, closedness_rel,
-                      path_dev, branch_nodes, branch_mults, pole_nodes,
-                      Hstar, tuple(basepoint))
+    return DualResult(imm.grid, fstar, tau, closedness_rel, path_dev,
+                      branch_nodes, branch_mults, pole_nodes, Hstar)
 
 
 def verify_duality(imm, dual, curv):

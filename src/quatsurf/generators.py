@@ -37,7 +37,6 @@ class GeneratorResult:
     imm: ChartImmersion
     q_known: QuadDifferential | None = None
     dual_known: np.ndarray | None = None
-    note: str = ""
 
 
 def _rotated_coords(grid, rotation):
@@ -68,7 +67,7 @@ def sphere(n=65, extent=0.6, rotation=0.0, chart_tol=1e-3):
     q = QuadDifferential.constant(grid, _phase(rotation))
     return GeneratorResult(
         "sphere", {"n": n, "extent": extent, "rotation": rotation},
-        imm, q_known=q, note="normal inward (N = -f), H = +1")
+        imm, q_known=q)
 
 
 def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
@@ -89,8 +88,7 @@ def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
         "cylinder",
         {"n": n, "radius": radius, "x_span": list(x_span),
          "y_span": list(y_span), "rotation": rotation},
-        imm, q_known=q, dual_known=dual,
-        note="normal inward, H = 1/(2 radius)")
+        imm, q_known=q, dual_known=dual)
 
 
 def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
@@ -114,8 +112,7 @@ def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
         "catenoid",
         {"n": n, "x_span": list(x_span), "y_span": list(y_span),
          "rotation": rotation},
-        imm, q_known=q, dual_known=dual,
-        note="normal away from the axis at the waist, H = 0; dual = Gauss map")
+        imm, q_known=q, dual_known=dual)
 
 
 def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
@@ -149,8 +146,7 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
     return GeneratorResult(
         "enneper",
         {"n": n, "order": order, "extent": extent, "rotation": rotation},
-        imm, q_known=q, dual_known=dual,
-        note="minimal, H = 0; dual = Gauss map, branch at origin for order >= 2")
+        imm, q_known=q, dual_known=dual)
 
 
 def _two_sided_profile(rhs, s0, y_lo, y_hi, name):
@@ -231,8 +227,7 @@ def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
         "unduloid",
         {"n": n, "neck": neck, "bulge": bulge, "x_span": list(x_span),
          "y_span": list(y_span), "rotation": rotation},
-        imm, q_known=q, dual_known=dual,
-        note="normal inward, CMC H = 1/(neck + bulge)")
+        imm, q_known=q, dual_known=dual)
 
 
 def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
@@ -271,8 +266,7 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
         "ellipsoid_of_revolution",
         {"n": n, "a": a, "c": c, "x_span": list(x_span),
          "y_span": list(y_span), "rotation": rotation},
-        imm, q_known=q, dual_known=dual,
-        note="normal inward; dual has two ends toward the poles")
+        imm, q_known=q, dual_known=dual)
 
 
 CATALOG = {

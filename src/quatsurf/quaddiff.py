@@ -14,20 +14,24 @@ from .charts import deriv_x, deriv_y
 from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
                           qnormsq, value_transversal)
 
+# least angle (degrees) a non-characteristic curve keeps from both
+# stretch foliations
+_MIN_MARGIN_DEG = 5.0
+# relative anti-conformality/tangentiality residual qdiff_from_form accepts
+_FORM_TOL = 1e-3
+
 
 class QuadDifferential:
     """Coefficient field of a quadratic differential on a grid chart."""
 
-    def __init__(self, grid, phi, pole_mask=None):
+    def __init__(self, grid, phi):
         phi = np.asarray(phi, dtype=np.complex128)
         if phi.shape != (grid.ny, grid.nx):
             raise ValueError("phi shape does not match the grid")
+        if not np.isfinite(phi).all():
+            raise ValueError("phi must be finite")
         self.grid = grid
         self.phi = phi
-        self.pole_mask = (np.zeros(phi.shape, dtype=bool)
-                          if pole_mask is None else np.asarray(pole_mask, bool))
-        if not np.isfinite(phi[~self.pole_mask]).all():
-            raise ValueError("phi must be finite away from flagged poles")
 
     @classmethod
     def constant(cls, grid, value):
@@ -51,7 +55,7 @@ class QuadDifferential:
         return cls(grid, fn(X + 1j * Y))
 
     def max_abs(self):
-        return float(np.max(np.abs(self.phi[~self.pole_mask])))
+        return float(np.max(np.abs(self.phi)))
 
 
 class ChartCurve:
@@ -164,11 +168,11 @@ def zero_locus(q, tol=1e-8):
     return nodes, mults, isolated
 
 
-def stretch_directions(q, tol=1e-8):
+def stretch_directions(q):
     """Principal stretch foliations: angle fields (radians, mod pi).
 
     horizontal: directions where phi e^{2 i theta} is real positive;
-    vertical: the orthogonal field.  Zero nodes (|phi| < tol max|phi|)
+    vertical: the orthogonal field.  Zero nodes (|phi| < 1e-8 max|phi|)
     are masked with NaN; evaluating a single zero node raises instead.
     """
     phi = q.phi
@@ -176,7 +180,7 @@ def stretch_directions(q, tol=1e-8):
     if scale == 0.0:
         raise ValueError("trivial differential")
     horizontal = np.mod(-0.5 * np.angle(phi), np.pi)
-    zeros = np.abs(phi) < tol * scale
+    zeros = np.abs(phi) < 1e-8 * scale
     if zeros.all():
         raise ValueError("stretch directions undefined on the zero locus")
     horizontal = np.where(zeros, np.nan, horizontal)
@@ -203,27 +207,28 @@ def _bilinear(field, grid, points):
             + (1 - tx) * ty * f[j0 + 1, i0] + tx * ty * f[j0 + 1, i0 + 1])
 
 
-def noncharacteristic(curve, q, zero_tol=1e-8, min_margin_deg=5.0):
+def noncharacteristic(curve, q):
     """Test transversality of a chart curve to both stretch foliations.
 
     Returns (ok, margin_deg): margin is the minimum angle (degrees)
     between the curve tangent and either stretch field over all samples;
-    ok requires margin >= min_margin_deg.  Curves touching the zero
-    locus are rejected (the foliations degenerate there).
+    ok requires margin >= _MIN_MARGIN_DEG.  Curves touching the zero
+    locus (|phi| < 1e-8 max|phi|) are rejected (the foliations
+    degenerate there).
     """
     phi = q.phi
     scale = float(np.max(np.abs(phi)))
     if scale == 0.0:
         raise ValueError("trivial differential")
     vals = _bilinear(phi, q.grid, curve.points)
-    if np.any(np.abs(vals) < zero_tol * scale):
+    if np.any(np.abs(vals) < 1e-8 * scale):
         raise ValueError("curve touches the zero locus of the differential")
     horiz = np.mod(-0.5 * np.angle(vals), np.pi)
     tangent = np.mod(np.arctan2(curve.tangents[:, 1], curve.tangents[:, 0]), np.pi)
     d_h = _line_angle_distance(tangent, horiz)
     d_v = _line_angle_distance(tangent, np.mod(horiz + 0.5 * np.pi, np.pi))
     margin = float(np.degrees(np.min(np.minimum(d_h, d_v))))
-    return margin >= min_margin_deg, margin
+    return margin >= _MIN_MARGIN_DEG, margin
 
 
 def form_from_qdiff(imm, q):
@@ -243,23 +248,23 @@ def form_from_qdiff(imm, q):
     return QForm(tx, ty)
 
 
-def qdiff_from_form(imm, tau, tol=1e-3):
+def qdiff_from_form(imm, tau):
     """Project an anti-conformal tangential one-form back to its complex
     coefficient: phi = normal-plane coordinates of fx tau(d/dx).
 
     Validates anti-conformality and tangentiality of tau (relative
-    residuals under tol) before projecting; the product fx tau(d/dx)
+    residuals under _FORM_TOL) before projecting; the product fx tau(d/dx)
     then lies in span(1, N) and phi = (real part) + i (N component).
     """
     scale = float(np.sqrt(np.mean(qnormsq(tau.ax) + qnormsq(tau.ay))))
     if scale == 0.0:
         return QuadDifferential(imm.grid, np.zeros((imm.grid.ny, imm.grid.nx)))
     anti = anticonformal_defect(tau, imm.N).norm()
-    if float(np.sqrt(np.mean(anti ** 2))) > tol * scale:
+    if float(np.sqrt(np.mean(anti ** 2))) > _FORM_TOL * scale:
         raise ValueError("form is not anti-conformal for this immersion")
     perp = QForm(value_transversal(tau.ax, imm.N),
                  value_transversal(tau.ay, imm.N)).norm()
-    if float(np.sqrt(np.mean(perp ** 2))) > tol * scale:
+    if float(np.sqrt(np.mean(perp ** 2))) > _FORM_TOL * scale:
         raise ValueError("form is not tangential for this immersion")
     prod = qmul(imm.fx, tau.ax)
     a = prod[..., 0]

@@ -11,6 +11,9 @@ import numpy as np
 
 QUAT_DTYPE = np.float64
 
+# largest |Re N| and | |N|^2 - 1 | a normal field may show
+_NORMAL_TOL = 1e-9
+
 
 def quat(w=0.0, x=0.0, y=0.0, z=0.0):
     """Build a single quaternion from scalar components."""
@@ -36,10 +39,6 @@ def from_real(a):
     out = np.zeros(a.shape + (4,), dtype=QUAT_DTYPE)
     out[..., 0] = a
     return out
-
-
-def realpart(q):
-    return np.asarray(q)[..., 0]
 
 
 def qmul(a, b):
@@ -113,17 +112,12 @@ def qdot(a, b):
              + a[..., 2] * b[..., 2]) + a[..., 3] * b[..., 3])
 
 
-def sandwich(q, p):
-    """q * p * conj(q), the rotation/scaling action on imaginary p."""
-    return qmul(qmul(q, p), qconj(q))
-
-
-def check_unit_imaginary(N, tol=1e-9):
+def check_unit_imaginary(N):
     """Validate a unit imaginary quaternion field (a normal field)."""
     N = np.asarray(N)
-    if np.max(np.abs(N[..., 0])) > tol:
+    if np.max(np.abs(N[..., 0])) > _NORMAL_TOL:
         raise ValueError("normal field has a real part")
-    if np.max(np.abs(qnormsq(N) - 1.0)) > tol:
+    if np.max(np.abs(qnormsq(N) - 1.0)) > _NORMAL_TOL:
         raise ValueError("normal field is not unit length")
     return N
 

@@ -5,8 +5,7 @@ import pytest
 
 import quatsurf as qs
 from quatsurf import interior, qnorm, qnormsq, from_real
-from quatsurf.bonnet import (SpinField, _spin_frame, spin_closedness,
-                             spin_form, spin_integrate)
+from quatsurf.bonnet import SpinField, _spin_frame, spin_form, spin_integrate
 
 
 def test_spin_form_constant_scale(surf):
@@ -15,7 +14,6 @@ def test_spin_form_constant_scale(surf):
     form = spin_form(g.imm, lam)
     assert np.allclose(form.ax, 4.0 * g.imm.fx, atol=1e-14)
     assert np.allclose(form.ay, 4.0 * g.imm.fy, atol=1e-14)
-    assert spin_closedness(g.imm, lam).max() < 1e-13
 
 
 def test_spin_integrate_constant_is_homothety(surf):
@@ -47,7 +45,6 @@ def test_spin_checks_accept_a_tiny_nonzero_node(surf):
     lam[5, 5] = [1e-200, 1e-200, 0.0, 0.0]
     assert qnormsq(lam[5, 5]) == 0.0
     SpinField(g.imm.grid, lam)
-    assert np.isfinite(spin_closedness(g.imm, lam)).all()
     # the jump to ~0 at one node is not closed, but it is not "vanishing"
     with pytest.raises(ValueError, match="not closed"):
         spin_integrate(g.imm, lam)
@@ -113,18 +110,15 @@ def test_bonnet_pair_fields_match_the_public_entry_points(surf, dual_of):
     g = surf("catenoid")
     dual = dual_of("catenoid")
     pair = qs.bonnet_pair(g.imm, dual, eps=0.8)
-    for side, lam, mate, form, curv in (
-            ("plus", pair.lam_plus, pair.fplus, pair.form_plus,
-             pair.curv_plus),
-            ("minus", pair.lam_minus, pair.fminus, pair.form_minus,
+    for side, lam, mate, curv in (
+            ("plus", dual.fstar + from_real(0.8), pair.fplus, pair.curv_plus),
+            ("minus", dual.fstar - from_real(0.8), pair.fminus,
              pair.curv_minus)):
         new, rep = spin_integrate(g.imm, lam)
         assert np.array_equal(new.f, mate.f)
         assert np.array_equal(new.N, mate.N)
         assert rep == pair.reports[side]
         frame = _spin_frame(g.imm, lam)
-        assert np.array_equal(frame.fx, form.ax)
-        assert np.array_equal(frame.fy, form.ay)
         split = qs.weingarten_split(frame)
         assert np.array_equal(split.II, curv.II)
         assert np.array_equal(split.H, curv.H)
@@ -137,6 +131,9 @@ def test_bonnet_pair_rejects_bad_eps(surf, dual_of):
         qs.bonnet_pair(g.imm, dual, eps=0.0)
     with pytest.raises(ValueError, match="positive"):
         qs.bonnet_pair(g.imm, dual, eps=-1.0)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            qs.bonnet_pair(g.imm, dual, eps=eps)
 
 
 def test_distortion_pairs_with_rotated_dual(surf, dual_of):
@@ -169,16 +166,6 @@ def test_curvature_difference_concentrates_at_umbilic(surf, dual_of):
     for H in (pair.Hplus, pair.Hminus):
         hi = interior(H)
         assert hi.std() / abs(hi.mean()) > 1e-3
-
-
-def test_gauge_check_rounding_level(surf, dual_of):
-    g = surf("cylinder")
-    dual = dual_of("cylinder")
-    pair = qs.bonnet_pair(g.imm, dual, eps=1.0)
-    frame_t = _spin_frame(g.imm, pair.lam_plus)
-    tau_t = qs.form_from_qdiff(frame_t, 1j)
-    _, rel = qs.gauge_check(g.imm, pair.lam_plus, tau_t)
-    assert rel < 1e-12
 
 
 def test_cmc_eps_manufactured_recovery(surf, dual_of):

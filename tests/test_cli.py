@@ -284,6 +284,26 @@ def test_cli_errors_name_the_command(argv, tmp_path, capsys):
         == ("quatsurf.cli", argv[0])
 
 
+@pytest.mark.parametrize("argv, operation", [
+    (["bonnet", "--eps", "nan"], "parse"),
+    (["bonnet", "--eps", "inf"], "parse"),
+    (["dual", "--q", "nan"], "dual"),
+    (["dual", "--q", "1+infj"], "dual"),
+], ids=["eps-nan", "eps-inf", "q-nan", "q-inf"])
+def test_non_finite_eps_or_q_is_config_error(argv, operation, tmp_path,
+                                             capsys):
+    code = main(argv + ["--generator", "cylinder", "--n", "17",
+                        "--outdir", str(tmp_path / "o")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
+                                                         operation)
+    assert "finite" in payload["message"]
+
+
 def test_qdiff_grid_mismatch_is_config_error(tmp_path, capsys):
     path = tmp_path / "phi.csv"
     with open(path, "w") as fh:
