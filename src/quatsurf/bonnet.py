@@ -16,12 +16,12 @@ import numpy as np
 
 from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
                           qiszero, qmul, qnorm, qnormsq, star)
-from .charts import (ChartImmersion, CurvatureData, build_immersion,
-                     closedness_residual, deriv_x, deriv_y, floored_relative,
-                     form_rms, interior, rms, umbilics, weingarten_split)
+from .charts import (ChartImmersion, CurvatureData, build_immersion, deriv_x,
+                     deriv_y, floored_relative, form_rms, interior, rms,
+                     umbilics, weingarten_split)
 from .quaddiff import (QuadDifferential, cr_residual, form_from_qdiff,
                        zero_locus)
-from .duality import DualResult, integrate_form
+from .duality import DualResult, _integrate_closed
 from .align import congruence_distance
 
 # relative misfit of dH = c d|fstar|^2, and spread of the recovered
@@ -43,13 +43,12 @@ class SpinField:
         self.row_span = row_span
         lo, hi = self.band_rows()
         band = lam[lo:hi + 1]
-        if not np.isfinite(band).all():
-            raise ValueError("non-finite spin value inside the band")
-        zero = qiszero(band)
-        if zero.any():
-            j, i = map(int, np.argwhere(zero)[0])
-            raise ValueError("spin field vanishes at node (j=%d, i=%d)"
-                             % (j + lo, i))
+        for bad, what in ((~np.isfinite(band).all(axis=-1), "is non-finite"),
+                          (qiszero(band), "vanishes")):
+            if bad.any():
+                j, i = map(int, np.argwhere(bad)[0])
+                raise ValueError("spin field %s at node (j=%d, i=%d)"
+                                 % (what, j + lo, i))
 
     def band_rows(self):
         if self.row_span is None:
@@ -57,45 +56,46 @@ class SpinField:
         return self.row_span
 
 
+def _spin_transform(lam, fx, fy):
+    """conj(lam) (fx, fy) lam as a one-form."""
+    lc = qconj(lam)
+    return QForm(qmul(lc, qmul(fx, lam)), qmul(lc, qmul(fy, lam)))
+
+
 def spin_form(imm, lam):
     """The transformed differential conj(lam) df lam as a one-form."""
-    lc = qconj(lam)
-    return QForm(qmul(lc, qmul(imm.fx, lam)), qmul(lc, qmul(imm.fy, lam)))
+    return _spin_transform(lam, imm.fx, imm.fy)
+
+
+def _integrate_spin(grid, form, base, closed_tol, chart_tol,
+                    basepoint=(0, 0)):
+    """Integrate a spin-transformed differential to an immersion taking
+    the value base at basepoint.  Returns (immersion, closedness_rel,
+    path_deviation)."""
+    prim, rel, path_dev = _integrate_closed(
+        grid, form, closed_tol, "spin transform is not closed: residual",
+        basepoint)
+    new = build_immersion(grid, prim + base, chart_tol=chart_tol)
+    return new, rel, path_dev
 
 
 def spin_integrate(imm, lam, closed_tol=5e-3, chart_tol=1e-3):
     """Integrate the spin-transformed differential to a new immersion.
 
-    Checks closedness first, integrates from the lower-left node with
-    value f there, validates the result as a conformal chart, and
-    verifies the induced-metric identity I~ = |lam|^4 I.  Returns
-    (immersion, report).
+    Validates lam as a SpinField, checks closedness, integrates from the
+    lower-left node with value f there, validates the result as a
+    conformal chart, and verifies the induced-metric identity
+    I~ = |lam|^4 I.  Returns (immersion, report).
     """
-    if qiszero(lam).any():
-        raise ValueError("spin field vanishes on the chart")
-    form = spin_form(imm, lam)
-    _, rel = closedness_residual(imm.grid, form)
-    if rel > closed_tol:
-        raise ValueError(
-            "spin transform is not closed: residual %.3e > %.3e"
-            % (rel, closed_tol))
-
-    prim, path_dev = integrate_form(imm.grid, form)
-    ftilde = prim + imm.f[0, 0]
-    new = build_immersion(imm.grid, ftilde, chart_tol=chart_tol)
-
-    lam4 = qnormsq(lam) ** 2
-    pE, pF, pG = lam4 * qnormsq(imm.fx), lam4 * qdot(imm.fx, imm.fy), \
-        lam4 * qnormsq(imm.fy)
-    dE = qnormsq(new.fx) - pE
-    dF = qdot(new.fx, new.fy) - pF
-    dG = qnormsq(new.fy) - pG
-    num = np.sqrt(np.mean(dE ** 2 + 2 * dF ** 2 + dG ** 2))
-    den = np.sqrt(np.mean(pE ** 2 + 2 * pF ** 2 + pG ** 2))
+    lam = SpinField(imm.grid, lam).lam
+    new, rel, path_dev = _integrate_spin(imm.grid, spin_form(imm, lam),
+                                         imm.f[0, 0], closed_tol, chart_tol)
+    want = qnormsq(lam)[..., None, None] ** 2 * _metric_tensor(imm.df)
     report = {
         "closedness_rel": rel,
         "path_deviation": path_dev,
-        "metric_identity_rel": float(num / den) if den > 0 else 0.0,
+        "metric_identity_rel": rms(want - _metric_tensor(new.df))
+        / rms(want),
     }
     return new, report
 
@@ -153,41 +153,38 @@ def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     fstar = _dual_positions(dual)
-    lam_p = fstar + from_real(eps)
-    lam_m = fstar - from_real(eps)
+    lams = (fstar + from_real(eps), fstar - from_real(eps))
     floor = 1e-12 * (eps + rms(qnorm(fstar)))
-    if min(qnorm(lam_p).min(), qnorm(lam_m).min()) < floor:
+    if min(qnorm(lam).min() for lam in lams) < floor:
         raise ValueError("eps on the singular sphere: the spin factor "
                          "vanishes at a node")
 
-    fp, rep_p = spin_integrate(imm, lam_p, closed_tol, chart_tol)
-    fm, rep_m = spin_integrate(imm, lam_m, closed_tol, chart_tol)
-
-    # H from the integrated mates: an end-to-end check that integration
-    # and curvature extraction commute at discretization order.
-    Hp = weingarten_split(fp).H
-    Hm = weingarten_split(fm).H
-
-    # II and umbilics from the algebraic spin frames: the frames are
-    # exact in lam and the background, so D is two derivative levels
-    # cleaner than anything extracted from re-differentiated integrals.
-    # Each frame is dropped after its split and metric, so at most one
-    # frame's fields are alive at a time.
-    frame = _spin_frame(imm, lam_p)
-    Ip, curv_p = _metric_tensor(frame.df), weingarten_split(frame)
-    del frame
-    frame = _spin_frame(imm, lam_m)
-    Im_, curv_m = _metric_tensor(frame.df), weingarten_split(frame)
-    del frame
-
-    dI = Ip - Im_
-    den = np.sqrt(np.mean(Ip ** 2))
-    metric_rel = float(np.sqrt(np.mean(dI ** 2)) / den)
+    mates, H, metric, curv, reports = [], [], [], [], []
+    rec = 0.0
+    for lam in lams:
+        mate, report = spin_integrate(imm, lam, closed_tol, chart_tol)
+        # H from the integrated mate: an end-to-end check that
+        # integration and curvature extraction commute at
+        # discretization order.
+        H.append(weingarten_split(mate).H)
+        # II and umbilics from the algebraic spin frame: the frame is
+        # exact in lam and the background, so D is two derivative levels
+        # cleaner than anything extracted from re-differentiated
+        # integrals.  The frame is dropped after its split and metric,
+        # so at most one frame's fields are alive at a time.
+        frame = _spin_frame(imm, lam)
+        metric.append(_metric_tensor(frame.df))
+        curv.append(weingarten_split(frame))
+        del frame
+        back = qmul(lam, qmul(mate.N, qinv(lam)))
+        rec = max(rec, rms(qnorm(back - imm.N)))
+        mates.append(mate)
+        reports.append(report)
 
     # Coefficient of the (second fundamental form) difference against
     # dz^2 with this chart orientation; sign chosen so that the pairing
     # with 4 eps star(df*) below holds with a plus sign.
-    dII = curv_p.II - curv_m.II
+    dII = curv[0].II - curv[1].II
     Dphi = 0.5 * (dII[..., 1, 1] - dII[..., 0, 0]) + 1j * dII[..., 0, 1]
     D = QuadDifferential(imm.grid, Dphi)
     cr = cr_residual(D)
@@ -204,15 +201,10 @@ def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
     D_cr_rel = floored_relative(imm.grid, rms(trim(cr)), gscale,
                                 rms(np.abs(Dphi)))
 
-    cong = congruence_distance(fp.positions, fm.positions)
-
-    rec = 0.0
-    for lam, mate in ((lam_p, fp), (lam_m, fm)):
-        back = qmul(lam, qmul(mate.N, qinv(lam)))
-        rec = max(rec, rms(qnorm(back - imm.N)))
-
-    return BonnetPair(eps, fp, fm, Hp, Hm, D, curv_p, curv_m, metric_rel,
-                      D_cr_rel, cong, rec, {"plus": rep_p, "minus": rep_m})
+    cong = congruence_distance(mates[0].positions, mates[1].positions)
+    metric_rel = rms(metric[0] - metric[1]) / rms(metric[0])
+    return BonnetPair(eps, *mates, *H, D, *curv, metric_rel, D_cr_rel, cong,
+                      rec, {"plus": reports[0], "minus": reports[1]})
 
 
 def shape_distortion_check(imm, dual, pair):

@@ -24,16 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (QForm, qconj, qinv, qiszero, qmul, qnorm, qnormsq,
-                          to_vec, value_tangential, wedge)
-from .charts import (GridChart, build_immersion, closedness_residual,
-                     deriv_x, deriv_y, floored_relative, form_rms, rms,
-                     weingarten_split)
+from .quaternions import (qconj, qinv, qmul, qnorm, qnormsq, to_vec,
+                          value_tangential, wedge)
+from .charts import (GridChart, deriv_x, deriv_y, floored_relative, form_rms,
+                     rms, weingarten_split)
 from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
                        _line_angle_distance, form_from_qdiff,
                        noncharacteristic, stretch_directions)
-from .duality import integrate_form
-from .bonnet import SpinField
+from .bonnet import SpinField, _integrate_spin, _spin_transform
 
 # largest condition number of a row's 4x4 systems the march accepts
 _COND_LIMIT = 1e8
@@ -208,8 +206,8 @@ def march_solve(prob, steps, lam0=None):
     band spans the reached rows, with lam equal to the initial data on
     the curve row exactly.  Uses an explicit predictor-corrector step of
     one grid row in the march direction and 4th-order differences along
-    rows.  lam0 must be finite and nonzero at every node, as a SpinField
-    must.  The march aborts where a row system's condition number
+    rows.  lam0 is checked as a SpinField row: finite and nonzero at
+    every node.  The march aborts where a row system's condition number
     exceeds _COND_LIMIT or min |lam| on a row falls below 1e-6 of its
     initial value.
     """
@@ -219,19 +217,14 @@ def march_solve(prob, steps, lam0=None):
 
     lam = np.full((grid.ny, grid.nx, 4), np.nan)
     if lam0 is None:
-        row0 = np.zeros((grid.nx, 4))
-        row0[:, 0] = 1.0
+        lam[prob.row] = (1.0, 0.0, 0.0, 0.0)
     else:
         row0 = np.asarray(lam0, dtype=np.float64)
         if row0.shape != (grid.nx, 4):
             raise ValueError("initial spin row must be (nx, 4)")
-        for bad, what in ((~np.isfinite(row0).all(axis=-1), "is non-finite"),
-                          (qiszero(row0), "vanishes")):
-            if bad.any():
-                raise ValueError("initial spin row %s at node (j=%d, i=%d)"
-                                 % (what, prob.row, int(np.argmax(bad))))
-    lam[prob.row] = row0
-    ref_mag = float(qnorm(row0).min())
+        lam[prob.row] = row0
+        SpinField(grid, lam, row_span=(prob.row, prob.row))
+    ref_mag = float(qnorm(lam[prob.row]).min())
 
     j_lo = j_hi = prob.row
     for direction in (+1, -1):
@@ -274,23 +267,15 @@ def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
         raise ValueError("marched band too thin to differentiate "
                          "(need at least 5 rows, have %d)" % nrows)
     band = slice(j_lo, j_hi + 1)
-    lam_b = spin.lam[band]
-    fx_b = prob.imm.fx[band]
-    fy_b = prob.imm.fy[band]
     sub = GridChart(grid.nx, nrows, grid.hx, grid.hy, grid.x0,
                     grid.y0 + j_lo * grid.hy)
-
-    lc = qconj(lam_b)
-    form = QForm(qmul(lc, qmul(fx_b, lam_b)), qmul(lc, qmul(fy_b, lam_b)))
-    _, closed_rel = closedness_residual(sub, form)
-    if closed_rel > closed_tol:
-        raise ValueError("transformed differential is not closed: "
-                         "residual %.3e > %.3e" % (closed_rel, closed_tol))
+    form = _spin_transform(spin.lam[band], prob.imm.fx[band],
+                           prob.imm.fy[band])
 
     jc = prob.row - j_lo
-    prim, path_dev = integrate_form(sub, form, basepoint=(jc, 0))
-    ftilde = prim + prob.imm.f[prob.row, 0]
-    new = build_immersion(sub, ftilde, chart_tol=chart_tol)
+    new, closed_rel, path_dev = _integrate_spin(
+        sub, form, prob.imm.f[prob.row, 0], closed_tol, chart_tol,
+        basepoint=(jc, 0))
 
     dnum = np.sqrt(qnormsq(new.fx[jc] - prob.imm.fx[prob.row])
                    + qnormsq(new.fy[jc] - prob.imm.fy[prob.row]))
@@ -317,7 +302,6 @@ def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
         "q_residual_tangential_rel": float(q_res_tang),
         "q_residual_normal_rel": float(q_res_norm),
         "path_deviation": float(path_dev),
-        "basepoint": (prob.row, 0),
     }
     return new, report
 

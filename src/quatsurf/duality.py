@@ -36,18 +36,17 @@ def _cumint_y(g, hy):
     return T - (hy * hy / 12.0) * (gp - gp[:1])
 
 
-def integrate_form(grid, form, basepoint=(0, 0), route=None):
+def integrate_form(grid, form, basepoint=(0, 0)):
     """Path-integrate a closed one-form, zeroed at a basepoint node.
 
-    Paths are routed through a hub node (default: the chart center, so
-    the long segments run where the stencils are centered and the form
-    is most accurate): hub row across, then up/down the column.  The
-    primitive is shifted to vanish at basepoint (j0, i0).  Also returns
-    the maximum deviation against the transposed (column-then-row)
-    routing, which is the path-independence diagnostic.
+    Paths are routed through the chart center, where the stencils are
+    centered and the form is most accurate: center row across, then
+    up/down the column.  The primitive is shifted to vanish at basepoint
+    (j0, i0).  Also returns the maximum deviation against the transposed
+    (column-then-row) routing, which is the path-independence diagnostic.
     """
     j0, i0 = basepoint
-    jr, ir = (grid.ny // 2, grid.nx // 2) if route is None else route
+    jr, ir = grid.ny // 2, grid.nx // 2
     Ax = _cumint_x(form.ax, grid.hx)
     By = _cumint_y(form.ay, grid.hy)
     row_first = (Ax[jr:jr + 1] - Ax[jr:jr + 1, ir:ir + 1]) \
@@ -57,6 +56,20 @@ def integrate_form(grid, form, basepoint=(0, 0), route=None):
     deviation = float(np.max(qnorm(row_first - col_first)))
     primitive = row_first - row_first[j0:j0 + 1, i0:i0 + 1]
     return primitive, deviation
+
+
+def _integrate_closed(grid, form, closed_tol, failure, basepoint=(0, 0)):
+    """Gate a one-form on its closedness, then integrate it from basepoint.
+
+    Raises ValueError("<failure> <residual> > <closed_tol>") when the
+    relative closedness residual exceeds closed_tol.  Returns
+    (primitive, closedness_rel, path_deviation).
+    """
+    _, rel = closedness_residual(grid, form)
+    if rel > closed_tol:
+        raise ValueError("%s %.3e > %.3e" % (failure, rel, closed_tol))
+    primitive, deviation = integrate_form(grid, form, basepoint)
+    return primitive, rel, deviation
 
 
 def _mean_curvature(grid, f):
@@ -121,13 +134,9 @@ def integrate_dual(imm, q, closed_tol=5e-3):
         raise ValueError("trivial differential")
 
     tau = form_from_qdiff(imm, q)
-    _, closedness_rel = closedness_residual(imm.grid, tau)
-    if closedness_rel > closed_tol:
-        raise ValueError(
-            "not isothermic for this q: closedness residual %.3e > %.3e"
-            % (closedness_rel, closed_tol))
-
-    fstar, path_dev = integrate_form(imm.grid, tau)
+    fstar, closedness_rel, path_dev = _integrate_closed(
+        imm.grid, tau, closed_tol,
+        "not isothermic for this q: closedness residual")
 
     try:
         branch_nodes, branch_mults, _ = zero_locus(q, tol=1e-6)
@@ -162,14 +171,12 @@ def verify_duality(imm, dual, curv):
     ok = np.isfinite(Hs)
 
     resid_a = dN - tau * Hs[..., None] + imm.df * curv.H[..., None]
-    field_a = np.where(ok, resid_a.norm(), np.nan)
-    rel_a = rms(field_a[ok]) / form_rms(dN)
+    rel_a = rms(resid_a.norm()[ok]) / form_rms(dN)
 
     W1 = wedge(tau, curv.omega)
     W2 = wedge(curv.omega, tau)
-    field_b = qnorm(W1 - W2)
     den_b = rms(qnorm(W1))
-    rel_b = rms(field_b) / den_b if den_b > 0 else 0.0
+    rel_b = rms(qnorm(W1 - W2)) / den_b if den_b > 0 else 0.0
 
     # a is undefined where df* vanishes (the dual's branch points), so
     # the fit skips those nodes, as (a) skips nodes where H* is NaN
@@ -187,13 +194,9 @@ def verify_duality(imm, dual, curv):
     diff = np.abs(a_fit - Hs)[ok]
     return {
         "classical_rel": rel_a,
-        "classical_field": field_a,
         "wedge_rel": rel_b,
-        "wedge_field": field_b,
         "real_multiple_rel": rel_c,
-        "fitted_coefficient": a_fit,
         "fitted_vs_Hstar_rms": float(np.sqrt(np.mean(diff ** 2))),
-        "fitted_vs_Hstar_max": float(np.max(diff)),
     }
 
 

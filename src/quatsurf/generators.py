@@ -33,7 +33,6 @@ TWO_PI = 2.0 * np.pi
 @dataclass(eq=False)
 class GeneratorResult:
     name: str
-    params: dict
     imm: ChartImmersion
     q_known: QuadDifferential | None = None
     dual_known: np.ndarray | None = None
@@ -65,9 +64,7 @@ def sphere(n=65, extent=0.6, rotation=0.0, chart_tol=1e-3):
                    axis=-1)
     imm = build_immersion(grid, pos, chart_tol=chart_tol)
     q = QuadDifferential.constant(grid, _phase(rotation))
-    return GeneratorResult(
-        "sphere", {"n": n, "extent": extent, "rotation": rotation},
-        imm, q_known=q)
+    return GeneratorResult("sphere", imm, q_known=q)
 
 
 def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
@@ -84,11 +81,7 @@ def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
     imm = build_immersion(grid, pos, chart_tol=chart_tol)
     q = QuadDifferential.constant(grid, _phase(rotation))
     dual = np.stack([-np.cos(X) / r, -np.sin(X) / r, -Y / r], axis=-1)
-    return GeneratorResult(
-        "cylinder",
-        {"n": n, "radius": radius, "x_span": list(x_span),
-         "y_span": list(y_span), "rotation": rotation},
-        imm, q_known=q, dual_known=dual)
+    return GeneratorResult("cylinder", imm, q_known=q, dual_known=dual)
 
 
 def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
@@ -108,11 +101,7 @@ def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
     q = QuadDifferential.constant(grid, -_phase(rotation))
     dual = np.stack([np.cos(X) / ch, np.sin(X) / ch, -np.sinh(Y) / ch],
                     axis=-1)
-    return GeneratorResult(
-        "catenoid",
-        {"n": n, "x_span": list(x_span), "y_span": list(y_span),
-         "rotation": rotation},
-        imm, q_known=q, dual_known=dual)
+    return GeneratorResult("catenoid", imm, q_known=q, dual_known=dual)
 
 
 def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
@@ -143,10 +132,7 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
     gd = 1.0 + np.abs(g) ** 2
     dual = np.stack([2 * np.real(g) / gd, 2 * np.imag(g) / gd,
                      (np.abs(g) ** 2 - 1) / gd], axis=-1)
-    return GeneratorResult(
-        "enneper",
-        {"n": n, "order": order, "extent": extent, "rotation": rotation},
-        imm, q_known=q, dual_known=dual)
+    return GeneratorResult("enneper", imm, q_known=q, dual_known=dual)
 
 
 def _two_sided_profile(rhs, s0, y_lo, y_hi, name):
@@ -223,11 +209,7 @@ def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
     imm = build_immersion(grid, pos, chart_tol=chart_tol)
     q = QuadDifferential.constant(grid, _phase(rotation))
     dual = np.stack([-np.cos(X) / r, -np.sin(X) / r, w], axis=-1)
-    return GeneratorResult(
-        "unduloid",
-        {"n": n, "neck": neck, "bulge": bulge, "x_span": list(x_span),
-         "y_span": list(y_span), "rotation": rotation},
-        imm, q_known=q, dual_known=dual)
+    return GeneratorResult("unduloid", imm, q_known=q, dual_known=dual)
 
 
 def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
@@ -262,11 +244,8 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
     q = QuadDifferential.constant(grid, _phase(rotation))
     dual = np.stack([-np.cos(X) / (a * kappa), np.sin(X) / (a * kappa), w],
                     axis=-1)
-    return GeneratorResult(
-        "ellipsoid_of_revolution",
-        {"n": n, "a": a, "c": c, "x_span": list(x_span),
-         "y_span": list(y_span), "rotation": rotation},
-        imm, q_known=q, dual_known=dual)
+    return GeneratorResult("ellipsoid_of_revolution", imm, q_known=q,
+                           dual_known=dual)
 
 
 CATALOG = {

@@ -158,10 +158,6 @@ class QForm:
         """Left multiply both components by a quaternion field."""
         return QForm(qmul(q, self.ax), qmul(q, self.ay))
 
-    def rmul(self, q):
-        """Right multiply both components by a quaternion field."""
-        return QForm(qmul(self.ax, q), qmul(self.ay, q))
-
     def copy(self):
         return QForm(self.ax.copy(), self.ay.copy())
 

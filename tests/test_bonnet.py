@@ -38,6 +38,25 @@ def test_spin_integrate_rejects_vanishing(surf):
         spin_integrate(g.imm, lam)
 
 
+def _spin_with_nan_at_5_5(g):
+    lam = np.broadcast_to(from_real(1.0), g.imm.f.shape).copy()
+    lam[5, 5] = np.nan
+    return lam
+
+
+def test_spin_field_names_a_non_finite_node(surf):
+    g = surf("cylinder")
+    with pytest.raises(ValueError, match=r"non-finite at node \(j=5, i=5\)"):
+        SpinField(g.imm.grid, _spin_with_nan_at_5_5(g))
+
+
+def test_spin_integrate_names_a_non_finite_node(surf):
+    # the node of lam, not of the positions integrated from it
+    g = surf("cylinder")
+    with pytest.raises(ValueError, match=r"non-finite at node \(j=5, i=5\)"):
+        spin_integrate(g.imm, _spin_with_nan_at_5_5(g))
+
+
 def test_spin_checks_accept_a_tiny_nonzero_node(surf):
     # |lam|^2 underflows to 0 at this node, yet lam does not vanish there
     g = surf("cylinder")

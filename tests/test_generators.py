@@ -29,7 +29,6 @@ def test_every_generator_builds_a_conformal_chart(name):
     assert gen.imm.grid.nx == 33
     assert gen.imm.grid.ny == 33
     assert gen.name == name
-    assert isinstance(gen.params, dict)
     assert gen.imm.diameter() > 0
 
 
