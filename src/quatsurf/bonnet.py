@@ -11,14 +11,15 @@ mates' umbilics and the dual's branch points.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
                           qiszero, qmul, qnorm, qnormsq, star)
-from .charts import (ChartImmersion, CurvatureData, build_immersion, deriv_x,
-                     deriv_y, floored_relative, form_rms, interior, rms,
-                     umbilics, weingarten_split)
+from .charts import (ChartImmersion, CurvatureData, _symmetric_tensor,
+                     build_immersion, deriv_x, deriv_y, floored_relative,
+                     form_rms, interior, rms, umbilics, weingarten_split)
 from .quaddiff import (QuadDifferential, cr_residual, form_from_qdiff,
                        zero_locus)
 from .duality import DualResult, _integrate_closed
@@ -101,15 +102,8 @@ def spin_integrate(imm, lam, closed_tol=5e-3, chart_tol=1e-3):
 
 
 def _metric_tensor(form):
-    E = qnormsq(form.ax)
-    F = qdot(form.ax, form.ay)
-    G = qnormsq(form.ay)
-    I = np.empty(E.shape + (2, 2))
-    I[..., 0, 0] = E
-    I[..., 0, 1] = F
-    I[..., 1, 0] = F
-    I[..., 1, 1] = G
-    return I
+    return _symmetric_tensor(qnormsq(form.ax), qdot(form.ax, form.ay),
+                             qnormsq(form.ay))
 
 
 @dataclass(eq=False)
@@ -245,13 +239,11 @@ def umbilic_branch_correspondence(pair, dual, tol=1e-6):
 
 def _spin_frame(imm, lam):
     """Algebraic frame of the transformed immersion (no integration):
-    fx~ = conj(lam) fx lam, N~ = lam^-1 N lam, e^{u~} = |lam|^2 e^u."""
+    fx~ = conj(lam) fx lam, N~ = lam^-1 N lam; it carries what
+    weingarten_split and the metric read (grid, fx, fy, N, df)."""
     df = spin_form(imm, lam)
-    Nt = qmul(qinv(lam), qmul(imm.N, lam))
-    ut = imm.u + np.log(qnormsq(lam))
-    zero = np.zeros_like(imm.u)
-    return ChartImmersion(imm.grid, np.zeros_like(imm.f), df.ax, df.ay, Nt,
-                          ut, zero)
+    return SimpleNamespace(grid=imm.grid, fx=df.ax, fy=df.ay, df=df,
+                           N=qmul(qinv(lam), qmul(imm.N, lam)))
 
 
 def cmc_eps_uniqueness(imm, dual, H_field=None):
@@ -277,14 +269,13 @@ def cmc_eps_uniqueness(imm, dual, H_field=None):
         raise ValueError("mean curvature vanishes identically: epsilon "
                          "determination needs a non-minimal surface")
 
-    sl = (slice(2, -2), slice(2, -2))
-    mean_H = float(np.mean(H[sl]))
-    if mean_H != 0.0 and float(np.std(H[sl])) / abs(mean_H) < 1e-6:
+    mean_H = float(np.mean(interior(H)))
+    if mean_H != 0.0 and float(np.std(interior(H))) / abs(mean_H) < 1e-6:
         return None
-    Hx = deriv_x(H, grid.hx)[sl]
-    Hy = deriv_y(H, grid.hy)[sl]
-    sx = deriv_x(s, grid.hx)[sl]
-    sy = deriv_y(s, grid.hy)[sl]
+    Hx = interior(deriv_x(H, grid.hx))
+    Hy = interior(deriv_y(H, grid.hy))
+    sx = interior(deriv_x(s, grid.hx))
+    sy = interior(deriv_y(s, grid.hy))
 
     dH = np.sqrt(np.mean(Hx ** 2 + Hy ** 2))
     if dH == 0.0:
@@ -297,9 +288,9 @@ def cmc_eps_uniqueness(imm, dual, H_field=None):
     if misfit > _CMC_FIT_TOL or c <= 0:
         return None
     eps2 = H / c - s
-    m = float(np.mean(eps2[sl]))
+    m = float(np.mean(interior(eps2)))
     if m <= 0:
         return None
-    if float(np.std(eps2[sl])) > _CMC_FIT_TOL * max(m, rms(s)):
+    if float(np.std(interior(eps2))) > _CMC_FIT_TOL * max(m, rms(s)):
         return None
     return float(np.sqrt(m))

@@ -77,11 +77,8 @@ class SymbolMap:
     matrix: np.ndarray
     normalization: np.ndarray
 
-    def det(self):
-        return np.linalg.det(self.matrix)
-
     def normalized_det(self):
-        return self.det() / self.normalization
+        return np.linalg.det(self.matrix) / self.normalization
 
 
 def symbol(imm, tau, node, xi):
@@ -99,25 +96,20 @@ def symbol(imm, tau, node, xi):
     return SymbolMap(M, np.where(normalization == 0.0, 1.0, normalization))
 
 
-def _pencil(imm, tau, node):
-    """Symbols P1, P2 at xi = (1, 0), (0, 1): M(xi) = xi1 P1 + xi2 P2."""
-    return symbol(imm, tau, node, (1.0, 0.0)), symbol(imm, tau, node,
-                                                      (0.0, 1.0))
-
-
 def characteristic_angles(imm, tau, node):
     """Sorted angles t in [0, 2 pi) where the symbol at the covector
-    (cos t, sin t) is singular: each real eigenvalue alpha / beta of the
-    pencil (P1, -P2) gives the line t = atan2(alpha, beta), t + pi."""
+    (cos t, sin t) is singular: with P1, P2 the symbols at xi = (1, 0),
+    (0, 1), each real eigenvalue alpha / beta of the pencil (P1, -P2)
+    gives the line t = atan2(alpha, beta), t + pi."""
     import scipy.linalg
 
     j, i = node
     if not (np.any(tau.ax[j, i]) or np.any(tau.ay[j, i])):
         raise ValueError("the symbol pencil is singular at node (j=%d, i=%d):"
                          " the differential vanishes there" % (j, i))
-    P1, P2 = _pencil(imm, tau, (j, i))
-    alpha, beta = scipy.linalg.eigvals(P1.matrix, -P2.matrix,
-                                       homogeneous_eigvals=True)
+    P1 = symbol(imm, tau, (j, i), (1.0, 0.0)).matrix
+    P2 = symbol(imm, tau, (j, i), (0.0, 1.0)).matrix
+    alpha, beta = scipy.linalg.eigvals(P1, -P2, homogeneous_eigvals=True)
     real = alpha.imag == 0
     t = np.arctan2(alpha.real[real], beta.real[real])
     t = np.concatenate([t, t + np.pi]) % (2 * np.pi)
@@ -163,30 +155,20 @@ def check_wellposed(prob, det_tol=0.01):
     return report
 
 
-def _row_fields(prob):
-    """Precompute per-row background data used by the march."""
+def _solve_row(lam, j, prob, wz):
+    """lam_y on row j from the 4x4 systems; lam is the (nx, 4) row and
+    wz the row's (omega ^ tau - tau ^ omega) real part."""
     imm = prob.imm
-    omega = weingarten_split(imm).omega
-    wz = (wedge(omega, prob.tau) - wedge(prob.tau, omega))[..., 0]
-    return {"fx": imm.fx, "fy": imm.fy, "N": to_vec(imm.N),
-            "taux": prob.tau.ax, "tauy": prob.tau.ay, "wz": wz}
-
-
-def _solve_row(lam, j, fields, grid):
-    """lam_y on row j from the 4x4 systems; lam is the (nx, 4) row."""
-    lam_x = deriv_x(lam[None], grid.hx)[0]
+    lam_x = deriv_x(lam[None], imm.grid.hx)[0]
     lc = qconj(lam)
     lai = qinv(lam)
-    fx, fy = fields["fx"][j], fields["fy"][j]
-    Nv = fields["N"][j]
-    taux, tauy = fields["taux"][j], fields["tauy"][j]
-    wz = fields["wz"][j]
+    Nv = to_vec(imm.N[j])
 
-    M = _system(qmul(lc, fx), qmul(lai, taux), Nv)
+    M = _system(qmul(lc, imm.fx[j]), qmul(lai, prob.tau.ax[j]), Nv)
 
     b = np.zeros((lam.shape[0], 4))
-    b[:, 0:3] = qmul(lc, qmul(fy, lam_x))[:, 1:4]
-    cross = qmul(lam_x, qmul(lai, tauy))
+    b[:, 0:3] = qmul(lc, qmul(imm.fy[j], lam_x))[:, 1:4]
+    cross = qmul(lam_x, qmul(lai, prob.tau.ay[j]))
     b[:, 3] = wz / 4.0 - np.einsum("nk,nk->n", Nv, cross[:, 1:4])
 
     conds = np.linalg.cond(M)
@@ -213,7 +195,8 @@ def march_solve(prob, steps, lam0=None):
     """
     check_wellposed(prob)
     grid = prob.imm.grid
-    fields = _row_fields(prob)
+    omega = weingarten_split(prob.imm).omega
+    wz = (wedge(omega, prob.tau) - wedge(prob.tau, omega))[..., 0]
 
     lam = np.full((grid.ny, grid.nx, 4), np.nan)
     if lam0 is None:
@@ -234,9 +217,9 @@ def march_solve(prob, steps, lam0=None):
             jn = j + direction
             if jn < 0 or jn >= grid.ny:
                 break
-            k1 = _solve_row(lam[j], j, fields, grid)
+            k1 = _solve_row(lam[j], j, prob, wz[j])
             pred = lam[j] + h * k1
-            k2 = _solve_row(pred, jn, fields, grid)
+            k2 = _solve_row(pred, jn, prob, wz[jn])
             lam[jn] = lam[j] + 0.5 * h * (k1 + k2)
             low = float(qnorm(lam[jn]).min())
             if low < 1e-6 * ref_mag:

@@ -77,17 +77,9 @@ def deriv_x(field, hx):
 
 
 def deriv_y(field, hy):
-    """4th-order d/dy along axis 0, complex fields as in deriv_x."""
-    if np.iscomplexobj(field):
-        return deriv_y(field.real, hy) + 1j * deriv_y(field.imag, hy)
-    f = np.asarray(field, dtype=np.float64)
-    d = np.empty_like(f)
-    d[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * hy)
-    d[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * hy)
-    d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * hy)
-    d[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * hy)
-    d[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * hy)
-    return d
+    """4th-order d/dy along axis 0: the deriv_x stencil applied to the
+    axis-swapped view, complex fields included."""
+    return deriv_x(np.swapaxes(field, 0, 1), hy).swapaxes(0, 1)
 
 
 def interior(field):
@@ -270,12 +262,22 @@ class CurvatureData:
     dN: QForm
 
 
+def _symmetric_tensor(a11, a12, a22):
+    """Per-node symmetric 2x2 tensors [[a11, a12], [a12, a22]]."""
+    T = np.empty(a11.shape + (2, 2))
+    T[..., 0, 0] = a11
+    T[..., 0, 1] = T[..., 1, 0] = a12
+    T[..., 1, 1] = a22
+    return T
+
+
 def weingarten_split(imm):
     """Split dN = -H df + omega and extract II and its (2,0) coefficient.
 
     H is defined by the conformal part of dN being -H df; omega is the
     anti-conformal remainder.  II(X, Y) = -<dN(X), df(Y)> symmetrized;
-    hopf_qd = (II11 - II22)/4 - (i/2) II12.
+    hopf_qd = (II11 - II22)/4 - (i/2) II12.  Reads only imm.grid,
+    imm.fx, imm.fy and imm.N.
     """
     Nx = deriv_x(imm.N, imm.grid.hx)
     Ny = deriv_y(imm.N, imm.grid.hy)
@@ -286,11 +288,7 @@ def weingarten_split(imm):
     II11 = -qdot(Nx, imm.fx)
     II22 = -qdot(Ny, imm.fy)
     II12 = -0.5 * (qdot(Nx, imm.fy) + qdot(Ny, imm.fx))
-    II = np.empty(II11.shape + (2, 2))
-    II[..., 0, 0] = II11
-    II[..., 0, 1] = II12
-    II[..., 1, 0] = II12
-    II[..., 1, 1] = II22
+    II = _symmetric_tensor(II11, II12, II22)
     hopf_qd = 0.25 * (II11 - II22) - 0.5j * II12
     return CurvatureData(H, omega, II, hopf_qd, dN)
 

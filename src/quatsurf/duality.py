@@ -138,10 +138,7 @@ def integrate_dual(imm, q, closed_tol=5e-3):
         imm.grid, tau, closed_tol,
         "not isothermic for this q: closedness residual")
 
-    try:
-        branch_nodes, branch_mults, _ = zero_locus(q, tol=1e-6)
-    except ValueError:
-        branch_nodes, branch_mults = [], []
+    branch_nodes, branch_mults, _ = zero_locus(q, tol=1e-6)
 
     taumag = tau.norm()
     med = float(np.median(taumag))

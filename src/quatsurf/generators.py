@@ -38,16 +38,24 @@ class GeneratorResult:
     dual_known: np.ndarray | None = None
 
 
-def _rotated_coords(grid, rotation):
-    Xc, Yc = grid.mesh()
+def _chart(n, x_span, y_span, rotation):
+    """Grid over x_span x y_span with its chart coordinates, rotated by
+    rotation: (grid, X, Y)."""
+    grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
+                                 n, n)
+    X, Y = grid.mesh()
     if rotation == 0.0:
-        return Xc, Yc
+        return grid, X, Y
     ca, sa = np.cos(rotation), np.sin(rotation)
-    return ca * Xc - sa * Yc, sa * Xc + ca * Yc
+    return grid, ca * X - sa * Y, sa * X + ca * Y
 
 
-def _phase(rotation):
-    return np.exp(2j * rotation)
+def _result(name, grid, pos, chart_tol, phi, dual=None):
+    """Validate the stacked positions as an immersion and wrap phi (a
+    scalar or a chart field) and the stacked dual."""
+    imm = build_immersion(grid, np.stack(pos, axis=-1), chart_tol=chart_tol)
+    return GeneratorResult(name, imm, QuadDifferential.coerce(grid, phi),
+                           None if dual is None else np.stack(dual, axis=-1))
 
 
 def sphere(n=65, extent=0.6, rotation=0.0, chart_tol=1e-3):
@@ -57,14 +65,11 @@ def sphere(n=65, extent=0.6, rotation=0.0, chart_tol=1e-3):
     N = -f (inward) and H = +1.  Isothermic for every holomorphic
     differential; the canonical choice shipped here is phi = 1.
     """
-    grid = GridChart.from_bounds(-extent, extent, -extent, extent, n, n)
-    X, Y = _rotated_coords(grid, rotation)
+    grid, X, Y = _chart(n, (-extent, extent), (-extent, extent), rotation)
     den = 1.0 + X ** 2 + Y ** 2
-    pos = np.stack([2 * X / den, 2 * Y / den, (X ** 2 + Y ** 2 - 1) / den],
-                   axis=-1)
-    imm = build_immersion(grid, pos, chart_tol=chart_tol)
-    q = QuadDifferential.constant(grid, _phase(rotation))
-    return GeneratorResult("sphere", imm, q_known=q)
+    return _result("sphere", grid, [2 * X / den, 2 * Y / den,
+                                    (X ** 2 + Y ** 2 - 1) / den],
+                   chart_tol, np.exp(2j * rotation))
 
 
 def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
@@ -73,15 +78,12 @@ def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
     H = +1/(2 radius), u = log radius.  Isothermic for phi = 1; the
     closed-form dual is (-cos x, -sin x, -y)/radius.
     """
-    grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
-                                 n, n)
-    X, Y = _rotated_coords(grid, rotation)
+    grid, X, Y = _chart(n, x_span, y_span, rotation)
     r = float(radius)
-    pos = np.stack([r * np.cos(X), r * np.sin(X), -r * Y], axis=-1)
-    imm = build_immersion(grid, pos, chart_tol=chart_tol)
-    q = QuadDifferential.constant(grid, _phase(rotation))
-    dual = np.stack([-np.cos(X) / r, -np.sin(X) / r, -Y / r], axis=-1)
-    return GeneratorResult("cylinder", imm, q_known=q, dual_known=dual)
+    return _result("cylinder", grid,
+                   [r * np.cos(X), r * np.sin(X), -r * Y], chart_tol,
+                   np.exp(2j * rotation),
+                   [-np.cos(X) / r, -np.sin(X) / r, -Y / r])
 
 
 def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
@@ -92,16 +94,11 @@ def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
     from the axis at the waist.  The shipped differential phi = -1 is
     the one whose dual is the Gauss map (a round unit sphere).
     """
-    grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
-                                 n, n)
-    X, Y = _rotated_coords(grid, rotation)
+    grid, X, Y = _chart(n, x_span, y_span, rotation)
     ch = np.cosh(Y)
-    pos = np.stack([ch * np.cos(X), ch * np.sin(X), Y], axis=-1)
-    imm = build_immersion(grid, pos, chart_tol=chart_tol)
-    q = QuadDifferential.constant(grid, -_phase(rotation))
-    dual = np.stack([np.cos(X) / ch, np.sin(X) / ch, -np.sinh(Y) / ch],
-                    axis=-1)
-    return GeneratorResult("catenoid", imm, q_known=q, dual_known=dual)
+    return _result("catenoid", grid, [ch * np.cos(X), ch * np.sin(X), Y],
+                   chart_tol, -np.exp(2j * rotation),
+                   [np.cos(X) / ch, np.sin(X) / ch, -np.sinh(Y) / ch])
 
 
 def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
@@ -118,60 +115,44 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
     m = int(order)
     if m < 1:
         raise ValueError("order must be >= 1")
-    grid = GridChart.from_bounds(-extent, extent, -extent, extent, n, n)
-    X, Y = _rotated_coords(grid, rotation)
+    grid, X, Y = _chart(n, (-extent, extent), (-extent, extent), rotation)
     z = X + 1j * Y
     k = 2 * m + 1
-    f1 = 0.5 * np.real(z - z ** k / k)
-    f2 = -0.5 * np.imag(z + z ** k / k)
-    f3 = np.real(z ** (m + 1)) / (m + 1)
-    pos = np.stack([f1, f2, f3], axis=-1)
-    imm = build_immersion(grid, pos, chart_tol=chart_tol)
-    q = QuadDifferential(grid, -m * z ** (m - 1) * _phase(rotation))
     g = z ** m
     gd = 1.0 + np.abs(g) ** 2
-    dual = np.stack([2 * np.real(g) / gd, 2 * np.imag(g) / gd,
-                     (np.abs(g) ** 2 - 1) / gd], axis=-1)
-    return GeneratorResult("enneper", imm, q_known=q, dual_known=dual)
+    return _result("enneper", grid,
+                   [0.5 * np.real(z - z ** k / k),
+                    -0.5 * np.imag(z + z ** k / k),
+                    np.real(z ** (m + 1)) / (m + 1)],
+                   chart_tol, -m * z ** (m - 1) * np.exp(2j * rotation),
+                   [2 * np.real(g) / gd, 2 * np.imag(g) / gd,
+                    (np.abs(g) ** 2 - 1) / gd])
 
 
-def _two_sided_profile(rhs, s0, y_lo, y_hi, name):
-    """Integrate the profile ODE from y = 0 to y_hi and to y_lo.
-
-    Returns evaluate(y) -> states (len(s0),) + y.shape, taken from the
-    forward solution for y >= 0 and the backward one for y < 0.
-    """
+def _two_sided_profile(rhs, s0, y, name):
+    """States (len(s0),) + y.shape of the profile ODE integrated from
+    y = 0: forward for y >= 0, backward for y < 0.  A side the chart
+    does not reach is not integrated."""
     # imported on first use, so that import quatsurf loads no scipy
     from scipy.integrate import solve_ivp
     s0 = np.asarray(s0, dtype=float)
-    sols = {}
-    for end, key in ((y_hi, "fwd"), (y_lo, "bwd")):
-        if end == 0.0:
-            sols[key] = None
+    out = np.empty(s0.shape + y.shape)
+    for side, end in ((y >= 0, y.max()), (y < 0, y.min())):
+        if not side.any():
             continue
-        sols[key] = solve_ivp(rhs, (0.0, end), s0, method="DOP853",
-                              rtol=1e-13, atol=1e-14, dense_output=True)
-        if not sols[key].success:
+        if end == 0.0:
+            out[:, side] = s0[:, None]
+            continue
+        sol = solve_ivp(rhs, (0.0, float(end)), s0, method="DOP853",
+                        rtol=1e-13, atol=1e-14, dense_output=True)
+        if not sol.success:
             raise RuntimeError("%s profile integration failed" % name)
-
-    def evaluate(y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(s0.shape + y.shape)
-        pos = y >= 0
-        if pos.any():
-            if sols["fwd"] is None:
-                out[:, pos] = s0[:, None]
-            else:
-                out[:, pos] = sols["fwd"].sol(y[pos])
-        if (~pos).any():
-            out[:, ~pos] = sols["bwd"].sol(y[~pos])
-        return out
-
-    return evaluate
+        out[:, side] = sol.sol(y[side])
+    return out
 
 
-def _delaunay_profile(neck, bulge, y_lo, y_hi):
-    """Delaunay unduloid profile in isothermal coordinates.
+def _delaunay_profile(neck, bulge, y):
+    """Delaunay unduloid profile in isothermal coordinates, at y.
 
     States (r, z, w): r' = r cos(psi), z' = r sin(psi),
     psi' = 2 H r - sin(psi) with H = 1/(neck + bulge), plus the dual
@@ -186,7 +167,7 @@ def _delaunay_profile(neck, bulge, y_lo, y_hi):
         return [r * np.cos(psi), r * np.sin(psi), 2 * H * r - np.sin(psi),
                 -np.sin(psi) / r]
 
-    return _two_sided_profile(rhs_full, s0, y_lo, y_hi, "unduloid"), H
+    return _two_sided_profile(rhs_full, s0, y, "unduloid")
 
 
 def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
@@ -200,16 +181,11 @@ def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
     """
     if not 0 < neck <= bulge:
         raise ValueError("need 0 < neck <= bulge")
-    grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
-                                 n, n)
-    X, Y = _rotated_coords(grid, rotation)
-    profile, H = _delaunay_profile(neck, bulge, float(Y.min()), float(Y.max()))
-    r, z, _, w = profile(Y)
-    pos = np.stack([r * np.cos(X), r * np.sin(X), -z], axis=-1)
-    imm = build_immersion(grid, pos, chart_tol=chart_tol)
-    q = QuadDifferential.constant(grid, _phase(rotation))
-    dual = np.stack([-np.cos(X) / r, -np.sin(X) / r, w], axis=-1)
-    return GeneratorResult("unduloid", imm, q_known=q, dual_known=dual)
+    grid, X, Y = _chart(n, x_span, y_span, rotation)
+    r, z, _, w = _delaunay_profile(neck, bulge, Y)
+    return _result("unduloid", grid, [r * np.cos(X), r * np.sin(X), -z],
+                   chart_tol, np.exp(2j * rotation),
+                   [-np.cos(X) / r, -np.sin(X) / r, w])
 
 
 def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
@@ -224,9 +200,7 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
     (-cos x, sin x, 0)/(a cos theta) + (0, 0, w) blows up toward the
     poles (the dual's two ends).
     """
-    grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
-                                 n, n)
-    X, Y = _rotated_coords(grid, rotation)
+    grid, X, Y = _chart(n, x_span, y_span, rotation)
 
     def rhs(_, s):
         th = s[0]
@@ -234,18 +208,13 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
         thp = a * ct / np.hypot(a * st, c * ct)
         return [thp, c * thp * ct / (a * a * ct * ct)]
 
-    profile = _two_sided_profile(rhs, [0.0, 0.0], float(Y.min()),
-                                 float(Y.max()), "ellipsoid")
-    theta, w = profile(Y)
+    theta, w = _two_sided_profile(rhs, [0.0, 0.0], Y, "ellipsoid")
     kappa = np.cos(theta)
-    pos = np.stack([a * kappa * np.cos(X), -a * kappa * np.sin(X),
-                    c * np.sin(theta)], axis=-1)
-    imm = build_immersion(grid, pos, chart_tol=chart_tol)
-    q = QuadDifferential.constant(grid, _phase(rotation))
-    dual = np.stack([-np.cos(X) / (a * kappa), np.sin(X) / (a * kappa), w],
-                    axis=-1)
-    return GeneratorResult("ellipsoid_of_revolution", imm, q_known=q,
-                           dual_known=dual)
+    return _result("ellipsoid_of_revolution", grid,
+                   [a * kappa * np.cos(X), -a * kappa * np.sin(X),
+                    c * np.sin(theta)],
+                   chart_tol, np.exp(2j * rotation),
+                   [-np.cos(X) / (a * kappa), np.sin(X) / (a * kappa), w])
 
 
 CATALOG = {

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -117,50 +118,52 @@ def _infer_grid(x, y):
                               % name)
     grid = GridChart(nx, ny, float(xs[1] - xs[0]), float(ys[1] - ys[0]),
                      float(xs[0]), float(ys[0]))
-    jj = np.searchsorted(ys, y)
-    ii = np.searchsorted(xs, x)
-    return grid, jj, ii
+    return grid, np.searchsorted(ys, y), np.searchsorted(xs, x)
 
 
-def _read_csv(path, required):
+def _read_grid_csv(path, columns):
+    """Read a node CSV with x, y and the named value columns into
+    (grid, (ny, nx, len(columns)) values); every node must carry finite
+    values."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a table without rows is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot read CSV %s: %s" % (path, exc)) from exc
-    missing = [c for c in required if c not in header]
+    if rows.size == 0:
+        raise ConfigError("CSV %s has no data rows" % path)
+    missing = [c for c in ["x", "y"] + columns if c not in header]
     if missing:
         raise ConfigError("CSV %s is missing columns: %s"
                           % (path, ", ".join(missing)))
     if rows.shape[1] != len(header):
         raise ConfigError("CSV %s row width does not match its header"
                           % path)
-    return {name: rows[:, k] for k, name in enumerate(header)}
+    grid, jj, ii = _infer_grid(rows[:, header.index("x")],
+                               rows[:, header.index("y")])
+    values = np.full((grid.ny, grid.nx, len(columns)), np.nan)
+    values[jj, ii] = rows[:, [header.index(c) for c in columns]]
+    bad = ~np.isfinite(values).all(axis=-1)
+    if bad.any():
+        j, i = map(int, np.argwhere(bad)[0])
+        raise ConfigError("CSV %s has a missing or non-finite value at "
+                          "node (j=%d, i=%d)" % (path, j, i))
+    return grid, values
 
 
 def read_positions_csv(path):
     """Read x,y,px,py,pz node samples into (grid, (ny, nx, 3) positions)."""
-    cols = _read_csv(path, ["x", "y", "px", "py", "pz"])
-    grid, jj, ii = _infer_grid(cols["x"], cols["y"])
-    pos = np.full((grid.ny, grid.nx, 3), np.nan)
-    pos[jj, ii, 0] = cols["px"]
-    pos[jj, ii, 1] = cols["py"]
-    pos[jj, ii, 2] = cols["pz"]
-    if not np.isfinite(pos).all():
-        raise ConfigError("CSV does not cover every grid node")
-    return grid, pos
+    return _read_grid_csv(path, ["px", "py", "pz"])
 
 
 def read_qdiff_csv(path):
     """Read x,y,re_phi,im_phi samples into (grid, complex (ny, nx) phi)."""
-    cols = _read_csv(path, ["x", "y", "re_phi", "im_phi"])
-    grid, jj, ii = _infer_grid(cols["x"], cols["y"])
-    phi = np.full((grid.ny, grid.nx), np.nan, dtype=np.complex128)
-    phi[jj, ii] = cols["re_phi"] + 1j * cols["im_phi"]
-    if not np.isfinite(phi).all():
-        raise ConfigError("CSV does not cover every grid node")
-    return grid, phi
+    grid, values = _read_grid_csv(path, ["re_phi", "im_phi"])
+    return grid, values[..., 0] + 1j * values[..., 1]
 
 
 def _jsonable(obj):

@@ -158,9 +158,6 @@ class QForm:
         """Left multiply both components by a quaternion field."""
         return QForm(qmul(q, self.ax), qmul(q, self.ay))
 
-    def copy(self):
-        return QForm(self.ax.copy(), self.ay.copy())
-
 
 def star(form):
     """Hodge star through the chart rotation d/dx -> d/dy, d/dy -> -d/dx."""

@@ -405,7 +405,11 @@ def _write_csv(path, header, rows):
 
 GRID_7 = [(str(0.1 * i), str(0.1 * j)) for j in range(7) for i in range(7)]
 # ways to break a well-formed 7 x 7 node CSV
-MALFORMED = ["missing_column", "narrow_rows", "ragged_row", "non_numeric"]
+MALFORMED = ["missing_column", "narrow_rows", "ragged_row", "non_numeric",
+             "header_only", "empty", "non_finite", "duplicate_row"]
+# the node a malformed CSV's error names, where it names one: row 10 of
+# the table is node (j=1, i=3)
+MALFORMED_NODE = {"non_finite": [1, 3], "duplicate_row": [1, 3]}
 
 
 def _malformed_csv(path, header, kind):
@@ -418,11 +422,22 @@ def _malformed_csv(path, header, kind):
         rows = [r[:-1] for r in rows]
     elif kind == "ragged_row":
         rows[3] = rows[3][:-1]
-    else:
+    elif kind == "non_numeric":
         rows[3] = rows[3][:-1] + ("abc",)
-    _write_csv(path, header, rows)
+    elif kind == "header_only":
+        rows = []
+    elif kind == "non_finite":
+        rows[10] = rows[10][:-1] + ("nan",)
+    elif kind == "duplicate_row":
+        rows[10] = rows[9]
+    if kind == "empty":
+        path.write_text("")
+    else:
+        _write_csv(path, header, rows)
 
 
+# no warning may be printed next to the one JSON error line
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", MALFORMED)
 @pytest.mark.parametrize("argv, header, operation", [
     (["analyze", "--input"], ["x", "y", "px", "py", "pz"],
@@ -442,6 +457,7 @@ def test_malformed_csv_is_config_error(kind, argv, header, operation,
     assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
     assert (payload["module"], payload["operation"]) == ("quatsurf.io",
                                                          operation)
+    assert payload["node"] == MALFORMED_NODE.get(kind)
 
 
 # flags a command accepted without reading them
