@@ -24,9 +24,9 @@ from .duality import (DualResult, classify_christoffel, integrate_dual,
 from .bonnet import (BonnetPair, SpinField, bonnet_pair, cmc_eps_uniqueness,
                      shape_distortion_check, spin_form, spin_integrate,
                      umbilic_branch_correspondence)
-from .cauchy import (CauchyProblem, SymbolMap, build_background,
-                     characteristic_angles, check_wellposed, march_solve,
-                     reconstruct, stretch_alignment, symbol)
+from .cauchy import (CauchyProblem, SymbolMap, characteristic_angles,
+                     check_wellposed, march_solve, reconstruct,
+                     stretch_alignment, symbol)
 from .generators import (GeneratorResult, CATALOG, catenoid, cylinder,
                          ellipsoid_of_revolution, enneper, make_surface,
                          sphere, unduloid)

@@ -17,9 +17,10 @@ import numpy as np
 
 from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
                           qiszero, qmul, qnorm, qnormsq, star)
-from .charts import (ChartImmersion, CurvatureData, _symmetric_tensor,
-                     build_immersion, deriv_x, deriv_y, floored_relative,
-                     form_rms, interior, rms, umbilics, weingarten_split)
+from .charts import (ChartImmersion, CurvatureData, _relative,
+                     _symmetric_tensor, build_immersion, deriv_x, deriv_y,
+                     floored_relative, form_rms, interior, rms, umbilics,
+                     weingarten_split)
 from .quaddiff import (QuadDifferential, cr_residual, form_from_qdiff,
                        zero_locus)
 from .duality import DualResult, _integrate_closed
@@ -95,8 +96,8 @@ def spin_integrate(imm, lam, closed_tol=5e-3, chart_tol=1e-3):
     report = {
         "closedness_rel": rel,
         "path_deviation": path_dev,
-        "metric_identity_rel": rms(want - _metric_tensor(new.df))
-        / rms(want),
+        "metric_identity_rel": _relative(rms(want - _metric_tensor(new.df)),
+                                         rms(want)),
     }
     return new, report
 
@@ -196,7 +197,7 @@ def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
                                 rms(np.abs(Dphi)))
 
     cong = congruence_distance(mates[0].positions, mates[1].positions)
-    metric_rel = rms(metric[0] - metric[1]) / rms(metric[0])
+    metric_rel = _relative(rms(metric[0] - metric[1]), rms(metric[0]))
     return BonnetPair(eps, *mates, *H, D, *curv, metric_rel, D_cr_rel, cong,
                       rec, {"plus": reports[0], "minus": reports[1]})
 
@@ -208,8 +209,7 @@ def shape_distortion_check(imm, dual, pair):
     lhs = form_from_qdiff(imm, pair.D)
     rhs = star(dual.tau) * (4.0 * pair.eps)
     resid = lhs - rhs
-    rel = form_rms(resid) / form_rms(rhs)
-    return resid.norm(), rel
+    return resid.norm(), _relative(form_rms(resid), form_rms(rhs))
 
 
 def umbilic_branch_correspondence(pair, dual, tol=1e-6):

@@ -26,8 +26,8 @@ import numpy as np
 
 from .quaternions import (qconj, qinv, qmul, qnorm, qnormsq, to_vec,
                           value_tangential, wedge)
-from .charts import (GridChart, deriv_x, deriv_y, floored_relative, form_rms,
-                     rms, weingarten_split)
+from .charts import (GridChart, _relative, deriv_x, deriv_y,
+                     floored_relative, form_rms, rms, weingarten_split)
 from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
                        _line_angle_distance, form_from_qdiff,
                        noncharacteristic, stretch_directions)
@@ -264,7 +264,7 @@ def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
                    + qnormsq(new.fy[jc] - prob.imm.fy[prob.row]))
     dden = rms(np.sqrt(qnormsq(prob.imm.fx[prob.row])
                        + qnormsq(prob.imm.fy[prob.row])))
-    curve_match = rms(dnum) / dden if dden > 0 else 0.0
+    curve_match = _relative(rms(dnum), dden)
 
     q_band = QuadDifferential(sub, prob.q.phi[band])
     tau_t = form_from_qdiff(new, q_band)
@@ -287,21 +287,6 @@ def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
         "path_deviation": float(path_dev),
     }
     return new, report
-
-
-def build_background(imm, q, row, mu_row, steps):
-    """Extend initial-curve data conj(mu) df mu off the curve into an
-    honest conformal immersion.
-
-    Marches the same first-order system with initial spin mu instead of
-    1 and integrates the result, so the output is a genuine conformal
-    immersion whose differential matches the prescribed one along the
-    curve.  Returns (immersion on the band, spin field, report).
-    """
-    prob = CauchyProblem(imm, q, row)
-    spin = march_solve(prob, steps, lam0=mu_row)
-    new, report = reconstruct(prob, spin)
-    return new, spin, report
 
 
 def stretch_alignment(q, node, char_angles):

@@ -101,6 +101,12 @@ def form_rms(form):
     return float(np.sqrt(np.mean(qnormsq(form.ax) + qnormsq(form.ay))))
 
 
+def _relative(num, den):
+    """num / den, or 0 where the scale den vanishes (a flat chart's
+    dN, say): the one rule for every relative residual."""
+    return num / den if den > 0 else 0.0
+
+
 def floored_relative(grid, residual, dscale, magnitude):
     """residual / max(dscale, magnitude / chart length), or 0 when both
     vanish.
@@ -110,8 +116,7 @@ def floored_relative(grid, residual, dscale, magnitude):
     would be meaningless.
     """
     length = max((grid.nx - 1) * grid.hx, (grid.ny - 1) * grid.hy)
-    scale = max(dscale, magnitude / length)
-    return residual / scale if scale > 0 else 0.0
+    return _relative(residual, max(dscale, magnitude / length))
 
 
 def closedness_residual(grid, form):
@@ -296,9 +301,7 @@ def weingarten_split(imm):
 def weingarten_residual(imm, curv):
     """Pointwise |dN + H df - omega| and its chart-RMS relative to |dN|."""
     resid = curv.dN + imm.df * curv.H[..., None] - curv.omega
-    field = resid.norm()
-    rel = form_rms(resid) / form_rms(curv.dN)
-    return field, rel
+    return resid.norm(), _relative(form_rms(resid), form_rms(curv.dN))
 
 
 def anticonformality_residual(imm, curv):
@@ -314,14 +317,13 @@ def anticonformality_residual(imm, curv):
     """
     w = curv.dN + imm.df * curv.H[..., None]
     num = anticonformal_defect(w, imm.N)
-    den = form_rms(curv.dN)
-    return num.norm(), form_rms(num) / den if den > 0 else 0.0
+    return num.norm(), _relative(form_rms(num), form_rms(curv.dN))
 
 
 def tangentiality_residual(imm, curv):
     """Chart-RMS of the transversal part of dN, relative to |dN|."""
     _, perp = split_tangential(curv.dN, imm.N)
-    return perp.norm(), form_rms(perp) / form_rms(curv.dN)
+    return perp.norm(), _relative(form_rms(perp), form_rms(curv.dN))
 
 
 def relate_hopf(imm, curv):
@@ -334,17 +336,16 @@ def relate_hopf(imm, curv):
     from .quaddiff import form_from_qdiff
     recon = form_from_qdiff(imm, 2.0 * curv.hopf_qd)
     resid = curv.omega - recon
-    den = form_rms(curv.omega)
-    rel = form_rms(resid) / den if den > 1e-300 else form_rms(resid)
-    return resid.norm(), rel
+    return resid.norm(), _relative(form_rms(resid), form_rms(curv.omega))
 
 
 def umbilics(curv, tol=1e-6):
-    """Nodes where |hopf_qd| < tol * (chart max |II| entry).
+    """Nodes where |hopf_qd| <= tol * (chart max |II| entry).
 
     Returns a sorted list of (j, i) index pairs; empty when the surface
-    has no umbilic on the chart at this tolerance.
+    has no umbilic on the chart at this tolerance, every node on a flat
+    chart (II = 0), as on a totally umbilic one.
     """
     scale = float(np.max(np.abs(curv.II)))
-    hits = np.argwhere(np.abs(curv.hopf_qd) < tol * scale)
+    hits = np.argwhere(np.abs(curv.hopf_qd) <= tol * scale)
     return [(int(j), int(i)) for j, i in hits]

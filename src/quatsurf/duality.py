@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (GridChart, build_immersion, closedness_residual,
-                     deriv_x, deriv_y, form_rms, raw_frame, rms)
-from .quaddiff import QuadDifferential, form_from_qdiff, zero_locus
-from .quaternions import (QForm, anticonformal_defect, from_real, qdot, qinv,
-                          qmul, qnorm, qnormsq, to_vec, value_transversal,
-                          wedge)
+from .charts import (GridChart, _relative, build_immersion,
+                     closedness_residual, deriv_x, deriv_y, form_rms,
+                     raw_frame, rms)
+from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
+                       form_from_qdiff, zero_locus)
+from .quaternions import (QForm, from_real, qdot, qinv, qmul, qnorm, qnormsq,
+                          to_vec, wedge)
 
 
 def _cumint_x(g, hx):
@@ -29,11 +30,9 @@ def _cumint_x(g, hx):
 
 
 def _cumint_y(g, hy):
-    """Cumulative integral along axis 0 from row 0, corrected trapezoid."""
-    T = np.zeros_like(g)
-    T[1:] = np.cumsum(0.5 * hy * (g[:-1] + g[1:]), axis=0)
-    gp = deriv_y(g, hy)
-    return T - (hy * hy / 12.0) * (gp - gp[:1])
+    """Cumulative integral along axis 0 from row 0: the _cumint_x rule
+    applied to the axis-swapped view."""
+    return _cumint_x(np.swapaxes(g, 0, 1), hy).swapaxes(0, 1)
 
 
 def integrate_form(grid, form, basepoint=(0, 0)):
@@ -130,9 +129,7 @@ def integrate_dual(imm, q, closed_tol=5e-3):
     median.
     """
     q = QuadDifferential.coerce(imm.grid, q)
-    if q.max_abs() == 0.0:
-        raise ValueError("trivial differential")
-
+    _zero_scale(q)  # raises on the zero differential
     tau = form_from_qdiff(imm, q)
     fstar, closedness_rel, path_dev = _integrate_closed(
         imm.grid, tau, closed_tol,
@@ -168,12 +165,11 @@ def verify_duality(imm, dual, curv):
     ok = np.isfinite(Hs)
 
     resid_a = dN - tau * Hs[..., None] + imm.df * curv.H[..., None]
-    rel_a = rms(resid_a.norm()[ok]) / form_rms(dN)
+    rel_a = _relative(rms(resid_a.norm()[ok]), form_rms(dN))
 
     W1 = wedge(tau, curv.omega)
     W2 = wedge(curv.omega, tau)
-    den_b = rms(qnorm(W1))
-    rel_b = rms(qnorm(W1 - W2)) / den_b if den_b > 0 else 0.0
+    rel_b = _relative(rms(qnorm(W1 - W2)), rms(qnorm(W1)))
 
     # a is undefined where df* vanishes (the dual's branch points), so
     # the fit skips those nodes, as (a) skips nodes where H* is NaN
@@ -185,8 +181,7 @@ def verify_duality(imm, dual, curv):
     a = a_fit[fit][:, None]
     resid_c = QForm(curv.omega.ax[fit] - a * tau.ax[fit],
                     curv.omega.ay[fit] - a * tau.ay[fit])
-    den_c = form_rms(curv.omega)
-    rel_c = form_rms(resid_c) / den_c if den_c > 0 else 0.0
+    rel_c = _relative(form_rms(resid_c), form_rms(curv.omega))
 
     diff = np.abs(a_fit - Hs)[ok]
     return {
@@ -212,11 +207,7 @@ def classify_christoffel(immA, immB, tol=1e-3):
         return "unrelated"
 
     dfB = immB.df
-    scaleB = form_rms(dfB)
-    anti = anticonformal_defect(dfB, immA.N).norm()
-    perp = QForm(value_transversal(dfB.ax, immA.N),
-                 value_transversal(dfB.ay, immA.N)).norm()
-    if rms(anti) / scaleB < tol and rms(perp) / scaleB < tol:
+    if max(_hopf_defects(dfB, immA.N)) < tol:
         return "dual_pair"
 
     # dfB = (a + b N) dfA with a + i b fitted pointwise
@@ -225,7 +216,7 @@ def classify_christoffel(immA, immB, tol=1e-3):
     b = qdot(g, immA.N)
     coeff = from_real(a) + b[..., None] * immA.N
     pred = QForm(qmul(coeff, immA.fx), qmul(coeff, immA.fy))
-    misfit = form_rms(dfB - pred) / scaleB
+    misfit = _relative(form_rms(dfB - pred), form_rms(dfB))
     a_scale = max(1.0, float(np.mean(np.abs(a))))
     if (misfit < tol and float(np.std(a)) < tol * a_scale
             and rms(b) < tol * a_scale):

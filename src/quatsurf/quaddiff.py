@@ -10,15 +10,24 @@ anti-conformal tangential one-forms through an immersion's frame.
 
 import numpy as np
 
-from .charts import deriv_x, deriv_y
+from .charts import _relative, deriv_x, deriv_y, form_rms, rms
 from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
-                          qnormsq, value_transversal)
+                          value_transversal)
 
 # least angle (degrees) a non-characteristic curve keeps from both
 # stretch foliations
 _MIN_MARGIN_DEG = 5.0
 # relative anti-conformality/tangentiality residual qdiff_from_form accepts
 _FORM_TOL = 1e-3
+# |phi| under this fraction of max|phi| is a zero of the differential
+_ZERO_TOL = 1e-8
+# closed node loop of radius 2 around (0, 0) as (dj, di) steps, walked
+# counterclockwise from the corner (-2, -2); clipped to radius 1 it
+# walks the radius-1 loop (corners repeated), to radius 0 a point
+_SIDE = np.arange(-2, 2)
+_LOOP = np.stack([np.r_[np.full(4, -2), _SIDE, np.full(4, 2), -_SIDE, -2],
+                  np.r_[_SIDE, np.full(4, 2), -_SIDE, np.full(4, -2), -2]],
+                 axis=-1)
 
 
 class QuadDifferential:
@@ -102,70 +111,50 @@ def check_holomorphic(q, tol=1e-4):
     return worst
 
 
-def _winding(phi, j, i, radius=1):
-    """Discrete winding number of arg phi on the node loop around (j, i)."""
-    ny, nx = phi.shape
-    lo_j, hi_j = j - radius, j + radius
-    lo_i, hi_i = i - radius, i + radius
-    if lo_j < 0 or lo_i < 0 or hi_j >= ny or hi_i >= nx:
-        return None  # loop would leave the chart
-    loop = []
-    loop += [phi[lo_j, c] for c in range(lo_i, hi_i + 1)]
-    loop += [phi[r, hi_i] for r in range(lo_j + 1, hi_j + 1)]
-    loop += [phi[hi_j, c] for c in range(hi_i - 1, lo_i - 1, -1)]
-    loop += [phi[r, lo_i] for r in range(hi_j - 1, lo_j, -1)]
-    loop.append(loop[0])
-    args = np.angle(np.asarray(loop))
-    dargs = np.mod(np.diff(args) + np.pi, 2 * np.pi) - np.pi
-    return int(np.round(np.sum(dargs) / (2 * np.pi)))
-
-
-def zero_locus(q, tol=1e-8):
-    """Nodes with |phi| < tol * max|phi|, with winding multiplicities.
-
-    Returns (nodes, multiplicities, isolated_flag).  Adjacent below-tol
-    nodes are grouped into one zero (reported at the smallest |phi|);
-    a group larger than a 3x3 block flags non-isolation.  Raises on the
-    zero differential, which carries no information.
-    """
-    phi = q.phi
-    scale = float(np.max(np.abs(phi)))
+def _zero_scale(q):
+    """max|phi|, the scale of every zero test; raises on the zero
+    differential, which carries no information."""
+    scale = q.max_abs()
     if scale == 0.0:
         raise ValueError("trivial differential")
-    mask = np.abs(phi) < tol * scale
-    hits = np.argwhere(mask)
-    isolated = True
-    groups = []
-    seen = np.zeros(phi.shape, dtype=bool)
-    for j, i in hits:
-        if seen[j, i]:
-            continue
-        stack, members = [(j, i)], []
-        seen[j, i] = True
-        while stack:
-            cj, ci = stack.pop()
-            members.append((cj, ci))
-            for dj in (-1, 0, 1):
-                for di in (-1, 0, 1):
-                    nj, ni = cj + dj, ci + di
-                    if (0 <= nj < phi.shape[0] and 0 <= ni < phi.shape[1]
-                            and mask[nj, ni] and not seen[nj, ni]):
-                        seen[nj, ni] = True
-                        stack.append((nj, ni))
-        if len(members) > 9:
-            isolated = False
-        members.sort(key=lambda t: abs(phi[t]))
-        groups.append(members[0])
-    groups.sort()
-    radius_needed = 2  # loop must clear the below-tol cluster
-    mults = []
-    for j, i in groups:
-        w = _winding(phi, j, i, radius=radius_needed)
-        if w is None:
-            w = _winding(phi, j, i, radius=1)
-        mults.append(w if w is not None else 0)
-    nodes = [(int(j), int(i)) for j, i in groups]
-    return nodes, mults, isolated
+    return scale
+
+
+def zero_locus(q, tol=_ZERO_TOL):
+    """Nodes with |phi| < tol * max|phi|, with winding multiplicities.
+
+    Returns (nodes, multiplicities, isolated_flag).  8-adjacent below-tol
+    nodes are grouped into one zero (reported at the smallest |phi|);
+    a group larger than a 3x3 block flags non-isolation.  Multiplicity
+    is the winding of arg phi on the node loop of radius 2 around the
+    zero (radius 1 where that leaves the chart, 0 on the boundary).
+    Raises on the zero differential.
+    """
+    mag = np.abs(q.phi)
+    mask = mag < tol * _zero_scale(q)
+    if not mask.any():
+        return [], [], True
+    # imported only once there is a zero to group, so that import
+    # quatsurf and zero-free runs load no scipy
+    from scipy import ndimage
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
+    hits = np.flatnonzero(mask)
+    groups = labels.flat[hits]
+    isolated = bool(np.bincount(groups).max() <= 9)
+    # each group's smallest |phi| by a stable sort, so that ties go to
+    # the first node in row-major order on every platform
+    order = np.lexsort((mag.flat[hits], groups))
+    first = order[np.r_[True, np.diff(groups[order]) != 0]]
+    nodes = np.column_stack(np.unravel_index(np.sort(hits[first]),
+                                             mask.shape))
+    # the loop clipped to the largest radius (at most 2) left on the chart
+    room = np.minimum(nodes, np.subtract(mag.shape, 1) - nodes).min(axis=1)
+    r = np.minimum(room, 2)[:, None, None]
+    at = nodes[:, None, :] + np.clip(_LOOP, -r, r)
+    args = np.angle(q.phi[at[..., 0], at[..., 1]])
+    dargs = np.mod(np.diff(args, axis=1) + np.pi, 2 * np.pi) - np.pi
+    mults = np.round(np.sum(dargs, axis=1) / (2 * np.pi)).astype(int)
+    return list(map(tuple, nodes.tolist())), mults.tolist(), isolated
 
 
 def stretch_directions(q):
@@ -176,11 +165,8 @@ def stretch_directions(q):
     are masked with NaN; evaluating a single zero node raises instead.
     """
     phi = q.phi
-    scale = float(np.max(np.abs(phi)))
-    if scale == 0.0:
-        raise ValueError("trivial differential")
     horizontal = np.mod(-0.5 * np.angle(phi), np.pi)
-    zeros = np.abs(phi) < 1e-8 * scale
+    zeros = np.abs(phi) < _ZERO_TOL * _zero_scale(q)
     if zeros.all():
         raise ValueError("stretch directions undefined on the zero locus")
     horizontal = np.where(zeros, np.nan, horizontal)
@@ -216,12 +202,8 @@ def noncharacteristic(curve, q):
     locus (|phi| < 1e-8 max|phi|) are rejected (the foliations
     degenerate there).
     """
-    phi = q.phi
-    scale = float(np.max(np.abs(phi)))
-    if scale == 0.0:
-        raise ValueError("trivial differential")
-    vals = _bilinear(phi, q.grid, curve.points)
-    if np.any(np.abs(vals) < 1e-8 * scale):
+    vals = _bilinear(q.phi, q.grid, curve.points)
+    if np.any(np.abs(vals) < _ZERO_TOL * _zero_scale(q)):
         raise ValueError("curve touches the zero locus of the differential")
     horiz = np.mod(-0.5 * np.angle(vals), np.pi)
     tangent = np.mod(np.arctan2(curve.tangents[:, 1], curve.tangents[:, 0]), np.pi)
@@ -248,6 +230,17 @@ def form_from_qdiff(imm, q):
     return QForm(tx, ty)
 
 
+def _hopf_defects(tau, N):
+    """Chart-RMS anti-conformal and transversal parts of a one-form
+    against the normal N, each relative to the form's RMS: both vanish
+    exactly when tau is a Hopf-type (anti-conformal tangential) form."""
+    scale = form_rms(tau)
+    anti = rms(anticonformal_defect(tau, N).norm())
+    perp = rms(QForm(value_transversal(tau.ax, N),
+                     value_transversal(tau.ay, N)).norm())
+    return _relative(anti, scale), _relative(perp, scale)
+
+
 def qdiff_from_form(imm, tau):
     """Project an anti-conformal tangential one-form back to its complex
     coefficient: phi = normal-plane coordinates of fx tau(d/dx).
@@ -256,15 +249,10 @@ def qdiff_from_form(imm, tau):
     residuals under _FORM_TOL) before projecting; the product fx tau(d/dx)
     then lies in span(1, N) and phi = (real part) + i (N component).
     """
-    scale = float(np.sqrt(np.mean(qnormsq(tau.ax) + qnormsq(tau.ay))))
-    if scale == 0.0:
-        return QuadDifferential(imm.grid, np.zeros((imm.grid.ny, imm.grid.nx)))
-    anti = anticonformal_defect(tau, imm.N).norm()
-    if float(np.sqrt(np.mean(anti ** 2))) > _FORM_TOL * scale:
+    anti, perp = _hopf_defects(tau, imm.N)
+    if anti > _FORM_TOL:
         raise ValueError("form is not anti-conformal for this immersion")
-    perp = QForm(value_transversal(tau.ax, imm.N),
-                 value_transversal(tau.ay, imm.N)).norm()
-    if float(np.sqrt(np.mean(perp ** 2))) > _FORM_TOL * scale:
+    if perp > _FORM_TOL:
         raise ValueError("form is not tangential for this immersion")
     prod = qmul(imm.fx, tau.ax)
     a = prod[..., 0]

@@ -12,9 +12,9 @@ import pytest
 import quatsurf as qs
 from quatsurf import qnorm
 from quatsurf.cauchy import (CauchyProblem, _left_matrix, _right_matrix,
-                             build_background, characteristic_angles,
-                             check_wellposed, march_solve, reconstruct,
-                             stretch_alignment, symbol)
+                             characteristic_angles, check_wellposed,
+                             march_solve, reconstruct, stretch_alignment,
+                             symbol)
 from quatsurf.quaternions import qmul
 
 ROT = np.pi / 4
@@ -176,14 +176,17 @@ def test_reconstruct_needs_five_rows(prob):
         reconstruct(prob, thin)
 
 
-def test_build_background_constant_rotation(surf):
+def test_march_from_constant_rotation_row(surf):
     g = surf("cylinder", 33, rotation=ROT)
     th = 0.3
     mu = np.zeros((33, 4))
     mu[:, 0] = np.cos(th)
     mu[:, 3] = np.sin(th)
-    new, spin, rep = build_background(g.imm, 1j, row=16, mu_row=mu,
-                                      steps=8)
+    # marching initial spin mu instead of 1 extends the curve data
+    # conj(mu) df mu off the row into a conformal immersion
+    prob = CauchyProblem(g.imm, 1j, row=16)
+    spin = march_solve(prob, 8, lam0=mu)
+    new, rep = reconstruct(prob, spin)
     lo, hi = spin.band_rows()
     # a constant unit spin solves the march, so the extension is the
     # rigidly rotated band

@@ -182,6 +182,11 @@ def test_umbilics_counts(surf):
     # totally umbilic chart: every node qualifies
     sph = qs.make_surface("sphere", n=33, extent=0.1)
     assert len(umbilics(weingarten_split(sph.imm))) == 33 * 33
+    # flat chart: II = 0, so again every node
+    g = GridChart(nx=17, ny=17, hx=1 / 16, hy=1 / 16)
+    X, Y = g.mesh()
+    plane = build_immersion(g, np.stack([X, Y, np.zeros_like(X)], axis=-1))
+    assert len(umbilics(weingarten_split(plane))) == 17 * 17
     # cylinder: none
     assert umbilics(weingarten_split(surf("cylinder", 33).imm)) == []
     # second-order branched chart: exactly the center node

@@ -196,6 +196,24 @@ def test_error_node_is_machine_readable(tmp_path, capsys):
     assert all(isinstance(v, int) and 0 <= v < 7 for v in node)
 
 
+def test_flat_input(tmp_path):
+    # a 17 x 17 plane (pz = 0): dN vanishes identically, so every
+    # relative residual reads 0, and the dual of a plane is a plane
+    path = tmp_path / "plane.csv"
+    with open(path, "w") as fh:
+        fh.write("x,y,px,py,pz\n")
+        for j in range(17):
+            for i in range(17):
+                fh.write("%g,%g,%g,%g,0\n" % (i / 16, j / 16, i / 16, j / 16))
+    out = str(tmp_path / "a")
+    assert main(["analyze", "--input", str(path), "--outdir", out]) == 0
+    assert read_report(out, "analyze")["results"]["weingarten_rel"] == 0
+    out = str(tmp_path / "d")
+    assert main(["dual", "--input", str(path), "--q", "1",
+                 "--outdir", out]) == 0
+    assert read_report(out, "dual")["results"]["classify"] == "dual_pair"
+
+
 def test_verify_all_is_byte_identical(tmp_path, capsys):
     outs = [str(tmp_path / "v1"), str(tmp_path / "v2")]
     for out in outs:

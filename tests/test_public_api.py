@@ -7,7 +7,7 @@ PUBLIC = [
     'ChartImmersion', 'CurvatureData', 'DualResult', 'GeneratorResult',
     'GridChart', 'QForm', 'QuadDifferential', 'SpinField', 'SymbolMap',
     'align', 'anticonformal_defect', 'anticonformality_residual',
-    'bonnet', 'bonnet_pair', 'build_background', 'build_immersion',
+    'bonnet', 'bonnet_pair', 'build_immersion',
     'canonical_json', 'catenoid', 'cauchy', 'characteristic_angles',
     'charts', 'check_holomorphic', 'check_wellposed',
     'classify_christoffel', 'cmc_eps_uniqueness', 'config_hash',

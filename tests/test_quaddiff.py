@@ -59,6 +59,12 @@ def test_zero_locus_winding_multiplicities():
         assert nodes == [(16, 16)]
         assert mults == [m]
         assert isolated
+    # near the boundary the radius-2 loop leaves the chart: one row in,
+    # the radius-1 loop still winds; on the boundary row no loop fits
+    for node, mult in (((1, 16), 1), ((0, 16), 0)):
+        z0 = g.xs[node[1]] + 1j * g.ys[node[0]]
+        q = QuadDifferential.from_function(g, lambda z, z0=z0: z - z0)
+        assert zero_locus(q) == ([node], [mult], True)
     none = QuadDifferential.from_function(g, lambda z: z + 10.0)
     nodes, mults, isolated = zero_locus(none)
     assert nodes == []
@@ -72,6 +78,16 @@ def test_zero_locus_flags_non_isolated_zeros():
     phi[:, :16] = 0.0  # half the chart vanishes
     _, _, isolated = zero_locus(QuadDifferential(g, phi))
     assert not isolated
+
+
+def test_zero_locus_ties_go_to_the_first_node_in_row_major_order():
+    g = centered_grid(9)
+    phi = np.ones((9, 9), dtype=complex)
+    phi[5, 5] = 1e-12
+    phi[5, 6] = phi[6, 4] = 0.0  # one group, two exact zeros
+    nodes, _, isolated = zero_locus(QuadDifferential(g, phi))
+    assert nodes == [(5, 6)]
+    assert isolated
 
 
 def test_stretch_directions_convention():
