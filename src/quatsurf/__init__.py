@@ -8,8 +8,8 @@ conformal-deformation Cauchy problem.
 
 from .quaternions import (QForm, anticonformal_defect, from_real, from_vec,
                           qconj, qdot, qinv, qiszero, qmul, qnorm, qnormsq,
-                          quat, split_conformal, split_tangential, star,
-                          to_vec, value_tangential, value_transversal, wedge)
+                          quat, split_conformal, split_tangential,
+                          split_value, star, to_vec, wedge)
 from .charts import (ChartImmersion, CurvatureData, GridChart,
                      anticonformality_residual, build_immersion, deriv_x,
                      deriv_y, field_stats, floored_relative, form_rms,

@@ -15,15 +15,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .quaternions import (QForm, from_real, from_vec, qconj, qdot, qinv,
-                          qiszero, qmul, qnorm, qnormsq, star)
+from .quaternions import (QForm, from_real, qconj, qdot, qinv, qiszero,
+                          qmul, qnorm, qnormsq, star)
 from .charts import (ChartImmersion, CurvatureData, _relative,
-                     _symmetric_tensor, build_immersion, deriv_x, deriv_y,
-                     floored_relative, form_rms, interior, rms, umbilics,
-                     weingarten_split)
-from .quaddiff import (QuadDifferential, cr_residual, form_from_qdiff,
+                     _symmetric_tensor, _umbilic_mask, build_immersion,
+                     deriv_x, deriv_y, floored_relative, form_rms, interior,
+                     rms, weingarten_split)
+from .quaddiff import (QuadDifferential, _group_minima, form_from_qdiff,
                        zero_locus)
-from .duality import DualResult, _integrate_closed
+from .duality import _integrate_closed
 from .align import congruence_distance
 
 # relative misfit of dH = c d|fstar|^2, and spread of the recovered
@@ -135,19 +135,13 @@ class BonnetPair:
     reports: dict
 
 
-def _dual_positions(dual):
-    if isinstance(dual, DualResult):
-        return dual.fstar
-    arr = np.asarray(dual, dtype=np.float64)
-    return from_vec(arr) if arr.shape[-1] == 3 else arr
-
-
 def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
-    """Build the mates for lam = fstar +- eps and compare them."""
+    """Build the mates for lam = fstar +- eps, with fstar the positions
+    of the DualResult dual, and compare them."""
     eps = float(eps)
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    fstar = _dual_positions(dual)
+    fstar = dual.fstar
     lams = (fstar + from_real(eps), fstar - from_real(eps))
     floor = 1e-12 * (eps + rms(qnorm(fstar)))
     if min(qnorm(lam).min() for lam in lams) < floor:
@@ -182,9 +176,9 @@ def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
     dII = curv[0].II - curv[1].II
     Dphi = 0.5 * (dII[..., 1, 1] - dII[..., 0, 0]) + 1j * dII[..., 0, 1]
     D = QuadDifferential(imm.grid, Dphi)
-    cr = cr_residual(D)
     gx = deriv_x(Dphi, imm.grid.hx)
     gy = deriv_y(Dphi, imm.grid.hy)
+    cr = 0.5 * np.abs(gx + 1j * gy)  # the CR defect of D
     # D carries one-sided-stencil noise in the outer two rings (it is
     # built from the mates' differentiated frames); its CR test applies
     # one more derivative, so four rings must be discarded before the
@@ -212,11 +206,19 @@ def shape_distortion_check(imm, dual, pair):
     return resid.norm(), _relative(form_rms(resid), form_rms(rhs))
 
 
+def _umbilic_groups(curv, tol):
+    """The umbilic nodes grouped as zero_locus groups zeros: one node,
+    the smallest |hopf_qd|, per 8-connected group."""
+    nodes, _ = _group_minima(_umbilic_mask(curv, tol), np.abs(curv.hopf_qd))
+    return set(map(tuple, nodes.tolist()))
+
+
 def umbilic_branch_correspondence(pair, dual, tol=1e-6):
-    """Compare the umbilic nodes of the mates, the zero nodes of the
-    shape distortion, and the branch nodes of the dual."""
-    umb_p = set(umbilics(pair.curv_plus, tol))
-    umb_m = set(umbilics(pair.curv_minus, tol))
+    """Compare the umbilics of the mates, the zeros of the shape
+    distortion, and the branch nodes of the dual, each grouped to one
+    node per 8-connected group."""
+    umb_p = _umbilic_groups(pair.curv_plus, tol)
+    umb_m = _umbilic_groups(pair.curv_minus, tol)
     try:
         znodes, zmults, _ = zero_locus(pair.D, tol=tol)
         dzeros = set(znodes)
@@ -225,16 +227,9 @@ def umbilic_branch_correspondence(pair, dual, tol=1e-6):
     branch = set(tuple(n) for n in dual.branch_nodes)
     sets = {"umbilics_plus": umb_p, "umbilics_minus": umb_m,
             "distortion_zeros": dzeros, "branch_nodes": branch}
-    names = list(sets)
-    all_match = all(sets[a] == sets[b]
-                    for a in names for b in names)
-    return {
-        "umbilics_plus": sorted(umb_p),
-        "umbilics_minus": sorted(umb_m),
-        "distortion_zeros": sorted(dzeros),
-        "branch_nodes": sorted(branch),
-        "all_match": bool(all_match),
-    }
+    out = {name: sorted(s) for name, s in sets.items()}
+    out["all_match"] = all(s == branch for s in sets.values())
+    return out
 
 
 def _spin_frame(imm, lam):
@@ -258,7 +253,7 @@ def cmc_eps_uniqueness(imm, dual, H_field=None):
     if H_field is None:
         H_field = weingarten_split(imm).H
     H = np.asarray(H_field, dtype=np.float64)
-    s = qnormsq(np.asarray(_dual_positions(dual), dtype=np.float64))
+    s = qnormsq(dual.fstar)
 
     # minimal test against a curvature scale, not machine zero: H of a
     # sampled minimal surface is pure stencil noise (~1e-6 at n=65)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (qconj, qinv, qmul, qnorm, qnormsq, to_vec,
-                          value_tangential, wedge)
+from .quaternions import (qconj, qinv, qmul, qnorm, qnormsq, split_value,
+                          to_vec, wedge)
 from .charts import (GridChart, _relative, deriv_x, deriv_y,
                      floored_relative, form_rms, rms, weingarten_split)
 from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
@@ -273,8 +273,7 @@ def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
     dtau = dty - dtx
     tscale = rms(np.sqrt(qnormsq(dtx) + qnormsq(dty)))
     tau_mag = form_rms(tau_t)
-    tang = value_tangential(dtau, new.N)
-    perp = dtau - tang
+    tang, perp = split_value(dtau, new.N)
     q_res_tang = floored_relative(sub, rms(qnorm(tang)), tscale, tau_mag)
     q_res_norm = floored_relative(sub, rms(qnorm(perp)), tscale, tau_mag)
 

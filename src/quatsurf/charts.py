@@ -276,6 +276,13 @@ def _symmetric_tensor(a11, a12, a22):
     return T
 
 
+def _mean_curvature_split(dN, N, fx):
+    """(H, omega) with -H df the conformal part of dN and omega its
+    anti-conformal remainder; H is read off the d/dx component."""
+    cpart, omega = split_conformal(dN, N)
+    return -qdot(cpart.ax, fx) / qnormsq(fx), omega
+
+
 def weingarten_split(imm):
     """Split dN = -H df + omega and extract II and its (2,0) coefficient.
 
@@ -287,8 +294,7 @@ def weingarten_split(imm):
     Nx = deriv_x(imm.N, imm.grid.hx)
     Ny = deriv_y(imm.N, imm.grid.hy)
     dN = QForm(Nx, Ny)
-    cpart, omega = split_conformal(dN, imm.N)
-    H = -qdot(cpart.ax, imm.fx) / qnormsq(imm.fx)
+    H, omega = _mean_curvature_split(dN, imm.N, imm.fx)
 
     II11 = -qdot(Nx, imm.fx)
     II22 = -qdot(Ny, imm.fy)
@@ -339,6 +345,11 @@ def relate_hopf(imm, curv):
     return resid.norm(), _relative(form_rms(resid), form_rms(curv.omega))
 
 
+def _umbilic_mask(curv, tol):
+    """The nodes umbilics lists, as a boolean chart field."""
+    return np.abs(curv.hopf_qd) <= tol * float(np.max(np.abs(curv.II)))
+
+
 def umbilics(curv, tol=1e-6):
     """Nodes where |hopf_qd| <= tol * (chart max |II| entry).
 
@@ -346,6 +357,6 @@ def umbilics(curv, tol=1e-6):
     has no umbilic on the chart at this tolerance, every node on a flat
     chart (II = 0), as on a totally umbilic one.
     """
-    scale = float(np.max(np.abs(curv.II)))
-    hits = np.argwhere(np.abs(curv.hopf_qd) <= tol * scale)
+    hits = np.argwhere(_umbilic_mask(curv, tol))
     return [(int(j), int(i)) for j, i in hits]
+

@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,10 @@ _CLI_MODULE = "quatsurf.cli"
 
 # node coordinates embedded in library error messages, e.g. "(j=3, i=17)"
 _NODE_RE = re.compile(r"\(j=(\d+),\s*i=(\d+)\)")
+
+# the RunConfig fields that are tolerances, reported together
+_TOLERANCES = ("closed_tol", "chart_tol", "umbilic_tol", "classify_tol",
+               "det_tol")
 
 
 @dataclass
@@ -99,8 +103,7 @@ class RunConfig:
             raise ConfigError("eps must be finite, got %r" % self.eps)
         if self.eps <= 0:
             raise ConfigError("eps must be positive, got %g" % self.eps)
-        for name in ("closed_tol", "chart_tol", "umbilic_tol",
-                     "classify_tol", "det_tol"):
+        for name in _TOLERANCES:
             val = getattr(self, name)
             if not (val > 0):
                 raise ConfigError("%s must be positive, got %r" % (name, val))
@@ -145,32 +148,12 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
 
     def as_dict(self):
-        return {
-            "command": self.command,
-            "generator": self.generator,
-            "params": self.params,
-            "input": self.input_path,
-            "qdiff": self.qdiff_path,
-            "q": self.q,
-            "eps": self.eps,
-            "row": self.row,
-            "steps": self.steps,
-            "n": self.n,
-            "tolerances": self.tolerances(),
-            "seed": self.seed,
-            "checks": self.checks,
-            "kind": self.kind,
-            "levels": self.levels,
-        }
-
-    def tolerances(self):
-        return {
-            "closed_tol": self.closed_tol,
-            "chart_tol": self.chart_tol,
-            "umbilic_tol": self.umbilic_tol,
-            "classify_tol": self.classify_tol,
-            "det_tol": self.det_tol,
-        }
+        d = asdict(self)
+        del d["outdir"]
+        d["input"] = d.pop("input_path")
+        d["qdiff"] = d.pop("qdiff_path")
+        d["tolerances"] = {name: d.pop(name) for name in _TOLERANCES}
+        return d
 
 
 def _parse_param_list(items):
@@ -230,7 +213,7 @@ def _load_qdiff(config, imm, q_known):
                               % (grid.ny, grid.nx, imm.grid.ny, imm.grid.nx))
         return QuadDifferential(imm.grid, phi)
     if config.q is not None:
-        return QuadDifferential.constant(imm.grid, _parse_complex(config.q))
+        return QuadDifferential.coerce(imm.grid, _parse_complex(config.q))
     if q_known is not None:
         return q_known
     raise ConfigError("no quadratic differential: pass --q or --qdiff, "
@@ -434,13 +417,8 @@ def _ladder(config):
 
 
 def _orders(values):
-    out = []
-    for a, b in zip(values, values[1:]):
-        if a > 0 and b > 0:
-            out.append(round(float(np.log2(a / b)), 2))
-        else:
-            out.append(float("inf"))
-    return out
+    return [round(float(np.log2(a / b)), 2) if a > 0 and b > 0
+            else float("inf") for a, b in zip(values, values[1:])]
 
 
 def _cmd_converge(config, outdir):
@@ -562,7 +540,7 @@ def _check_distortion(n, seed):
 
 def _check_march(n, seed):
     gen = make_surface("cylinder", n=n, rotation=np.pi / 4)
-    q = QuadDifferential.constant(gen.imm.grid, 1j)
+    q = QuadDifferential.coerce(gen.imm.grid, 1j)
     prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
     spin = march_solve(prob, 4)
     lo, hi = spin.band_rows()
@@ -573,7 +551,7 @@ def _check_march(n, seed):
 
 def _check_characteristic_reject(n, seed):
     gen = make_surface("cylinder", n=n, rotation=np.pi / 4)
-    q = QuadDifferential.constant(gen.imm.grid, 1.0 + 0.0j)
+    q = QuadDifferential.coerce(gen.imm.grid, 1.0 + 0.0j)
     prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
     try:
         check_wellposed(prob)
@@ -611,21 +589,17 @@ VERIFY_CHECKS = [
 
 def _cmd_verify(config, outdir):
     names = [name for name, _ in VERIFY_CHECKS]
-    if config.checks:
-        unknown = [c for c in config.checks if c not in names]
-        if unknown:
-            raise ConfigError("unknown checks: %s (available: %s)"
-                              % (", ".join(unknown), ", ".join(names)))
-        selected = [(m, f) for m, f in VERIFY_CHECKS if m in config.checks]
-    else:
-        selected = VERIFY_CHECKS
+    unknown = [c for c in config.checks if c not in names]
+    if unknown:
+        raise ConfigError("unknown checks: %s (available: %s)"
+                          % (", ".join(unknown), ", ".join(names)))
+    selected = [(m, f) for m, f in VERIFY_CHECKS
+                if not config.checks or m in config.checks]
     outcomes = {}
-    failures = 0
     for name, fn in selected:
         passed, metrics = fn(config.n, config.seed)
         outcomes[name] = {"passed": bool(passed), "metrics": metrics}
-        if not passed:
-            failures += 1
+    failures = sum(not out["passed"] for out in outcomes.values())
     results = {
         "checks": outcomes,
         "total": len(selected),
@@ -722,7 +696,7 @@ def run(config):
             "config": cfg,
             "config_hash": config_hash(cfg),
             "grid": grid.spec() if grid is not None else None,
-            "tolerances": config.tolerances(),
+            "tolerances": cfg["tolerances"],
             "results": results,
         }
         name = config.command.replace("-", "_") + "_report.json"

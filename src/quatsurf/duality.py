@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (GridChart, _relative, build_immersion,
-                     closedness_residual, deriv_x, deriv_y, form_rms,
-                     raw_frame, rms)
+from .charts import (GridChart, _mean_curvature_split, _relative,
+                     build_immersion, closedness_residual, deriv_x, deriv_y,
+                     form_rms, raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
 from .quaternions import (QForm, from_real, qdot, qinv, qmul, qnorm, qnormsq,
-                          to_vec, wedge)
+                          quat, to_vec, wedge)
 
 
 def _cumint_x(g, hx):
@@ -76,21 +76,17 @@ def _mean_curvature(grid, f):
     NaN where the frame degenerates."""
     fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, f)
     ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
-    Nclean = np.where(ok[..., None], N, 0.0)
-    Nx = deriv_x(Nclean, grid.hx)
-    Ny = deriv_y(Nclean, grid.hy)
-    # conformal part of dN without the unit-N validation
-    cx = 0.5 * (Nx - qmul(Nclean, Ny))
-    H = -qdot(cx, fx) / qnormsq(fx)
+    # a unit placeholder normal at degenerate nodes, which passes the
+    # unit-N validation of the split
+    N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
+    dN = QForm(deriv_x(N, grid.hx), deriv_y(N, grid.hy))
+    H, _ = _mean_curvature_split(dN, N, fx)
     # nodes whose stencil touched a degenerate node are unreliable
     bad = ~ok
     for _ in range(2):
-        grown = bad.copy()
-        grown[1:] |= bad[:-1]
-        grown[:-1] |= bad[1:]
-        grown[:, 1:] |= bad[:, :-1]
-        grown[:, :-1] |= bad[:, 1:]
-        bad = grown
+        p = np.pad(bad, 1)
+        bad = (p[1:-1, 1:-1] | p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2]
+               | p[1:-1, 2:])
     return np.where(bad, np.nan, H)
 
 

@@ -44,8 +44,6 @@ def _chart(n, x_span, y_span, rotation):
     grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
                                  n, n)
     X, Y = grid.mesh()
-    if rotation == 0.0:
-        return grid, X, Y
     ca, sa = np.cos(rotation), np.sin(rotation)
     return grid, ca * X - sa * Y, sa * X + ca * Y
 
@@ -198,7 +196,8 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
     at y = +-infinity, so any finite chart stops short of them.  Inward
     normal.  Isothermic for phi = 1; the rotational dual
     (-cos x, sin x, 0)/(a cos theta) + (0, 0, w) blows up toward the
-    poles (the dual's two ends).
+    poles (the dual's two ends).  A rotated chart needs n >= 65 to pass
+    the default chart_tol: at n=33, 13 of 30 rotations in [0, pi) miss it.
     """
     grid, X, Y = _chart(n, x_span, y_span, rotation)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .charts import _relative, deriv_x, deriv_y, form_rms, rms
 from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
-                          value_transversal)
+                          split_tangential)
 
 # least angle (degrees) a non-characteristic curve keeps from both
 # stretch foliations
@@ -41,10 +41,6 @@ class QuadDifferential:
             raise ValueError("phi must be finite")
         self.grid = grid
         self.phi = phi
-
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full((grid.ny, grid.nx), value, dtype=np.complex128))
 
     @classmethod
     def coerce(cls, grid, q):
@@ -120,6 +116,26 @@ def _zero_scale(q):
     return scale
 
 
+def _group_minima(mask, mag):
+    """One node per 8-connected group of mask: the group's smallest mag,
+    ties to the first node in row-major order.  Returns the nodes as a
+    row-major sorted (k, 2) array and the size of the largest group."""
+    if not mask.any():
+        return np.empty((0, 2), dtype=int), 0
+    # imported only once there is a group, so that import quatsurf and
+    # runs with empty masks load no scipy
+    from scipy import ndimage
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
+    hits = np.flatnonzero(mask)
+    groups = labels.flat[hits]
+    # a stable sort, so that ties resolve alike on every platform
+    order = np.lexsort((mag.flat[hits], groups))
+    first = order[np.r_[True, np.diff(groups[order]) != 0]]
+    nodes = np.column_stack(np.unravel_index(np.sort(hits[first]),
+                                             mask.shape))
+    return nodes, int(np.bincount(groups).max())
+
+
 def zero_locus(q, tol=_ZERO_TOL):
     """Nodes with |phi| < tol * max|phi|, with winding multiplicities.
 
@@ -131,22 +147,8 @@ def zero_locus(q, tol=_ZERO_TOL):
     Raises on the zero differential.
     """
     mag = np.abs(q.phi)
-    mask = mag < tol * _zero_scale(q)
-    if not mask.any():
-        return [], [], True
-    # imported only once there is a zero to group, so that import
-    # quatsurf and zero-free runs load no scipy
-    from scipy import ndimage
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
-    hits = np.flatnonzero(mask)
-    groups = labels.flat[hits]
-    isolated = bool(np.bincount(groups).max() <= 9)
-    # each group's smallest |phi| by a stable sort, so that ties go to
-    # the first node in row-major order on every platform
-    order = np.lexsort((mag.flat[hits], groups))
-    first = order[np.r_[True, np.diff(groups[order]) != 0]]
-    nodes = np.column_stack(np.unravel_index(np.sort(hits[first]),
-                                             mask.shape))
+    nodes, largest = _group_minima(mag < tol * _zero_scale(q), mag)
+    isolated = largest <= 9
     # the loop clipped to the largest radius (at most 2) left on the chart
     room = np.minimum(nodes, np.subtract(mag.shape, 1) - nodes).min(axis=1)
     r = np.minimum(room, 2)[:, None, None]
@@ -236,8 +238,7 @@ def _hopf_defects(tau, N):
     exactly when tau is a Hopf-type (anti-conformal tangential) form."""
     scale = form_rms(tau)
     anti = rms(anticonformal_defect(tau, N).norm())
-    perp = rms(QForm(value_transversal(tau.ax, N),
-                     value_transversal(tau.ay, N)).norm())
+    perp = rms(split_tangential(tau, N)[1].norm())
     return _relative(anti, scale), _relative(perp, scale)
 
 

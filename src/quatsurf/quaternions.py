@@ -185,28 +185,23 @@ def anticonformal_defect(form, N):
     return star(form) + form.lmul(N)
 
 
-def value_tangential(q, N):
-    """Tangential part of a quaternion value: (q + N q N)/2.
+def split_value(q, N):
+    """Tangential and transversal parts of a quaternion value:
+    (q + N q N)/2 and (q - N q N)/2.
 
     Tangential values anticommute with N; real and N-aligned parts
-    commute with N and land in the complement.
+    commute with N and land in the transversal part.
     """
     nqn = qmul(N, qmul(q, N))
-    return 0.5 * (q + nqn)
-
-
-def value_transversal(q, N):
-    """Complementary part (q - N q N)/2, commuting with N."""
-    nqn = qmul(N, qmul(q, N))
-    return 0.5 * (q - nqn)
+    return 0.5 * (q + nqn), 0.5 * (q - nqn)
 
 
 def split_tangential(form, N):
     """Split a one-form into tangential and transversal parts w.r.t. N."""
     check_unit_imaginary(N)
-    tang = QForm(value_tangential(form.ax, N), value_tangential(form.ay, N))
-    perp = QForm(value_transversal(form.ax, N), value_transversal(form.ay, N))
-    return tang, perp
+    tx, px = split_value(form.ax, N)
+    ty, py = split_value(form.ay, N)
+    return QForm(tx, ty), QForm(px, py)
 
 
 def wedge(alpha, beta):

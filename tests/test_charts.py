@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatsurf as qs
 from quatsurf.charts import (GridChart, build_immersion, closedness_residual,
@@ -153,29 +154,33 @@ def test_second_fundamental_form_is_symmetric(surf):
     assert np.max(np.abs(curv.II[..., 0, 1] - curv.II[..., 1, 0])) < 1e-12
 
 
-def test_rigid_motion_invariance(surf):
-    """Curvature quantities must not see a rotation + translation."""
-    imm = surf("unduloid", 33).imm
-    rng = np.random.default_rng(7)
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    half = 0.4
-    rot = np.concatenate([[np.cos(half)], np.sin(half) * axis])
-    shift = rng.standard_normal(3)
-
-    moved = to_vec(qmul(qmul(rot, from_vec(imm.positions)), qconj(rot))) \
-        + shift
-    imm2 = build_immersion(imm.grid, moved)
-
-    c1 = weingarten_split(imm)
-    c2 = weingarten_split(imm2)
-    assert np.max(np.abs(c1.H - c2.H)) < 1e-9
-    assert np.max(np.abs(c1.hopf_qd - c2.hopf_qd)) < 1e-9
-    assert np.max(np.abs(c1.II - c2.II)) < 1e-9
-    assert umbilics(c1) == umbilics(c2)
-    # the normal itself rotates with the surface
-    back = to_vec(qmul(qmul(rot, imm.N), qconj(rot)))
-    assert np.max(np.abs(back - to_vec(imm2.N))) < 1e-9
+@settings(max_examples=25, deadline=None, database=None)
+@given(rot=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+           lambda r: np.linalg.norm(r) > 0.1),
+       shift=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       scale=st.floats(0.25, 4.0))
+def test_rigid_motion_invariance(surf, rot, shift, scale):
+    """A rotation, translation and homothety by s leaves H s, hopf_qd / s,
+    II / s and the umbilics unchanged and rotates the normal."""
+    rot = np.asarray(rot) / np.linalg.norm(rot)
+    for name in ("sphere", "cylinder", "catenoid", "enneper", "unduloid"):
+        imm = surf(name, 33).imm
+        moved = scale * to_vec(qmul(qmul(rot, from_vec(imm.positions)),
+                                    qconj(rot))) + np.asarray(shift)
+        imm2 = build_immersion(imm.grid, moved)
+        c1 = weingarten_split(imm)
+        c2 = weingarten_split(imm2)
+        # II and hopf_qd against the umbilic scale max|II|, H against the
+        # largest principal curvature, since H is noise on minimal charts
+        two = np.max(np.abs(c1.II))
+        kappa = np.max(np.abs(c1.II) / np.exp(2 * imm.u)[..., None, None])
+        assert np.max(np.abs(c2.H * scale - c1.H)) < 1e-9 * kappa, name
+        assert np.max(np.abs(c2.hopf_qd / scale - c1.hopf_qd)) < 1e-9 * two, \
+            name
+        assert np.max(np.abs(c2.II / scale - c1.II)) < 1e-9 * two, name
+        assert umbilics(c1) == umbilics(c2), name
+        back = to_vec(qmul(qmul(rot, imm.N), qconj(rot)))
+        assert np.max(np.abs(back - to_vec(imm2.N))) < 1e-9, name
 
 
 def test_umbilics_counts(surf):

@@ -112,6 +112,6 @@ def test_dual_of_dual_returns_to_start(surf, dual_of):
 def test_grid_mismatch_rejected(surf):
     gen = surf("cylinder", 33)
     other = GridChart(nx=9, ny=9, hx=0.1, hy=0.1, x0=0.0, y0=0.0)
-    wrong = qs.QuadDifferential.constant(other, 1.0)
+    wrong = qs.QuadDifferential.coerce(other, 1.0)
     with pytest.raises(ValueError):
         qs.integrate_dual(gen.imm, wrong)

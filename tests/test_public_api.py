@@ -22,10 +22,10 @@ PUBLIC = [
     'read_positions_csv', 'read_qdiff_csv', 'reconstruct',
     'relate_hopf', 'rigid_align', 'rms', 'shape_distortion_check',
     'similarity_distance', 'sphere', 'spin_form', 'spin_integrate',
-    'split_conformal', 'split_tangential', 'star', 'stretch_alignment',
-    'stretch_directions', 'symbol', 'tangentiality_residual', 'to_vec',
-    'umbilic_branch_correspondence', 'umbilics', 'unduloid',
-    'value_tangential', 'value_transversal', 'verify_duality', 'wedge',
+    'split_conformal', 'split_tangential', 'split_value', 'star',
+    'stretch_alignment', 'stretch_directions', 'symbol',
+    'tangentiality_residual', 'to_vec', 'umbilic_branch_correspondence',
+    'umbilics', 'unduloid', 'verify_duality', 'wedge',
     'weingarten_residual', 'weingarten_split', 'write_field_csv',
     'write_obj', 'write_report', 'zero_locus',
 ]

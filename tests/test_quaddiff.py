@@ -18,7 +18,7 @@ def centered_grid(n=33, half=1.0):
 
 def test_constant_and_sampled_constructors():
     g = centered_grid(9)
-    q = QuadDifferential.constant(g, 2.0 - 1.0j)
+    q = QuadDifferential.coerce(g, 2.0 - 1.0j)
     assert q.phi.shape == (9, 9)
     assert np.all(q.phi == 2.0 - 1.0j)
     assert q.max_abs() == pytest.approx(abs(2.0 - 1.0j))
@@ -69,7 +69,7 @@ def test_zero_locus_winding_multiplicities():
     nodes, mults, isolated = zero_locus(none)
     assert nodes == []
     with pytest.raises(ValueError, match="trivial"):
-        zero_locus(QuadDifferential.constant(g, 0.0))
+        zero_locus(QuadDifferential.coerce(g, 0.0))
 
 
 def test_zero_locus_flags_non_isolated_zeros():
@@ -92,13 +92,13 @@ def test_zero_locus_ties_go_to_the_first_node_in_row_major_order():
 
 def test_stretch_directions_convention():
     g = centered_grid(9)
-    horiz, vert = stretch_directions(QuadDifferential.constant(g, 1.0))
+    horiz, vert = stretch_directions(QuadDifferential.coerce(g, 1.0))
     assert np.allclose(horiz, 0.0)
     assert np.allclose(vert, np.pi / 2)
-    horiz, _ = stretch_directions(QuadDifferential.constant(g, -1.0))
+    horiz, _ = stretch_directions(QuadDifferential.coerce(g, -1.0))
     assert np.allclose(horiz, np.pi / 2)
     # phi = i: horizontal at -pi/4 mod pi
-    horiz, _ = stretch_directions(QuadDifferential.constant(g, 1.0j))
+    horiz, _ = stretch_directions(QuadDifferential.coerce(g, 1.0j))
     assert np.allclose(horiz, 0.75 * np.pi)
     # zeros are masked
     q = QuadDifferential.from_function(g, lambda z: z)
@@ -121,21 +121,21 @@ def test_noncharacteristic_margin():
     g = centered_grid(33)
     row = ChartCurve.grid_row(g, 16)
     # phi = i: stretch lines at 45 deg to the row, maximal margin
-    ok, margin = noncharacteristic(row, QuadDifferential.constant(g, 1.0j))
+    ok, margin = noncharacteristic(row, QuadDifferential.coerce(g, 1.0j))
     assert ok
     assert margin == pytest.approx(45.0, abs=1e-9)
     # phi = 1: the row is itself a stretch line
-    ok, margin = noncharacteristic(row, QuadDifferential.constant(g, 1.0))
+    ok, margin = noncharacteristic(row, QuadDifferential.coerce(g, 1.0))
     assert not ok
     assert margin == pytest.approx(0.0, abs=1e-9)
     # phi = -1: the row is the orthogonal stretch line, still characteristic
-    ok, margin = noncharacteristic(row, QuadDifferential.constant(g, -1.0))
+    ok, margin = noncharacteristic(row, QuadDifferential.coerce(g, -1.0))
     assert not ok
 
 
 def test_form_qdiff_roundtrip(surf):
     imm = surf("cylinder", 33).imm
-    q = QuadDifferential.constant(imm.grid, 0.3 - 0.8j)
+    q = QuadDifferential.coerce(imm.grid, 0.3 - 0.8j)
     tau = form_from_qdiff(imm, q)
     back = qdiff_from_form(imm, tau)
     assert np.max(np.abs(back.phi - q.phi)) < 1e-10
@@ -143,7 +143,7 @@ def test_form_qdiff_roundtrip(surf):
 
 def test_form_from_qdiff_is_anticonformal_and_tangential(surf):
     imm = surf("catenoid", 33).imm
-    tau = form_from_qdiff(imm, QuadDifferential.constant(imm.grid, 1.0))
+    tau = form_from_qdiff(imm, QuadDifferential.coerce(imm.grid, 1.0))
     from quatsurf.quaternions import qmul, star
     # star(tau) = -N tau characterizes anti-conformal forms
     resid = (qs.star(tau) + tau.lmul(imm.N)).norm()

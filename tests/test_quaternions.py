@@ -6,8 +6,8 @@ import pytest
 from quatsurf.quaternions import (QForm, anticonformal_defect, from_real,
                                   from_vec, qconj, qdot, qinv, qiszero, qmul,
                                   qnorm, qnormsq, quat, split_conformal,
-                                  split_tangential, star, to_vec,
-                                  value_tangential, value_transversal, wedge)
+                                  split_tangential, split_value, star,
+                                  to_vec, wedge)
 
 RNG = np.random.default_rng(20240817)
 
@@ -151,11 +151,10 @@ def test_tangential_split():
 def test_value_splits_are_complementary():
     N = _random_unit_normals((16,))
     q = RNG.standard_normal((16, 4))
-    t = value_tangential(q, N)
-    p = value_transversal(q, N)
+    t, p = split_value(q, N)
     assert np.max(qnorm(t + p - q)) < 1e-12
-    assert np.max(qnorm(value_tangential(p, N))) < 1e-12
-    assert np.max(qnorm(value_transversal(t, N))) < 1e-12
+    assert np.max(qnorm(split_value(p, N)[0])) < 1e-12
+    assert np.max(qnorm(split_value(t, N)[1])) < 1e-12
 
 
 def test_wedge_antisymmetry_under_component_swap():
