@@ -7,7 +7,8 @@ def _flatten_points(p):
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 3:
         raise ValueError("expected points with a trailing axis of length 3")
-    return p.reshape(-1, 3)
+    # a C copy: the sums below then run in one order for every layout
+    return np.ascontiguousarray(p.reshape(-1, 3))
 
 
 def rigid_align(source, target, allow_scale=False):

@@ -220,8 +220,7 @@ def build_immersion(grid, samples, chart_tol=1e-3):
     if samples.shape[2:] == (3,):
         f = from_vec(samples)
     elif samples.shape[2:] == (4,):
-        f = samples.copy()
-        f[..., 0] = 0.0
+        f = from_vec(samples[..., 1:])
     else:
         raise ValueError("samples must be (ny, nx, 3) or (ny, nx, 4)")
 

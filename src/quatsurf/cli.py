@@ -11,6 +11,7 @@ operation, and node (when known) is printed to stderr.
 
 import argparse
 import cmath
+import functools
 import inspect
 import json
 import math
@@ -448,7 +449,7 @@ def _cmd_converge(config, outdir):
 # verify: a registry of fast self-checks
 
 
-def _check_quaternion_algebra(n, seed):
+def _check_quaternion_algebra(n, seed, cylinder_pair):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((64, 4))
     b = rng.standard_normal((64, 4))
@@ -462,7 +463,7 @@ def _check_quaternion_algebra(n, seed):
     return worst < 1e-12, {"max_residual": worst}
 
 
-def _check_weingarten(n, seed):
+def _check_weingarten(n, seed, cylinder_pair):
     gen = make_surface("cylinder", n=n)
     curv = weingarten_split(gen.imm)
     _, wrel = weingarten_residual(gen.imm, curv)
@@ -471,7 +472,7 @@ def _check_weingarten(n, seed):
     return ok, {"weingarten_rel": wrel, "H_mean": h["mean"]}
 
 
-def _check_hopf(n, seed):
+def _check_hopf(n, seed, cylinder_pair):
     gen = make_surface("cylinder", n=n)
     curv = weingarten_split(gen.imm)
     _, hrel = relate_hopf(gen.imm, curv)
@@ -487,7 +488,7 @@ def _check_hopf(n, seed):
         {"hopf_consistency_rel": hrel, "cr_worst": worst}
 
 
-def _check_dual_roundtrip(n, seed):
+def _check_dual_roundtrip(n, seed, cylinder_pair):
     gen = make_surface("cylinder", n=n)
     dual = integrate_dual(gen.imm, gen.q_known)
     istar = dual.as_immersion()
@@ -498,7 +499,7 @@ def _check_dual_roundtrip(n, seed):
     return ok, {"normal_flip_rms": flip, "roundtrip_similarity": sim}
 
 
-def _check_catenoid_dual(n, seed):
+def _check_catenoid_dual(n, seed, cylinder_pair):
     gen = make_surface("catenoid", n=n)
     dual = integrate_dual(gen.imm, gen.q_known)
     centered = dual.positions - dual.positions.reshape(-1, 3).mean(axis=0)
@@ -508,7 +509,7 @@ def _check_catenoid_dual(n, seed):
     return err < 1e-3 * max(size, 1.0), {"dual_vs_gauss_rms": err}
 
 
-def _check_classify(n, seed):
+def _check_classify(n, seed, cylinder_pair):
     cyl = make_surface("cylinder", n=n)
     cat = make_surface("catenoid", n=n)
     scaled = build_immersion(cyl.imm.grid, 2.0 * cyl.imm.positions + 0.25)
@@ -520,25 +521,28 @@ def _check_classify(n, seed):
     return got == want, {"got": list(got), "want": list(want)}
 
 
-def _check_bonnet(n, seed):
+def _cylinder_pair(n):
+    """The cylinder's (imm, dual, eps = 1 pair); verify builds it once."""
     gen = make_surface("cylinder", n=n)
     dual = integrate_dual(gen.imm, gen.q_known)
-    pair = bonnet_pair(gen.imm, dual, 1.0)
-    diam = gen.imm.diameter()
-    ok = pair.metric_rel < 1e-8 and pair.congruence_rms > 1e-3 * diam
+    return gen.imm, dual, bonnet_pair(gen.imm, dual, 1.0)
+
+
+def _check_bonnet(n, seed, cylinder_pair):
+    imm, _, pair = cylinder_pair(n)
+    ok = (pair.metric_rel < 1e-8
+          and pair.congruence_rms > 1e-3 * imm.diameter())
     return ok, {"metric_rel": pair.metric_rel,
                 "congruence_rms": pair.congruence_rms}
 
 
-def _check_distortion(n, seed):
-    gen = make_surface("cylinder", n=n)
-    dual = integrate_dual(gen.imm, gen.q_known)
-    pair = bonnet_pair(gen.imm, dual, 1.0)
-    _, rel = shape_distortion_check(gen.imm, dual, pair)
+def _check_distortion(n, seed, cylinder_pair):
+    imm, dual, pair = cylinder_pair(n)
+    _, rel = shape_distortion_check(imm, dual, pair)
     return rel < 0.05, {"distortion_identity_rel": rel}
 
 
-def _check_march(n, seed):
+def _check_march(n, seed, cylinder_pair):
     gen = make_surface("cylinder", n=n, rotation=np.pi / 4)
     q = QuadDifferential.coerce(gen.imm.grid, 1j)
     prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
@@ -549,7 +553,7 @@ def _check_march(n, seed):
     return dev < 1e-3, {"spin_dev_max": dev}
 
 
-def _check_characteristic_reject(n, seed):
+def _check_characteristic_reject(n, seed, cylinder_pair):
     gen = make_surface("cylinder", n=n, rotation=np.pi / 4)
     q = QuadDifferential.coerce(gen.imm.grid, 1.0 + 0.0j)
     prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
@@ -560,7 +564,7 @@ def _check_characteristic_reject(n, seed):
     return False, {"rejected": False}
 
 
-def _check_io_roundtrip(n, seed):
+def _check_io_roundtrip(n, seed, cylinder_pair):
     import tempfile
     gen = make_surface("cylinder", n=n)
     with tempfile.TemporaryDirectory() as tmp:
@@ -595,9 +599,9 @@ def _cmd_verify(config, outdir):
                           % (", ".join(unknown), ", ".join(names)))
     selected = [(m, f) for m, f in VERIFY_CHECKS
                 if not config.checks or m in config.checks]
-    outcomes = {}
+    outcomes, cylinder_pair = {}, functools.cache(_cylinder_pair)
     for name, fn in selected:
-        passed, metrics = fn(config.n, config.seed)
+        passed, metrics = fn(config.n, config.seed, cylinder_pair)
         outcomes[name] = {"passed": bool(passed), "metrics": metrics}
     failures = sum(not out["passed"] for out in outcomes.values())
     results = {

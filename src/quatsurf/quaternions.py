@@ -1,10 +1,13 @@
 """Quaternion arrays and the pointwise one-form calculus used by every module.
 
-Quaternions are stored as float arrays with shape (..., 4), components
-ordered (w, x, y, z).  The imaginary part (x, y, z) doubles as an R^3
-vector, so surface positions, frames and normals all live in the same
-representation.  Everything here is exact pointwise algebra; there are
-no grids and no tolerances except for unit-normal validation.
+Quaternions are float arrays with shape (..., 4), components ordered
+(w, x, y, z), stored as four contiguous component planes behind that
+view (ufuncs and empty_like keep the layout of their inputs).  Input of
+any layout is accepted; np.ascontiguousarray gives an interleaved copy.
+The imaginary part (x, y, z) doubles as an R^3 vector, so surface
+positions, frames and normals all live in the same representation.
+Everything here is exact pointwise algebra; there are no grids and no
+tolerances except for unit-normal validation.
 """
 
 import numpy as np
@@ -15,6 +18,12 @@ QUAT_DTYPE = np.float64
 _NORMAL_TOL = 1e-9
 
 
+def _qempty(shape):
+    """Uninitialised (*shape, 4) view over four contiguous (*shape) planes."""
+    return np.empty((4,) + shape, dtype=QUAT_DTYPE).transpose(
+        tuple(range(1, len(shape) + 1)) + (0,))
+
+
 def quat(w=0.0, x=0.0, y=0.0, z=0.0):
     """Build a single quaternion from scalar components."""
     return np.array([w, x, y, z], dtype=QUAT_DTYPE)
@@ -23,7 +32,8 @@ def quat(w=0.0, x=0.0, y=0.0, z=0.0):
 def from_vec(v):
     """Embed R^3 vectors (..., 3) as imaginary quaternions (..., 4)."""
     v = np.asarray(v, dtype=QUAT_DTYPE)
-    out = np.zeros(v.shape[:-1] + (4,), dtype=QUAT_DTYPE)
+    out = _qempty(v.shape[:-1])
+    out[..., 0] = 0.0
     out[..., 1:] = v
     return out
 
@@ -36,8 +46,9 @@ def to_vec(q):
 def from_real(a):
     """Embed real scalars (...,) as real quaternions (..., 4)."""
     a = np.asarray(a, dtype=QUAT_DTYPE)
-    out = np.zeros(a.shape + (4,), dtype=QUAT_DTYPE)
+    out = _qempty(a.shape)
     out[..., 0] = a
+    out[..., 1:] = 0.0
     return out
 
 
@@ -56,7 +67,7 @@ def qmul(a, b):
     b = np.asarray(b, dtype=QUAT_DTYPE)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=QUAT_DTYPE)
+    out = _qempty(np.broadcast_shapes(a.shape, b.shape)[:-1])
     out[..., 0] = aw * bw - ((ax * bx + ay * by) + az * bz)
     out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
     out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
@@ -66,7 +77,7 @@ def qmul(a, b):
 
 def qconj(q):
     q = np.asarray(q, dtype=QUAT_DTYPE)
-    out = q.copy()
+    out = q.copy(order="K")
     out[..., 1:] *= -1.0
     return out
 

@@ -51,6 +51,16 @@ def test_distances_on_grids():
     assert similarity_distance(grid_pts, scaled) < 1e-12
 
 
+def test_distance_does_not_depend_on_the_memory_layout():
+    # the positions of a component-planar quaternion field, as the
+    # library stores them, against a C copy of the same points
+    rng = np.random.default_rng(5)
+    p, q = (np.moveaxis(rng.standard_normal((4, 129, 129)), 0, -1)[..., 1:]
+            for _ in range(2))
+    assert congruence_distance(p, q) == congruence_distance(
+        np.ascontiguousarray(p), np.ascontiguousarray(q))
+
+
 def test_rotation_stays_proper_under_reflection():
     pts = RNG.standard_normal((100, 3))
     reflected = pts.copy()

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from quatsurf.bonnet import bonnet_pair
 from quatsurf.cli import (ConfigError, RunConfig, _parse_complex,
                           _parse_param_list, main)
 
@@ -226,6 +227,30 @@ def test_verify_all_is_byte_identical(tmp_path, capsys):
     rep = read_report(outs[0], "verify")
     assert rep["results"]["passed"] is True
     assert rep["results"]["failures"] == 0
+
+
+def test_verify_builds_the_cylinder_pair_once_per_run(tmp_path,
+                                                      monkeypatch):
+    import quatsurf.cli as cli
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bonnet_pair(*args)
+
+    monkeypatch.setattr(cli, "bonnet_pair", counted)
+    out = str(tmp_path / "all")
+    assert main(["verify", "--all", "--n", "33", "--outdir", out]) == 0
+    assert len(calls) == 1
+    everything = read_report(out, "verify")["results"]["checks"]
+    # each check alone builds its own pair: nothing outlives a run
+    for k, check in enumerate(("bonnet_cylinder", "distortion_identity")):
+        out = str(tmp_path / check)
+        assert main(["verify", "--check", check, "--n", "33",
+                     "--outdir", out]) == 0
+        assert len(calls) == k + 2
+        checks = read_report(out, "verify")["results"]["checks"]
+        assert checks == {check: everything[check]}
 
 
 def test_verify_unknown_check(tmp_path, capsys):
