@@ -10,13 +10,17 @@ carries a holomorphic quadratic differential whose zeros are the
 mates' umbilics and the dual's branch points.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from .quaternions import (QForm, from_real, qconj, qdot, qinv, qiszero,
-                          qmul, qnorm, qnormsq, star)
+from .quaternions import (QForm, _qempty, from_real, qdot, qiszero, qnorm,
+                          qnormsq, star)
+# Not called here since the spin kernel was fused: the benchmark's tracer
+# test (perfbench/tests/test_harness.py) checks its wrapper replaces this
+# `from .quaternions import` binding, so the name stays bound.
+from .quaternions import qmul  # noqa: F401
 from .charts import (ChartImmersion, CurvatureData, _relative,
                      _symmetric_tensor, _umbilic_mask, build_immersion,
                      deriv_x, deriv_y, floored_relative, form_rms, interior,
@@ -58,10 +62,49 @@ class SpinField:
         return self.row_span
 
 
+def _spin_rotation(lam):
+    """(M, |lam|^2) with Im(conj(lam) v lam) = M Im(v) per node: the
+    3x3 rows of |lam|^2 times the rotation by conj(lam), built from
+    lam's ten pairwise products (mixed ones doubled, which is exact)."""
+    lam = np.asarray(lam, dtype=np.float64)
+    w, x, y, z = lam[..., 0], lam[..., 1], lam[..., 2], lam[..., 3]
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    wx, wy, wz = 2.0 * w * x, 2.0 * w * y, 2.0 * w * z
+    xy, xz, yz = 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
+    # each entry is written over a product once nothing else reads it,
+    # so at most 17 planes are alive at once
+    s, t = ww + xx, yy + zz
+    n2 = s + t
+    m00 = np.subtract(s, t, out=s)
+    u, v = np.subtract(ww, xx, out=ww), np.subtract(yy, zz, out=yy)
+    m11 = u + v
+    m22 = np.subtract(u, v, out=u)
+    m01, m02, m12 = xy + wz, xz - wy, yz + wx
+    m10 = np.subtract(xy, wz, out=xy)
+    m20 = np.add(xz, wy, out=xz)
+    m21 = np.subtract(yz, wx, out=yz)
+    return ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)), n2
+
+
+def _rotate(M, n2, v):
+    """conj(lam) v lam = |lam|^2 Re(v) + M Im(v), for (M, n2) =
+    _spin_rotation(lam)."""
+    v = np.asarray(v, dtype=np.float64)
+    out = _qempty(np.broadcast_shapes(n2.shape, v.shape[:-1]))
+    np.multiply(n2, v[..., 0], out=out[..., 0])
+    for k, (a, b, c) in enumerate(M, 1):
+        o = out[..., k]
+        np.multiply(a, v[..., 1], out=o)
+        o += b * v[..., 2]
+        o += c * v[..., 3]
+    return out
+
+
 def _spin_transform(lam, fx, fy):
-    """conj(lam) (fx, fy) lam as a one-form."""
-    lc = qconj(lam)
-    return QForm(qmul(lc, qmul(fx, lam)), qmul(lc, qmul(fy, lam)))
+    """conj(lam) (fx, fy) lam as a one-form, with lam's rotation built
+    once for both components."""
+    M, n2 = _spin_rotation(lam)
+    return QForm(_rotate(M, n2, fx), _rotate(M, n2, fy))
 
 
 def spin_form(imm, lam):
@@ -117,7 +160,11 @@ class BonnetPair:
     integrated mates and agree only at discretization order.
     curv_plus/curv_minus (and D, which is built from them) use the
     algebraic spin frames instead of the integrated positions, which
-    avoids compounding path-integration noise under differentiation.
+    avoids compounding path-integration noise under differentiation;
+    they keep H, II and hopf_qd, with omega and dN set to None.
+    normal_recovery_rel is the larger over the two mates of
+    rms |mate.N - frame.N|: the integrated mate's normal against the
+    frame's lam^-1 N lam.
     """
 
     eps: float
@@ -142,15 +189,16 @@ def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     fstar = dual.fstar
-    lams = (fstar + from_real(eps), fstar - from_real(eps))
+    signs = (eps, -eps)
     floor = 1e-12 * (eps + rms(qnorm(fstar)))
-    if min(qnorm(lam).min() for lam in lams) < floor:
+    if min(qnorm(fstar + from_real(s)).min() for s in signs) < floor:
         raise ValueError("eps on the singular sphere: the spin factor "
                          "vanishes at a node")
 
     mates, H, metric, curv, reports = [], [], [], [], []
     rec = 0.0
-    for lam in lams:
+    for s in signs:
+        lam = fstar + from_real(s)
         mate, report = spin_integrate(imm, lam, closed_tol, chart_tol)
         # H from the integrated mate: an end-to-end check that
         # integration and curvature extraction commute at
@@ -159,14 +207,14 @@ def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
         # II and umbilics from the algebraic spin frame: the frame is
         # exact in lam and the background, so D is two derivative levels
         # cleaner than anything extracted from re-differentiated
-        # integrals.  The frame is dropped after its split and metric,
-        # so at most one frame's fields are alive at a time.
+        # integrals.  lam, the frame, omega and dN are dropped once
+        # read, so at most one sign's intermediates are alive at a time.
         frame = _spin_frame(imm, lam)
+        del lam
+        rec = max(rec, rms(qnorm(mate.N - frame.N)))
         metric.append(_metric_tensor(frame.df))
-        curv.append(weingarten_split(frame))
+        curv.append(replace(weingarten_split(frame), omega=None, dN=None))
         del frame
-        back = qmul(lam, qmul(mate.N, qinv(lam)))
-        rec = max(rec, rms(qnorm(back - imm.N)))
         mates.append(mate)
         reports.append(report)
 
@@ -234,11 +282,15 @@ def umbilic_branch_correspondence(pair, dual, tol=1e-6):
 
 def _spin_frame(imm, lam):
     """Algebraic frame of the transformed immersion (no integration):
-    fx~ = conj(lam) fx lam, N~ = lam^-1 N lam; it carries what
-    weingarten_split and the metric read (grid, fx, fy, N, df)."""
+    fx~ = conj(lam) fx lam, N~ = lam^-1 N lam = M N / |lam|^2; it
+    carries what weingarten_split and the metric read (grid, fx, fy, N,
+    df)."""
     df = spin_form(imm, lam)
-    return SimpleNamespace(grid=imm.grid, fx=df.ax, fy=df.ay, df=df,
-                           N=qmul(qinv(lam), qmul(imm.N, lam)))
+    # M a second time: df~ comes from spin_form, which builds its own
+    M, n2 = _spin_rotation(lam)
+    N = _rotate(M, n2, imm.N)
+    N /= n2[..., None]
+    return SimpleNamespace(grid=imm.grid, fx=df.ax, fy=df.ay, df=df, N=N)
 
 
 def cmc_eps_uniqueness(imm, dual, H_field=None):

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (QForm, anticonformal_defect, from_vec, qdot, qnorm,
-                          qnormsq, split_conformal, split_tangential, to_vec)
+from .quaternions import (QForm, anticonformal_defect, check_unit_imaginary,
+                          from_vec, qdot, qmul, qnorm, qnormsq,
+                          split_tangential, to_vec)
 
 
 class GridChart:
@@ -275,32 +276,46 @@ def _symmetric_tensor(a11, a12, a22):
     return T
 
 
-def _mean_curvature_split(dN, N, fx):
-    """(H, omega) with -H df the conformal part of dN and omega its
-    anti-conformal remainder; H is read off the d/dx component."""
-    cpart, omega = split_conformal(dN, N)
-    return -qdot(cpart.ax, fx) / qnormsq(fx), omega
+def _mean_curvature_x(N, Nx, Ny, fx):
+    """(H, N Ny) with -H df the conformal part of dN = (Nx, Ny).
+
+    H is read off that part's d/dx component (Nx - N Ny)/2, in the
+    operation order of split_conformal's kc.ax; the d/dy component is
+    not built.  N is validated as split_conformal validates it.  N Ny
+    is returned for weingarten_split to build omega in.
+    """
+    check_unit_imaginary(N)
+    nny = qmul(N, Ny)
+    kc = Nx - nny
+    kc *= 0.5
+    return -qdot(kc, fx) / qnormsq(fx), nny
 
 
 def weingarten_split(imm):
     """Split dN = -H df + omega and extract II and its (2,0) coefficient.
 
     H is defined by the conformal part of dN being -H df; omega is the
-    anti-conformal remainder.  II(X, Y) = -<dN(X), df(Y)> symmetrized;
-    hopf_qd = (II11 - II22)/4 - (i/2) II12.  Reads only imm.grid,
-    imm.fx, imm.fy and imm.N.
+    anti-conformal remainder ((Nx + N Ny)/2, (Ny - N Nx)/2), the ka of
+    split_conformal in its operation order.  II(X, Y) = -<dN(X), df(Y)>
+    symmetrized; hopf_qd = (II11 - II22)/4 - (i/2) II12.  Reads only
+    imm.grid, imm.fx, imm.fy and imm.N.
     """
-    Nx = deriv_x(imm.N, imm.grid.hx)
-    Ny = deriv_y(imm.N, imm.grid.hy)
-    dN = QForm(Nx, Ny)
-    H, omega = _mean_curvature_split(dN, imm.N, imm.fx)
+    N = imm.N
+    Nx = deriv_x(N, imm.grid.hx)
+    Ny = deriv_y(N, imm.grid.hy)
+    H, wx = _mean_curvature_x(N, Nx, Ny, imm.fx)
+    wx += Nx
+    wx *= 0.5
+    wy = qmul(N, Nx)
+    np.subtract(Ny, wy, out=wy)
+    wy *= 0.5
 
     II11 = -qdot(Nx, imm.fx)
     II22 = -qdot(Ny, imm.fy)
     II12 = -0.5 * (qdot(Nx, imm.fy) + qdot(Ny, imm.fx))
     II = _symmetric_tensor(II11, II12, II22)
     hopf_qd = 0.25 * (II11 - II22) - 0.5j * II12
-    return CurvatureData(H, omega, II, hopf_qd, dN)
+    return CurvatureData(H, QForm(wx, wy), II, hopf_qd, QForm(Nx, Ny))
 
 
 def weingarten_residual(imm, curv):

@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .charts import (anticonformality_residual, build_immersion, field_stats,
-                     interior, relate_hopf, rms, tangentiality_residual,
-                     umbilics, weingarten_residual, weingarten_split)
+from .charts import (GridChart, anticonformality_residual, build_immersion,
+                     field_stats, interior, relate_hopf, rms,
+                     tangentiality_residual, umbilics, weingarten_residual,
+                     weingarten_split)
 from .quaternions import qconj, qmul, qnorm, quat
 from .quaddiff import QuadDifferential, check_holomorphic
 from .duality import classify_christoffel, integrate_dual, verify_duality
@@ -610,7 +611,10 @@ def _cmd_verify(config, outdir):
         "failures": failures,
         "passed": failures == 0,
     }
-    grid = make_surface("cylinder", n=config.n).imm.grid
+    # the grid of make_surface("cylinder", n=config.n), without sampling
+    # the surface on it
+    grid = GridChart.from_bounds(0.0, 2.0 * np.pi, -1.0, 1.0, config.n,
+                                 config.n)
     return results, grid
 
 

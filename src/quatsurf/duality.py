@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (GridChart, _mean_curvature_split, _relative,
+from .charts import (GridChart, _mean_curvature_x, _relative,
                      build_immersion, closedness_residual, deriv_x, deriv_y,
                      form_rms, raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
@@ -72,15 +72,14 @@ def _integrate_closed(grid, form, closed_tol, failure, basepoint=(0, 0)):
 
 
 def _mean_curvature(grid, f):
-    """Mean curvature of a position array via the conformal split,
-    NaN where the frame degenerates."""
+    """Mean curvature of a position array from the d/dx component of
+    the conformal part of dN, NaN where the frame degenerates."""
     fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, f)
     ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
     # a unit placeholder normal at degenerate nodes, which passes the
     # unit-N validation of the split
     N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
-    dN = QForm(deriv_x(N, grid.hx), deriv_y(N, grid.hy))
-    H, _ = _mean_curvature_split(dN, N, fx)
+    H, _ = _mean_curvature_x(N, deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx)
     # nodes whose stencil touched a degenerate node are unreliable
     bad = ~ok
     for _ in range(2):

@@ -1,5 +1,7 @@
 """Spin transforms, mate construction, and the distortion diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,25 @@ def test_bonnet_pair_fields_match_the_public_entry_points(surf, dual_of):
         split = qs.weingarten_split(frame)
         assert np.array_equal(split.II, curv.II)
         assert np.array_equal(split.H, curv.H)
+
+
+def test_bonnet_pair_memory_budget(surf, dual_of):
+    # in units of one (n, n, 4) float64 field: held is what the returned
+    # pair keeps (two mates of 4.5, two trimmed curvature records of
+    # 1.75, H+, H- and D); the peak is reached in the second sign's
+    # frame split
+    g = surf("catenoid", 129)
+    dual = dual_of("catenoid", 129)
+    qs.bonnet_pair(g.imm, dual, eps=0.8)  # imports and caches settle
+    tracemalloc.start()
+    try:
+        pair = qs.bonnet_pair(g.imm, dual, eps=0.8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = g.imm.f.nbytes
+    assert peak <= 26 * field
+    assert held <= 14 * field
 
 
 def test_bonnet_pair_rejects_bad_eps(surf, dual_of):

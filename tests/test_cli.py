@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quatsurf.bonnet import bonnet_pair
+from quatsurf.charts import build_immersion
 from quatsurf.cli import (ConfigError, RunConfig, _parse_complex,
                           _parse_param_list, main)
 
@@ -251,6 +252,30 @@ def test_verify_builds_the_cylinder_pair_once_per_run(tmp_path,
         assert len(calls) == k + 2
         checks = read_report(out, "verify")["results"]["checks"]
         assert checks == {check: everything[check]}
+
+
+def test_verify_reports_the_cylinder_grid_without_sampling_it(tmp_path,
+                                                              monkeypatch):
+    import quatsurf.cli as cli
+    import quatsurf.generators as generators
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_immersion(*args, **kwargs)
+
+    for module in (cli, generators):
+        monkeypatch.setattr(module, "build_immersion", counted)
+    out = str(tmp_path / "verify")
+    assert main(["verify", "--check", "quaternion_algebra", "--n", "21",
+                 "--outdir", out]) == 0
+    assert calls == []
+    gen = str(tmp_path / "generate")
+    assert main(["generate", "--generator", "cylinder", "--n", "21",
+                 "--outdir", gen]) == 0
+    assert len(calls) == 1
+    assert (read_report(out, "verify")["grid"]
+            == read_report(gen, "generate")["grid"])
 
 
 def test_verify_unknown_check(tmp_path, capsys):

@@ -2,17 +2,24 @@
 formulation they replace, and the quaternion algebra they implement.
 
 The kernels keep the old floating-point operation order, so the
-comparisons are exact (np.array_equal, under which -0.0 == 0.0).
-Needs hypothesis (the ``test`` extra).
+comparisons are exact (np.array_equal, under which -0.0 == 0.0).  The
+fused spin kernel regroups the sandwich product conj(lam) v lam, so it
+is held to a rounding tolerance instead.  Needs hypothesis (the
+``test`` extra).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quatsurf.charts import GridChart, deriv_x, deriv_y, raw_frame
-from quatsurf.quaternions import (from_vec, qconj, qdot, qmul, qnorm,
-                                  qnormsq)
+import quatsurf as qs
+from quatsurf.bonnet import _spin_transform
+from quatsurf.charts import (GridChart, deriv_x, deriv_y, raw_frame,
+                             weingarten_split)
+from quatsurf.duality import _mean_curvature
+from quatsurf.quaternions import (QForm, from_vec, qconj, qdot, qmul, qnorm,
+                                  qnormsq, quat, split_conformal)
 
 
 def qmul_sum_cross(a, b):
@@ -118,3 +125,97 @@ def test_hamilton_product_algebra(a, b, c):
                   <= 1e-13 * qnorm(a) * qnorm(b))
     assert np.all(qnorm(qconj(ab) - qmul(qconj(b), qconj(a)))
                   <= 1e-13 * qnorm(a) * qnorm(b))
+
+
+def planar(a):
+    """A copy of a (..., 4) array laid out as four contiguous planes."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+# Components of the rotated vectors: a relative bound means nothing for
+# products that fall into the subnormal range, so stay clear of it.
+VECTOR = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@KERNELS
+@given(st.data(), st.integers(5, 9), st.integers(1, 6), st.booleans(),
+       st.booleans())
+def test_fused_spin_kernel_matches_the_sandwich_product(data, ny, nx,
+                                                        lam_planar,
+                                                        v_planar):
+    # lam of magnitude 1e-3 .. 1e3 in any direction; v imaginary; a row
+    # band sliced out of full fields, as cauchy.reconstruct passes it
+    logmag = data.draw(hnp.arrays(np.float64, (ny, nx),
+                                  elements=st.floats(-3.0, 3.0)))
+    direction = data.draw(quats((ny, nx), st.floats(0.1, 1.0)
+                                | st.floats(-1.0, -0.1)))
+    lam = direction * (10.0 ** logmag / qnorm(direction))[..., None]
+    fx, fy = (from_vec(data.draw(hnp.arrays(np.float64, (ny, nx, 3),
+                                            elements=VECTOR)))
+              for _ in range(2))
+    if lam_planar:
+        lam = planar(lam)
+    if not v_planar:
+        fx, fy = np.ascontiguousarray(fx), np.ascontiguousarray(fy)
+    lo = data.draw(st.integers(0, ny - 1))
+    band = slice(lo, data.draw(st.integers(lo, ny - 1)) + 1)
+    form = _spin_transform(lam[band], fx[band], fy[band])
+    for got, v in ((form.ax, fx[band]), (form.ay, fy[band])):
+        want = qmul(qconj(lam[band]), qmul(v, lam[band]))
+        bound = 1e-14 * qnormsq(lam[band]) * qnorm(v)
+        assert np.all(qnorm(got - want) <= bound)
+        assert np.all(got[..., 0] == 0.0)
+
+
+MATES_SURFACES = [("sphere", {}), ("cylinder", {}), ("catenoid", {}),
+                  ("enneper", {"order": 2}), ("unduloid", {})]
+
+
+def conformal_H(dN, N, fx):
+    """H with -H df the conformal part of dN, through split_conformal."""
+    kc, omega = split_conformal(dN, N)
+    return -qdot(kc.ax, fx) / qnormsq(fx), omega
+
+
+@pytest.mark.parametrize("name, params", MATES_SURFACES)
+def test_weingarten_split_matches_the_split_conformal_route(name, params):
+    imm = qs.make_surface(name, n=33, rotation=0.3, **params).imm
+    Nx = deriv_x(imm.N, imm.grid.hx)
+    Ny = deriv_y(imm.N, imm.grid.hy)
+    H, omega = conformal_H(QForm(Nx, Ny), imm.N, imm.fx)
+    II11 = -qdot(Nx, imm.fx)
+    II22 = -qdot(Ny, imm.fy)
+    II12 = -0.5 * (qdot(Nx, imm.fy) + qdot(Ny, imm.fx))
+    curv = weingarten_split(imm)
+    assert np.array_equal(curv.H, H)
+    assert np.array_equal(curv.omega.ax, omega.ax)
+    assert np.array_equal(curv.omega.ay, omega.ay)
+    assert np.array_equal(curv.II[..., 0, 0], II11)
+    assert np.array_equal(curv.II[..., 1, 1], II22)
+    assert np.array_equal(curv.II[..., 0, 1], II12)
+    assert np.array_equal(curv.hopf_qd, 0.25 * (II11 - II22) - 0.5j * II12)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("catenoid", {}), ("enneper", {"order": 2}),
+    ("cylinder", {"rotation": 0.7})])
+def test_dual_mean_curvature_matches_the_split_conformal_route(name,
+                                                              params):
+    gen = qs.make_surface(name, n=33, **params)
+    grid = gen.imm.grid
+    fstar = qs.integrate_dual(gen.imm, gen.q_known).fstar
+    fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, fstar)
+    ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
+    N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
+    H, _ = conformal_H(QForm(deriv_x(N, grid.hx), deriv_y(N, grid.hy)),
+                       N, fx)
+    bad = ~ok
+    for _ in range(2):
+        p = np.pad(bad, 1)
+        bad = (p[1:-1, 1:-1] | p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2]
+               | p[1:-1, 2:])
+    want = np.where(bad, np.nan, H)
+    got = _mean_curvature(grid, fstar)
+    assert np.array_equal(got, want, equal_nan=True)
+    # the enneper dual branches at the centre, which the mask covers
+    assert np.isnan(got).any() == (name == "enneper")
