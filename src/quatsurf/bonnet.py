@@ -16,18 +16,18 @@ from types import SimpleNamespace
 import numpy as np
 
 from .quaternions import (QForm, _qempty, from_real, qdot, qiszero, qnorm,
-                          qnormsq, star)
+                          qnormsq, star, to_vec)
 # Not called here since the spin kernel was fused: the benchmark's tracer
 # test (perfbench/tests/test_harness.py) checks its wrapper replaces this
 # `from .quaternions import` binding, so the name stays bound.
 from .quaternions import qmul  # noqa: F401
-from .charts import (ChartImmersion, CurvatureData, _relative,
-                     _symmetric_tensor, _umbilic_mask, build_immersion,
-                     deriv_x, deriv_y, floored_relative, form_rms, interior,
-                     rms, weingarten_split)
+from .charts import (_CHART_TOL, _UMBILIC_TOL, ChartImmersion, CurvatureData,
+                     _relative, _symmetric_tensor, _umbilic_mask,
+                     build_immersion, deriv_x, deriv_y, floored_relative,
+                     form_rms, interior, rms, weingarten_split)
 from .quaddiff import (QuadDifferential, _group_minima, form_from_qdiff,
                        zero_locus)
-from .duality import _integrate_closed
+from .duality import _CLOSED_TOL, _integrate_closed
 from .align import congruence_distance
 
 # relative misfit of dH = c d|fstar|^2, and spread of the recovered
@@ -120,11 +120,11 @@ def _integrate_spin(grid, form, base, closed_tol, chart_tol,
     prim, rel, path_dev = _integrate_closed(
         grid, form, closed_tol, "spin transform is not closed: residual",
         basepoint)
-    new = build_immersion(grid, prim + base, chart_tol=chart_tol)
+    new = build_immersion(grid, to_vec(prim + base), chart_tol=chart_tol)
     return new, rel, path_dev
 
 
-def spin_integrate(imm, lam, closed_tol=5e-3, chart_tol=1e-3):
+def spin_integrate(imm, lam, closed_tol=_CLOSED_TOL, chart_tol=_CHART_TOL):
     """Integrate the spin-transformed differential to a new immersion.
 
     Validates lam as a SpinField, checks closedness, integrates from the
@@ -182,7 +182,8 @@ class BonnetPair:
     reports: dict
 
 
-def bonnet_pair(imm, dual, eps, closed_tol=5e-3, chart_tol=1e-3):
+def bonnet_pair(imm, dual, eps, closed_tol=_CLOSED_TOL,
+                chart_tol=_CHART_TOL):
     """Build the mates for lam = fstar +- eps, with fstar the positions
     of the DualResult dual, and compare them."""
     eps = float(eps)
@@ -261,7 +262,7 @@ def _umbilic_groups(curv, tol):
     return set(map(tuple, nodes.tolist()))
 
 
-def umbilic_branch_correspondence(pair, dual, tol=1e-6):
+def umbilic_branch_correspondence(pair, dual, tol=_UMBILIC_TOL):
     """Compare the umbilics of the mates, the zeros of the shape
     distortion, and the branch nodes of the dual, each grouped to one
     node per 8-connected group."""

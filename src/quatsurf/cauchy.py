@@ -26,15 +26,18 @@ import numpy as np
 
 from .quaternions import (qconj, qinv, qmul, qnorm, qnormsq, split_value,
                           to_vec, wedge)
-from .charts import (GridChart, _relative, deriv_x, deriv_y,
+from .charts import (_CHART_TOL, GridChart, _relative, deriv_x, deriv_y,
                      floored_relative, form_rms, rms, weingarten_split)
 from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
                        _line_angle_distance, form_from_qdiff,
                        noncharacteristic, stretch_directions)
+from .duality import _CLOSED_TOL
 from .bonnet import SpinField, _integrate_spin, _spin_transform
 
 # largest condition number of a row's 4x4 systems the march accepts
 _COND_LIMIT = 1e8
+# default least |normalized symbol determinant| of check_wellposed
+_DET_TOL = 0.01
 
 
 # The Hamilton product's table on the basis (1, i, j, k), taken from
@@ -130,7 +133,7 @@ class CauchyProblem:
         self.margin_ok, self.margin_deg = noncharacteristic(self.curve, q)
 
 
-def check_wellposed(prob, det_tol=0.01):
+def check_wellposed(prob, det_tol=_DET_TOL):
     """Well-posedness of marching off the initial row.
 
     Evaluates the normalized symbol determinant for the row conormal
@@ -233,7 +236,7 @@ def march_solve(prob, steps, lam0=None):
     return SpinField(grid, lam, row_span=(j_lo, j_hi))
 
 
-def reconstruct(prob, spin, closed_tol=5e-3, chart_tol=1e-3):
+def reconstruct(prob, spin, closed_tol=_CLOSED_TOL, chart_tol=_CHART_TOL):
     """Integrate the deformed differential over the marched band, from
     the first node of the initial row.
 

@@ -15,6 +15,10 @@ from .quaternions import (QForm, anticonformal_defect, check_unit_imaginary,
                           from_vec, qdot, qmul, qnorm, qnormsq,
                           split_tangential, to_vec)
 
+# default tolerances of build_immersion's chart test and of umbilics
+_CHART_TOL = 1e-3
+_UMBILIC_TOL = 1e-6
+
 
 class GridChart:
     """Uniform rectangular grid: node (j, i) sits at (x0 + i hx, y0 + j hy)."""
@@ -208,22 +212,16 @@ def raw_frame(grid, f):
     return fx, fy, N, qnorm(fx), qnorm(fy), crossnorm
 
 
-def build_immersion(grid, samples, chart_tol=1e-3):
-    """Differentiate position samples and validate conformality.
+def build_immersion(grid, samples, chart_tol=_CHART_TOL):
+    """Differentiate (ny, nx, 3) position samples, validate conformality.
 
-    samples: (ny, nx, 3) positions, or (ny, nx, 4) imaginary quaternions.
     Rejects non-finite input, degenerate frames |fx x fy| < 1e-8 e^{2u},
     and charts whose interior conformality residual exceeds chart_tol.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[:2] != (grid.ny, grid.nx):
-        raise ValueError("sample array shape does not match the grid")
-    if samples.shape[2:] == (3,):
-        f = from_vec(samples)
-    elif samples.shape[2:] == (4,):
-        f = from_vec(samples[..., 1:])
-    else:
-        raise ValueError("samples must be (ny, nx, 3) or (ny, nx, 4)")
+    if samples.shape != (grid.ny, grid.nx, 3):
+        raise ValueError("samples must be (ny, nx, 3) positions on the grid")
+    f = from_vec(samples)
 
     bad = ~np.isfinite(samples).all(axis=-1)
     if bad.any():
@@ -364,7 +362,7 @@ def _umbilic_mask(curv, tol):
     return np.abs(curv.hopf_qd) <= tol * float(np.max(np.abs(curv.II)))
 
 
-def umbilics(curv, tol=1e-6):
+def umbilics(curv, tol=_UMBILIC_TOL):
     """Nodes where |hopf_qd| <= tol * (chart max |II| entry).
 
     Returns a sorted list of (j, i) index pairs; empty when the surface

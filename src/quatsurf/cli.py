@@ -22,25 +22,25 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .charts import (GridChart, anticonformality_residual, build_immersion,
-                     field_stats, interior, relate_hopf, rms,
-                     tangentiality_residual, umbilics, weingarten_residual,
-                     weingarten_split)
+from .charts import (_CHART_TOL, _UMBILIC_TOL, GridChart,
+                     anticonformality_residual, build_immersion, field_stats,
+                     interior, relate_hopf, rms, tangentiality_residual,
+                     umbilics, weingarten_residual, weingarten_split)
 from .quaternions import qconj, qmul, qnorm, quat
 from .quaddiff import QuadDifferential, check_holomorphic
-from .duality import classify_christoffel, integrate_dual, verify_duality
+from .duality import (_CLASSIFY_TOL, _CLOSED_TOL, classify_christoffel,
+                      integrate_dual, verify_duality)
 from .bonnet import (bonnet_pair, shape_distortion_check,
                      umbilic_branch_correspondence)
-from .cauchy import CauchyProblem, check_wellposed, march_solve, reconstruct
-from .generators import CATALOG, make_surface
+from .cauchy import (_DET_TOL, CauchyProblem, check_wellposed, march_solve,
+                     reconstruct)
+from .generators import _SPANS, CATALOG, GeneratorResult, make_surface
 from .align import similarity_distance
 from .io import (ConfigError, config_hash, ensure_outdir, read_positions_csv,
                  read_qdiff_csv, write_field_csv, write_obj, write_report)
 
 OUTDIR_ENV = "QUATSURF_OUTDIR"
 DEFAULT_OUTDIR = "quatsurf-out"
-COMMANDS = ("generate", "analyze", "dual", "bonnet", "solve-ivp", "verify",
-            "converge")
 
 # errors from the CLI's own code are reported under this module name, also
 # when it runs as __main__
@@ -75,11 +75,11 @@ class RunConfig:
     row: int | None = None
     steps: int = 8
     n: int = 65
-    closed_tol: float = 5e-3
-    chart_tol: float = 1e-3
-    umbilic_tol: float = 1e-6
-    classify_tol: float = 1e-3
-    det_tol: float = 0.01
+    closed_tol: float = _CLOSED_TOL
+    chart_tol: float = _CHART_TOL
+    umbilic_tol: float = _UMBILIC_TOL
+    classify_tol: float = _CLASSIFY_TOL
+    det_tol: float = _DET_TOL
     outdir: str | None = None
     seed: int = 0
     checks: list = field(default_factory=list)
@@ -113,12 +113,9 @@ class RunConfig:
             raise ConfigError("unknown generator %r; choose from %s"
                               % (self.generator, ", ".join(sorted(CATALOG))))
         if self.generator is not None:
-            # --param sets the numeric keywords; n and chart_tol have
-            # their own flags
+            # n and chart_tol have their own flags
             sig = inspect.signature(CATALOG[self.generator]).parameters
-            known = [k for k, p in sig.items()
-                     if k not in ("n", "chart_tol")
-                     and isinstance(p.default, (int, float))]
+            known = [k for k in sig if k not in ("n", "chart_tol")]
             unknown = sorted(set(self.params) - set(known))
             if unknown:
                 raise ConfigError("generator %r has no parameter %s; "
@@ -128,17 +125,14 @@ class RunConfig:
         for path in (self.input_path, self.qdiff_path):
             if path is not None and not os.path.isfile(path):
                 raise ConfigError("input file does not exist: %s" % path)
-        needs_source = self.command in ("generate", "analyze", "dual",
-                                        "bonnet", "solve-ivp")
-        if needs_source and self.generator is None \
-                and self.input_path is None:
+        if "--input" in _COMMAND_FLAGS[self.command][1] \
+                and self.generator is None and self.input_path is None:
             raise ConfigError("command %r needs --generator or --input"
                               % self.command)
         if self.command == "converge":
-            kinds = ("weingarten", "dual", "bonnet", "ivp")
-            if self.kind not in kinds:
+            if self.kind not in _KINDS:
                 raise ConfigError("converge needs --kind from %s"
-                                  % (", ".join(kinds)))
+                                  % (", ".join(_KINDS)))
             if self.generator is None:
                 raise ConfigError("converge resamples the surface at each "
                                   "level and therefore needs --generator")
@@ -188,25 +182,20 @@ def _parse_complex(text):
 
 
 def _load_surface(config):
-    """Build the working immersion from the generator or an input file.
-
-    Returns (immersion, q_known, dual_known, label).  Generator metadata
-    rides along so downstream commands can default the quadratic
-    differential to the catalog value.
-    """
+    """The working surface as a GeneratorResult: the catalog surface, or
+    the input file's, named by its base name, with no known q or dual."""
     if config.generator is not None:
-        gen = make_surface(config.generator, n=config.n,
-                           chart_tol=config.chart_tol, **config.params)
-        return gen.imm, gen.q_known, gen.dual_known, gen.name
+        return make_surface(config.generator, n=config.n,
+                            chart_tol=config.chart_tol, **config.params)
     grid, positions = read_positions_csv(config.input_path)
     imm = build_immersion(grid, positions, chart_tol=config.chart_tol)
     label = os.path.splitext(os.path.basename(config.input_path))[0]
-    return imm, None, None, label
+    return GeneratorResult(label, imm)
 
 
-def _load_qdiff(config, imm, q_known):
-    """Resolve the quadratic differential: --qdiff file, --q constant, or
-    the generator's catalog value."""
+def _load_qdiff(config, surf):
+    """--qdiff file, --q constant, or the surface's known differential."""
+    imm = surf.imm
     if config.qdiff_path is not None:
         grid, phi = read_qdiff_csv(config.qdiff_path)
         if grid.ny != imm.grid.ny or grid.nx != imm.grid.nx:
@@ -216,14 +205,22 @@ def _load_qdiff(config, imm, q_known):
         return QuadDifferential(imm.grid, phi)
     if config.q is not None:
         return QuadDifferential.coerce(imm.grid, _parse_complex(config.q))
-    if q_known is not None:
-        return q_known
+    if surf.q_known is not None:
+        return surf.q_known
     raise ConfigError("no quadratic differential: pass --q or --qdiff, "
                       "or use a generator with a known one")
 
 
 def _nodes_list(nodes, limit=64):
     return [[int(j), int(i)] for j, i in list(nodes)[:limit]]
+
+
+def _centred_rms(got, want):
+    """RMS distance between two (..., 3) point sets, each translated to
+    zero mean."""
+    got = got - got.reshape(-1, 3).mean(axis=0)
+    want = want - want.reshape(-1, 3).mean(axis=0)
+    return float(rms(np.linalg.norm(got - want, axis=-1)))
 
 
 def _position_fields(imm):
@@ -322,7 +319,8 @@ def _solve_ivp(config, imm, q):
 
 
 def _cmd_generate(config, outdir):
-    imm, q_known, dual_known, label = _load_surface(config)
+    surf = _load_surface(config)
+    imm, label = surf.imm, surf.name
     write_obj(os.path.join(outdir, "%s_surface.obj" % label), imm.positions,
               comment="generated surface: %s" % label)
     fields = _position_fields(imm)
@@ -335,68 +333,66 @@ def _cmd_generate(config, outdir):
         "diameter": imm.diameter(),
         "conformality_residual": imm.conformality_residual,
         "log_density": field_stats(imm.u),
-        "has_known_qdiff": q_known is not None,
-        "has_known_dual": dual_known is not None,
+        "has_known_qdiff": surf.q_known is not None,
+        "has_known_dual": surf.dual_known is not None,
     }
     return results, imm.grid
 
 
 def _cmd_analyze(config, outdir):
-    imm, _, _, label = _load_surface(config)
-    curv, results = _analyze(config, imm)
+    surf = _load_surface(config)
+    curv, results = _analyze(config, surf.imm)
     umb = umbilics(curv, tol=config.umbilic_tol)
-    write_field_csv(os.path.join(outdir, "%s_curvature.csv" % label),
-                    imm.grid,
+    write_field_csv(os.path.join(outdir, "%s_curvature.csv" % surf.name),
+                    surf.imm.grid,
                     {"H": curv.H,
                      "re_hopf": curv.hopf_qd.real,
                      "im_hopf": curv.hopf_qd.imag,
-                     "conformality": imm.conformality_field})
-    results.update(label=label, umbilic_count=len(umb),
+                     "conformality": surf.imm.conformality_field})
+    results.update(label=surf.name, umbilic_count=len(umb),
                    umbilic_nodes=_nodes_list(umb))
-    return results, imm.grid
+    return results, surf.imm.grid
 
 
 def _cmd_dual(config, outdir):
-    imm, q_known, dual_known, label = _load_surface(config)
-    dual, results = _dual(config, imm, _load_qdiff(config, imm, q_known))
-    write_obj(os.path.join(outdir, "%s_dual.obj" % label), dual.positions,
-              comment="dual surface of %s" % label)
-    results["label"] = label
+    surf = _load_surface(config)
+    dual, results = _dual(config, surf.imm, _load_qdiff(config, surf))
+    write_obj(os.path.join(outdir, "%s_dual.obj" % surf.name),
+              dual.positions, comment="dual surface of %s" % surf.name)
+    results["label"] = surf.name
     if not dual.branch_nodes:
         istar = dual.as_immersion(chart_tol=config.chart_tol)
-        flip = qnorm(istar.N + imm.N)
+        flip = qnorm(istar.N + surf.imm.N)
         results["normal_flip_rms"] = float(rms(interior(flip)))
         results["classify"] = classify_christoffel(
-            imm, istar, tol=config.classify_tol)
-    if dual_known is not None:
-        got = dual.positions - dual.positions.reshape(-1, 3).mean(axis=0)
-        want = dual_known - dual_known.reshape(-1, 3).mean(axis=0)
-        err = np.linalg.norm(got - want, axis=-1)
-        results["known_dual_rms"] = float(rms(err))
-    return results, imm.grid
+            surf.imm, istar, tol=config.classify_tol)
+    if surf.dual_known is not None:
+        results["known_dual_rms"] = _centred_rms(dual.positions,
+                                                 surf.dual_known)
+    return results, surf.imm.grid
 
 
 def _cmd_bonnet(config, outdir):
-    imm, q_known, _, label = _load_surface(config)
-    (dual, pair), results = _bonnet(config, imm,
-                                    _load_qdiff(config, imm, q_known))
+    surf = _load_surface(config)
+    (dual, pair), results = _bonnet(config, surf.imm,
+                                    _load_qdiff(config, surf))
     corr = umbilic_branch_correspondence(pair, dual, tol=config.umbilic_tol)
-    write_obj(os.path.join(outdir, "%s_mate_plus.obj" % label),
+    write_obj(os.path.join(outdir, "%s_mate_plus.obj" % surf.name),
               pair.fplus.positions, comment="mate at +eps")
-    write_obj(os.path.join(outdir, "%s_mate_minus.obj" % label),
+    write_obj(os.path.join(outdir, "%s_mate_minus.obj" % surf.name),
               pair.fminus.positions, comment="mate at -eps")
-    results.update(label=label, umbilic_branch_match=corr["all_match"],
+    results.update(label=surf.name, umbilic_branch_match=corr["all_match"],
                    distortion_zeros=_nodes_list(corr["distortion_zeros"]))
-    return results, imm.grid
+    return results, surf.imm.grid
 
 
 def _cmd_solve_ivp(config, outdir):
-    imm, q_known, _, label = _load_surface(config)
-    band, results = _solve_ivp(config, imm, _load_qdiff(config, imm, q_known))
-    write_obj(os.path.join(outdir, "%s_band.obj" % label),
+    surf = _load_surface(config)
+    band, results = _solve_ivp(config, surf.imm, _load_qdiff(config, surf))
+    write_obj(os.path.join(outdir, "%s_band.obj" % surf.name),
               band.positions, comment="marched band")
-    results["label"] = label
-    return results, imm.grid
+    results["label"] = surf.name
+    return results, surf.imm.grid
 
 
 # converge --kind: the stage it runs, whether that stage takes a quadratic
@@ -429,11 +425,11 @@ def _cmd_converge(config, outdir):
     series = {name: [] for name in names}
     grid = None
     for n in ns:
-        imm, q_known, _, _ = _load_surface(replace(config, n=n))
+        surf = _load_surface(replace(config, n=n))
         if grid is None:
-            grid = imm.grid  # the report grid is the first rung's
-        args = (_load_qdiff(config, imm, q_known),) if takes_q else ()
-        _, results = stage(config, imm, *args)
+            grid = surf.imm.grid  # the report grid is the first rung's
+        args = (_load_qdiff(config, surf),) if takes_q else ()
+        _, results = stage(config, surf.imm, *args)
         if config.kind == "ivp":
             # max | |lam| - 1 | over the band, from its min and max
             stats = results["spin_norm"]
@@ -503,10 +499,8 @@ def _check_dual_roundtrip(n, seed, cylinder_pair):
 def _check_catenoid_dual(n, seed, cylinder_pair):
     gen = make_surface("catenoid", n=n)
     dual = integrate_dual(gen.imm, gen.q_known)
-    centered = dual.positions - dual.positions.reshape(-1, 3).mean(axis=0)
-    known = gen.dual_known - gen.dual_known.reshape(-1, 3).mean(axis=0)
-    err = float(rms(np.linalg.norm(centered - known, axis=-1)))
-    size = float(rms(np.linalg.norm(known, axis=-1)))
+    err = _centred_rms(dual.positions, gen.dual_known)
+    size = _centred_rms(gen.dual_known, np.zeros(3))  # RMS radius
     return err < 1e-3 * max(size, 1.0), {"dual_vs_gauss_rms": err}
 
 
@@ -611,10 +605,8 @@ def _cmd_verify(config, outdir):
         "failures": failures,
         "passed": failures == 0,
     }
-    # the grid of make_surface("cylinder", n=config.n), without sampling
-    # the surface on it
-    grid = GridChart.from_bounds(0.0, 2.0 * np.pi, -1.0, 1.0, config.n,
-                                 config.n)
+    # make_surface("cylinder", n=config.n)'s grid, without the surface
+    grid = GridChart.from_bounds(*_SPANS["cylinder"], config.n, config.n)
     return results, grid
 
 
@@ -724,8 +716,8 @@ def run(config):
 # every option with its argparse settings; each command below lists exactly
 # the options its code reads
 _FLAGS = {
-    "--generator": dict(choices=sorted(CATALOG),
-                        help="analytic test surface to sample"),
+    "--generator": dict(help="analytic test surface to sample: %s"
+                        % ", ".join(sorted(CATALOG))),
     "--param": dict(action="append", metavar="KEY=VALUE",
                     help="numeric generator parameter (repeatable)"),
     "--input": dict(dest="input_path", help="CSV with columns x,y,px,py,pz"),
@@ -750,8 +742,8 @@ _FLAGS = {
     "--det-tol": dict(type=float, help="symbol determinant tolerance "
                       "(default %g)" % RunConfig.det_tol),
     "--seed": dict(type=int, help="random seed (default %d)" % RunConfig.seed),
-    "--kind": dict(choices=tuple(_KINDS),
-                   help="which residual family to refine"),
+    "--kind": dict(help="which residual family to refine: %s"
+                   % ", ".join(_KINDS)),
     "--levels": dict(type=int, help="ladder rungs: n, 2n-1, 4n-3 "
                      "(default %d)" % RunConfig.levels),
     "--all": dict(action="store_true",
@@ -778,6 +770,7 @@ _COMMAND_FLAGS = {
                   "--outdir", "--chart-tol", "--q", "--closed-tol", "--eps",
                   "--row", "--steps", "--det-tol")),
 }
+COMMANDS = tuple(_COMMAND_FLAGS)
 
 
 def _build_parser():

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (GridChart, _mean_curvature_x, _relative,
+from .charts import (_CHART_TOL, GridChart, _mean_curvature_x, _relative,
                      build_immersion, closedness_residual, deriv_x, deriv_y,
                      form_rms, raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
 from .quaternions import (QForm, from_real, qdot, qinv, qmul, qnorm, qnormsq,
                           quat, to_vec, wedge)
+
+# default tolerances of the closedness gate and of classify_christoffel
+_CLOSED_TOL = 5e-3
+_CLASSIFY_TOL = 1e-3
 
 
 def _cumint_x(g, hx):
@@ -107,13 +111,13 @@ class DualResult:
     def positions(self):
         return to_vec(self.fstar)
 
-    def as_immersion(self, chart_tol=1e-3):
+    def as_immersion(self, chart_tol=_CHART_TOL):
         """Build a validated immersion from the dual positions (fails on
         charts where the dual branches)."""
         return build_immersion(self.grid, self.positions, chart_tol=chart_tol)
 
 
-def integrate_dual(imm, q, closed_tol=5e-3):
+def integrate_dual(imm, q, closed_tol=_CLOSED_TOL):
     """Integrate the dual surface from a holomorphic differential.
 
     Reconstructs tau = df\\q, measures its closedness, and integrates
@@ -187,7 +191,7 @@ def verify_duality(imm, dual, curv):
     }
 
 
-def classify_christoffel(immA, immB, tol=1e-3):
+def classify_christoffel(immA, immB, tol=_CLASSIFY_TOL):
     """Classify a pair of immersions on one grid.
 
     Returns "dual_pair" when dfB is anti-conformal tangential with

@@ -24,10 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartImmersion, GridChart, build_immersion
+from .charts import _CHART_TOL, ChartImmersion, GridChart, build_immersion
 from .quaddiff import QuadDifferential
 
-TWO_PI = 2.0 * np.pi
+# chart spans (x0, x1, y0, y1) of the generators with no extent parameter
+_SPANS = {"cylinder": (0.0, 2.0 * np.pi, -1.0, 1.0),
+          "catenoid": (0.0, 2.0 * np.pi, -1.0, 1.0),
+          "unduloid": (0.0, 1.6, -0.8, 0.8),
+          "ellipsoid_of_revolution": (0.0, 2.0 * np.pi, -2.0, 2.0)}
 
 
 @dataclass(eq=False)
@@ -38,11 +42,9 @@ class GeneratorResult:
     dual_known: np.ndarray | None = None
 
 
-def _chart(n, x_span, y_span, rotation):
-    """Grid over x_span x y_span with its chart coordinates, rotated by
-    rotation: (grid, X, Y)."""
-    grid = GridChart.from_bounds(x_span[0], x_span[1], y_span[0], y_span[1],
-                                 n, n)
+def _chart(n, span, rotation):
+    """n x n grid over span (x0, x1, y0, y1), rotated: (grid, X, Y)."""
+    grid = GridChart.from_bounds(*span, n, n)
     X, Y = grid.mesh()
     ca, sa = np.cos(rotation), np.sin(rotation)
     return grid, ca * X - sa * Y, sa * X + ca * Y
@@ -56,27 +58,26 @@ def _result(name, grid, pos, chart_tol, phi, dual=None):
                            None if dual is None else np.stack(dual, axis=-1))
 
 
-def sphere(n=65, extent=0.6, rotation=0.0, chart_tol=1e-3):
+def sphere(n=65, extent=0.6, rotation=0.0, chart_tol=_CHART_TOL):
     """Unit sphere on a stereographic chart [-extent, extent]^2.
 
     f = (2x, 2y, x^2 + y^2 - 1)/(1 + x^2 + y^2); the frame normal is
     N = -f (inward) and H = +1.  Isothermic for every holomorphic
     differential; the canonical choice shipped here is phi = 1.
     """
-    grid, X, Y = _chart(n, (-extent, extent), (-extent, extent), rotation)
+    grid, X, Y = _chart(n, (-extent, extent, -extent, extent), rotation)
     den = 1.0 + X ** 2 + Y ** 2
     return _result("sphere", grid, [2 * X / den, 2 * Y / den,
                                     (X ** 2 + Y ** 2 - 1) / den],
                    chart_tol, np.exp(2j * rotation))
 
 
-def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
-             rotation=0.0, chart_tol=1e-3):
+def cylinder(n=65, radius=1.0, rotation=0.0, chart_tol=_CHART_TOL):
     """Circular cylinder f = radius (cos x, sin x, -y), inward normal,
     H = +1/(2 radius), u = log radius.  Isothermic for phi = 1; the
     closed-form dual is (-cos x, -sin x, -y)/radius.
     """
-    grid, X, Y = _chart(n, x_span, y_span, rotation)
+    grid, X, Y = _chart(n, _SPANS["cylinder"], rotation)
     r = float(radius)
     return _result("cylinder", grid,
                    [r * np.cos(X), r * np.sin(X), -r * Y], chart_tol,
@@ -84,22 +85,21 @@ def cylinder(n=65, radius=1.0, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0),
                    [-np.cos(X) / r, -np.sin(X) / r, -Y / r])
 
 
-def catenoid(n=65, x_span=(0.0, TWO_PI), y_span=(-1.0, 1.0), rotation=0.0,
-             chart_tol=1e-3):
+def catenoid(n=65, rotation=0.0, chart_tol=_CHART_TOL):
     """Catenoid f = (cosh y cos x, cosh y sin x, y), minimal (H = 0).
 
     The frame normal is (cos x, sin x, -sinh y)/cosh y, pointing away
     from the axis at the waist.  The shipped differential phi = -1 is
     the one whose dual is the Gauss map (a round unit sphere).
     """
-    grid, X, Y = _chart(n, x_span, y_span, rotation)
+    grid, X, Y = _chart(n, _SPANS["catenoid"], rotation)
     ch = np.cosh(Y)
     return _result("catenoid", grid, [ch * np.cos(X), ch * np.sin(X), Y],
                    chart_tol, -np.exp(2j * rotation),
                    [np.cos(X) / ch, np.sin(X) / ch, -np.sinh(Y) / ch])
 
 
-def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
+def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=_CHART_TOL):
     """Enneper-type minimal surface of the given order m >= 1.
 
     Weierstrass data g = z^m with height differential z^m dz:
@@ -113,7 +113,7 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=1e-3):
     m = int(order)
     if m < 1:
         raise ValueError("order must be >= 1")
-    grid, X, Y = _chart(n, (-extent, extent), (-extent, extent), rotation)
+    grid, X, Y = _chart(n, (-extent, extent, -extent, extent), rotation)
     z = X + 1j * Y
     k = 2 * m + 1
     g = z ** m
@@ -168,8 +168,7 @@ def _delaunay_profile(neck, bulge, y):
     return _two_sided_profile(rhs_full, s0, y, "unduloid")
 
 
-def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
-             y_span=(-0.8, 0.8), rotation=0.0, chart_tol=1e-3):
+def unduloid(n=65, neck=0.5, bulge=1.0, rotation=0.0, chart_tol=_CHART_TOL):
     """Delaunay unduloid, constant mean curvature H = 1/(neck + bulge).
 
     f = (r(y) cos x, r(y) sin x, -z(y)) with the conformal profile ODE;
@@ -179,15 +178,15 @@ def unduloid(n=65, neck=0.5, bulge=1.0, x_span=(0.0, 1.6),
     """
     if not 0 < neck <= bulge:
         raise ValueError("need 0 < neck <= bulge")
-    grid, X, Y = _chart(n, x_span, y_span, rotation)
+    grid, X, Y = _chart(n, _SPANS["unduloid"], rotation)
     r, z, _, w = _delaunay_profile(neck, bulge, Y)
     return _result("unduloid", grid, [r * np.cos(X), r * np.sin(X), -z],
                    chart_tol, np.exp(2j * rotation),
                    [-np.cos(X) / r, -np.sin(X) / r, w])
 
 
-def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
-                            y_span=(-2.0, 2.0), rotation=0.0, chart_tol=1e-3):
+def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, rotation=0.0,
+                            chart_tol=_CHART_TOL):
     """Ellipsoid of revolution (equatorial radius a, polar radius c) in
     isothermal latitude coordinates.
 
@@ -199,7 +198,7 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, x_span=(0.0, TWO_PI),
     poles (the dual's two ends).  A rotated chart needs n >= 65 to pass
     the default chart_tol: at n=33, 13 of 30 rotations in [0, pi) miss it.
     """
-    grid, X, Y = _chart(n, x_span, y_span, rotation)
+    grid, X, Y = _chart(n, _SPANS["ellipsoid_of_revolution"], rotation)
 
     def rhs(_, s):
         th = s[0]

@@ -112,6 +112,11 @@ def test_build_immersion_rejects_bad_input():
     with pytest.raises(ValueError):
         build_immersion(g, collapsed)
 
+    # positions only: imaginary quaternions are not a second sample form
+    quats = np.concatenate([np.zeros_like(X)[..., None], plane], axis=-1)
+    with pytest.raises(ValueError, match=r"\(ny, nx, 3\)"):
+        build_immersion(g, quats)
+
 
 def test_conformality_residual_is_interior_max(surf):
     imm = surf("cylinder", 33).imm

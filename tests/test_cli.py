@@ -114,6 +114,25 @@ def test_unknown_generator_is_config_error(tmp_path, capsys):
     assert payload["operation"] == "parse"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--generator", "mobius"],
+    ["converge", "--kind", "foo", "--generator", "cylinder"],
+], ids=["generator", "kind"])
+def test_bad_generator_or_kind_value_is_one_config_error(argv, tmp_path,
+                                                         capsys):
+    # RunConfig.validate is the one check of these values: a configuration
+    # error with one JSON line, not an argparse usage error
+    code = main(argv + ["--outdir", str(tmp_path / "o")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
+                                                         "parse")
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_error_has_module_and_operation(tmp_path, capsys):
     out = str(tmp_path / "e2")
     code = main(["dual", "--generator", "catenoid", "--n", "33",

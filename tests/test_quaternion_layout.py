@@ -82,6 +82,13 @@ PAIRS = st.one_of(
     .map(lambda b: b.input_shapes))
 
 
+def qinv_past_range(q):
+    """qinv with its overflow past the float range silenced: a subnormal
+    draw has an inverse beyond it (test_qinv_past_the_float_range)."""
+    with np.errstate(over="ignore"):
+        return qinv(q)
+
+
 def same(got, want):
     if isinstance(want, tuple):
         return all(same(g, w) for g, w in zip(got, want))
@@ -95,10 +102,21 @@ def test_pointwise_kernels_ignore_the_layout(data, shapes, la, lb):
     b = data.draw(quats(shapes[1]))
     assume(not np.any(qiszero(a)))
     for fn, args in ((qmul, (a, b)), (qdot, (a, b)), (split_value, (a, b)),
-                     (qconj, (a,)), (qinv, (a,)), (qnormsq, (a,))):
+                     (qconj, (a,)), (qinv_past_range, (a,)),
+                     (qnormsq, (a,))):
         laid = (la(args[0]),) + tuple(lb(x) for x in args[1:])
         assert same(fn(*laid), fn(*args)), fn.__name__
     assert is_planar(qmul(la(a), lb(b)))
+
+
+@pytest.mark.parametrize("layout", [np.asarray, planar])
+def test_qinv_past_the_float_range(layout):
+    # 1 / 2.2e-311 exceeds the largest double: qinv warns and returns inf
+    q = layout(np.array([[2.2e-311, 0.0, 0.0, 0.0]]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        inv = qinv(q)
+    assert np.isposinf(inv[..., 0]).all()
+    assert (inv[..., 1:] == 0.0).all()
 
 
 @LAYOUT
