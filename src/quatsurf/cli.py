@@ -53,6 +53,9 @@ _NODE_RE = re.compile(r"\(j=(\d+),\s*i=(\d+)\)")
 _TOLERANCES = ("closed_tol", "chart_tol", "umbilic_tol", "classify_tol",
                "det_tol")
 
+# errors that end a run as a numerical failure (exit 2)
+_NUMERICAL = (ValueError, RuntimeError, np.linalg.LinAlgError)
+
 
 @dataclass
 class RunConfig:
@@ -101,14 +104,13 @@ class RunConfig:
             raise ConfigError("levels must be at least 1")
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
-        if not math.isfinite(self.eps):
-            raise ConfigError("eps must be finite, got %r" % self.eps)
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive, got %g" % self.eps)
-        for name in _TOLERANCES:
+        for name in ("eps",) + _TOLERANCES:
             val = getattr(self, name)
-            if not (val > 0):
-                raise ConfigError("%s must be positive, got %r" % (name, val))
+            if not (val > 0 and math.isfinite(val)):
+                raise ConfigError("%s must be positive and finite, got %r"
+                                  % (name, val))
+        if self.q is not None:
+            _parse_complex(self.q)  # kept as typed: the report holds the text
         if self.generator is not None and self.generator not in CATALOG:
             raise ConfigError("unknown generator %r; choose from %s"
                               % (self.generator, ", ".join(sorted(CATALOG))))
@@ -152,32 +154,27 @@ class RunConfig:
         return d
 
 
-def _parse_param_list(items):
-    params = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError("--param expects key=value, got %r" % item)
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError("--param has empty key in %r" % item)
-        try:
-            params[key] = float(raw)
-        except ValueError:
-            raise ConfigError("--param %s: %r is not a number" % (key, raw))
-        if not math.isfinite(params[key]):
-            raise ConfigError("--param %s must be finite, got %r" % (key, raw))
-    return params
+def _param(item):
+    """One --param KEY=VALUE as (key, value), VALUE a finite number."""
+    key, _, raw = item.partition("=")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (key.strip() and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("expected KEY=VALUE with a finite "
+                                         "number VALUE, got %r" % item)
+    return key.strip(), value
 
 
 def _parse_complex(text):
     try:
         value = complex(text.replace(" ", ""))
     except ValueError:
-        raise ConfigError("cannot parse %r as a complex number "
-                          "(use forms like 1, -2.5, 1j, 0.5+0.5j)" % text)
+        value = cmath.nan
     if not cmath.isfinite(value):
-        raise ConfigError("--q must be finite, got %r" % text)
+        raise ConfigError("--q must be a finite complex number (forms like "
+                          "1, -2.5, 1j, 0.5+0.5j), got %r" % text)
     return value
 
 
@@ -473,16 +470,11 @@ def _check_hopf(n, seed, cylinder_pair):
     gen = make_surface("cylinder", n=n)
     curv = weingarten_split(gen.imm)
     _, hrel = relate_hopf(gen.imm, curv)
-    try:
-        # loose tol: the coefficient comes from differentiated samples,
-        # so one-sided stencils inflate its CR residual near the boundary
-        worst = check_holomorphic(QuadDifferential(gen.imm.grid,
-                                                   curv.hopf_qd), tol=5e-3)
-        holo = True
-    except ValueError:
-        worst, holo = float("nan"), False
-    return hrel < 1e-3 and holo, \
-        {"hopf_consistency_rel": hrel, "cr_worst": worst}
+    # loose tol: the coefficient comes from differentiated samples, so
+    # one-sided stencils inflate its CR residual near the boundary
+    worst = check_holomorphic(QuadDifferential(gen.imm.grid, curv.hopf_qd),
+                              tol=5e-3)
+    return hrel < 1e-3, {"hopf_consistency_rel": hrel, "cr_worst": worst}
 
 
 def _check_dual_roundtrip(n, seed, cylinder_pair):
@@ -587,16 +579,16 @@ VERIFY_CHECKS = [
 
 
 def _cmd_verify(config, outdir):
-    names = [name for name, _ in VERIFY_CHECKS]
-    unknown = [c for c in config.checks if c not in names]
-    if unknown:
-        raise ConfigError("unknown checks: %s (available: %s)"
-                          % (", ".join(unknown), ", ".join(names)))
     selected = [(m, f) for m, f in VERIFY_CHECKS
                 if not config.checks or m in config.checks]
     outcomes, cylinder_pair = {}, functools.cache(_cylinder_pair)
     for name, fn in selected:
-        passed, metrics = fn(config.n, config.seed, cylinder_pair)
+        try:
+            passed, metrics = fn(config.n, config.seed, cylinder_pair)
+        except ConfigError:
+            raise
+        except _NUMERICAL as exc:  # a check that raises fails; the rest run
+            passed, metrics = False, {"error": str(exc)}
         outcomes[name] = {"passed": bool(passed), "metrics": metrics}
     failures = sum(not out["passed"] for out in outcomes.values())
     results = {
@@ -709,7 +701,7 @@ def run(config):
         return 0
     except ConfigError as exc:
         return _emit_error(exc, 1, config.command)
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except _NUMERICAL as exc:
         return _emit_error(exc, 2, config.command)
 
 
@@ -718,7 +710,8 @@ def run(config):
 _FLAGS = {
     "--generator": dict(help="analytic test surface to sample: %s"
                         % ", ".join(sorted(CATALOG))),
-    "--param": dict(action="append", metavar="KEY=VALUE",
+    "--param": dict(action="append", dest="params", type=_param,
+                    metavar="KEY=VALUE",
                     help="numeric generator parameter (repeatable)"),
     "--input": dict(dest="input_path", help="CSV with columns x,y,px,py,pz"),
     "--n": dict(type=int, help="grid nodes per side (default %d, verify 33)"
@@ -748,8 +741,9 @@ _FLAGS = {
                      "(default %d)" % RunConfig.levels),
     "--all": dict(action="store_true",
                   help="run every check (default when none named)"),
-    "--check": dict(action="append", dest="checks",
-                    help="run one named check (repeatable)"),
+    "--check": dict(action="append", dest="checks", metavar="NAME",
+                    choices=[name for name, _ in VERIFY_CHECKS],
+                    help="run one named check (repeatable): %(choices)s"),
 }
 _SOURCE = ("--generator", "--param", "--input", "--n", "--outdir",
            "--chart-tol")
@@ -773,10 +767,17 @@ _COMMAND_FLAGS = {
 COMMANDS = tuple(_COMMAND_FLAGS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as a ConfigError, not a usage exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
     """Flags left unset are absent from the parsed namespace (SUPPRESS),
     so RunConfig's field defaults apply to them."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatsurf",
         description="curvature, duality, and Bonnet-pair analysis of "
                     "conformally parametrized surface patches")
@@ -791,11 +792,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = vars(_build_parser().parse_args(argv))
-    args.pop("all", None)  # verify runs every check unless some are named
     try:
-        params = _parse_param_list(args.pop("param", None))
-        config = RunConfig(params=params, **args)
+        args = vars(_build_parser().parse_args(argv))
+        args.pop("all", None)  # verify runs every check unless some are named
+        config = RunConfig(**args)
     except ConfigError as exc:
         return _emit_error(exc, 1, "parse")
     return run(config)

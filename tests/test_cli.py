@@ -1,16 +1,20 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatsurf.bonnet import bonnet_pair
 from quatsurf.charts import build_immersion
-from quatsurf.cli import (ConfigError, RunConfig, _parse_complex,
-                          _parse_param_list, main)
+from quatsurf.cli import (_FLAGS, COMMANDS, ConfigError, RunConfig,
+                          _parse_complex, main)
 
 
 def read_report(outdir, command):
@@ -117,11 +121,13 @@ def test_unknown_generator_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--generator", "mobius"],
     ["converge", "--kind", "foo", "--generator", "cylinder"],
-], ids=["generator", "kind"])
+    ["analyze", "--generator", "cylinder", "--n", "4.5"],
+], ids=["generator", "kind", "n-not-int"])
 def test_bad_generator_or_kind_value_is_one_config_error(argv, tmp_path,
                                                          capsys):
-    # RunConfig.validate is the one check of these values: a configuration
-    # error with one JSON line, not an argparse usage error
+    # a value the parse pass refuses, whether argparse or RunConfig.validate
+    # refuses it, is a configuration error with one JSON line, not a usage
+    # block, and nothing is written
     code = main(argv + ["--outdir", str(tmp_path / "o")])
     assert code == 1
     lines = capsys.readouterr().err.strip().split("\n")
@@ -131,6 +137,16 @@ def test_bad_generator_or_kind_value_is_one_config_error(argv, tmp_path,
     assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
                                                          "parse")
     assert not (tmp_path / "o").exists()
+
+
+def test_missing_command_is_config_error(capsys):
+    assert main([]) == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["operation"]) == ("ConfigError",
+                                                        "parse")
+    assert "command" in payload["message"]
 
 
 def test_numerical_error_has_module_and_operation(tmp_path, capsys):
@@ -159,7 +175,8 @@ def test_converge_error_names_the_failing_stage(tmp_path, capsys):
 
 @pytest.mark.parametrize("param", ["bogus=1", "n=9", "x_span=1",
                                    "radius=nan", "radius=-inf",
-                                   "chart_tol=0.01"])
+                                   "chart_tol=0.01", "radius", "radius=abc",
+                                   "=1"])
 def test_bad_generator_param_is_config_error(param, tmp_path, capsys):
     code = main(["analyze", "--generator", "cylinder", "--n", "17",
                  "--param", param, "--outdir", str(tmp_path / "p")])
@@ -169,6 +186,8 @@ def test_bad_generator_param_is_config_error(param, tmp_path, capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "ConfigError"
     assert payload["exit_code"] == 1
+    assert payload["operation"] == "parse"
+    assert not (tmp_path / "p").exists()
 
 
 def _leaves(obj):
@@ -316,16 +335,6 @@ def test_outdir_env_fallback(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(explicit, "generate_report.json"))
 
 
-def test_parse_param_list():
-    assert _parse_param_list(["radius=2", "rotation=0.5"]) \
-        == {"radius": 2.0, "rotation": 0.5}
-    assert _parse_param_list(None) == {}
-    with pytest.raises(ConfigError):
-        _parse_param_list(["radius"])
-    with pytest.raises(ConfigError):
-        _parse_param_list(["radius=abc"])
-
-
 def test_parse_complex():
     assert _parse_complex("1j") == 1j
     assert _parse_complex("2") == 2 + 0j
@@ -356,29 +365,34 @@ IVP = ["--generator", "cylinder", "--n", "17",
        "--param", "rotation=0.7853981633974483", "--q", "1j"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["dual", "--generator", "cylinder", "--n", "17", "--q", "bogus"],
-    ["solve-ivp"] + IVP + ["--row", "99"],
-    ["verify", "--check", "nope"],
-    ["converge", "--kind", "ivp", "--levels", "2"] + IVP + ["--row", "99"],
+@pytest.mark.parametrize("argv, operation", [
+    (["dual", "--generator", "cylinder", "--n", "17", "--q", "bogus"],
+     "parse"),
+    (["solve-ivp"] + IVP + ["--row", "99"], "solve-ivp"),
+    (["verify", "--check", "nope"], "parse"),
+    (["converge", "--kind", "ivp", "--levels", "2"] + IVP + ["--row", "99"],
+     "converge"),
 ], ids=["dual-q", "solve-ivp-row", "verify-check", "converge-row"])
-def test_cli_errors_name_the_command(argv, tmp_path, capsys):
+def test_cli_errors_name_the_command(argv, operation, tmp_path, capsys):
+    # flag values are refused before the outdir exists; a --row outside
+    # the grid only once the surface is read
     code = main(argv + ["--outdir", str(tmp_path / "o")])
     assert code == 1
     payload = last_stderr_json(capsys)
     assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
     assert (payload["module"], payload["operation"]) \
-        == ("quatsurf.cli", argv[0])
+        == ("quatsurf.cli", operation)
+    assert (tmp_path / "o").exists() == (operation != "parse")
 
 
-@pytest.mark.parametrize("argv, operation", [
-    (["bonnet", "--eps", "nan"], "parse"),
-    (["bonnet", "--eps", "inf"], "parse"),
-    (["dual", "--q", "nan"], "dual"),
-    (["dual", "--q", "1+infj"], "dual"),
-], ids=["eps-nan", "eps-inf", "q-nan", "q-inf"])
-def test_non_finite_eps_or_q_is_config_error(argv, operation, tmp_path,
-                                             capsys):
+@pytest.mark.parametrize("argv", [
+    ["bonnet", "--eps", "nan"],
+    ["bonnet", "--eps", "inf"],
+    ["dual", "--q", "nan"],
+    ["dual", "--q", "1+infj"],
+    ["analyze", "--chart-tol", "inf"],
+], ids=["eps-nan", "eps-inf", "q-nan", "q-inf", "chart-tol-inf"])
+def test_non_finite_eps_or_q_is_config_error(argv, tmp_path, capsys):
     code = main(argv + ["--generator", "cylinder", "--n", "17",
                         "--outdir", str(tmp_path / "o")])
     assert code == 1
@@ -387,8 +401,9 @@ def test_non_finite_eps_or_q_is_config_error(argv, operation, tmp_path,
     payload = json.loads(lines[0])
     assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
     assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
-                                                         operation)
+                                                         "parse")
     assert "finite" in payload["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_qdiff_grid_mismatch_is_config_error(tmp_path, capsys):
@@ -559,8 +574,119 @@ UNREAD_FLAGS = (
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
-def test_unread_flags_are_rejected(command, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, flag, "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+def test_unread_flags_are_rejected(command, flag, tmp_path, capsys):
+    code = main([command, flag, "1", "--outdir", str(tmp_path / "o")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert payload["operation"] == "parse"
+    assert "unrecognized arguments: %s" % flag in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_records_a_check_that_raises_and_runs_the_rest(tmp_path,
+                                                              capsys):
+    # at n=17 the cylinder fails integrate_dual's closedness gate, so the
+    # checks that integrate its dual raise; each is a FAIL in the report
+    out = str(tmp_path / "v")
+    assert main(["verify", "--n", "17", "--outdir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    res = read_report(out, "verify")["results"]
+    assert res["total"] == 11
+    raised = {name: check["metrics"]["error"]
+              for name, check in res["checks"].items()
+              if "error" in check["metrics"]}
+    assert "dual_roundtrip" in raised and "bonnet_cylinder" in raised
+    assert "not isothermic" in raised["dual_roundtrip"]
+    assert not any(res["checks"][name]["passed"] for name in raised)
+    assert res["checks"]["quaternion_algebra"]["passed"] is True
+    assert "FAIL dual_roundtrip" in captured.out
+
+
+def test_verify_stops_at_a_configuration_error(tmp_path, monkeypatch,
+                                               capsys):
+    import quatsurf.cli as cli
+
+    def unreadable(path):
+        raise ConfigError("cannot read %s" % path)
+
+    monkeypatch.setattr(cli, "read_positions_csv", unreadable)
+    out = tmp_path / "v"
+    assert main(["verify", "--check", "io_roundtrip", "--n", "17",
+                 "--outdir", str(out)]) == 1
+    payload = last_stderr_json(capsys)
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert not (out / "verify_report.json").exists()
+
+
+# a value for each flag that the command line accepts on its own, and
+# values that no numeric flag accepts; n stays <= 17 and levels <= 2
+GOOD_VALUES = {
+    "--generator": ["cylinder", "catenoid", "sphere", "enneper"],
+    "--param": ["rotation=0.5", "radius=2", "order=2"],
+    "--input": ["missing.csv"],
+    "--n": ["5", "9", "17"],
+    "--q": ["1", "1j", "0.5+0.5j"],
+    "--qdiff": ["missing.csv"],
+    "--eps": ["0.5", "1"],
+    "--row": ["0", "4", "8"],
+    "--steps": ["1", "2"],
+    "--closed-tol": ["1e-2"],
+    "--chart-tol": ["1e-2"],
+    "--umbilic-tol": ["1e-3"],
+    "--det-tol": ["0.01"],
+    "--seed": ["0", "3"],
+    "--kind": ["weingarten", "dual", "bonnet", "ivp"],
+    "--levels": ["1", "2"],
+    "--check": ["quaternion_algebra", "march_manufactured", "io_roundtrip"],
+}
+JUNK_VALUES = ["4.5", "nan", "inf", "", "abc", "-1"]
+# --outdir is always the fuzz test's own temporary directory
+DRAWN_FLAGS = sorted(set(_FLAGS) - {"--outdir"}) + ["--no-such-flag"]
+
+
+@st.composite
+def argument_lists(draw):
+    """A command with a small grid and a surface, then up to 5 flags drawn
+    from every flag there is; a flag given twice takes its last value."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--n", draw(st.sampled_from(["9", "17"]))]
+    for flag in (["--generator"] if command != "verify" else []) \
+            + (["--levels", "--kind"] if command == "converge" else []):
+        argv += [flag, draw(st.sampled_from(GOOD_VALUES[flag]))]
+    for flag in draw(st.lists(st.sampled_from(DRAWN_FLAGS), max_size=5)):
+        argv.append(flag)
+        if _FLAGS.get(flag, {}).get("action") != "store_true":
+            good = GOOD_VALUES.get(flag, JUNK_VALUES)
+            argv.append(draw(st.sampled_from(good)
+                             | st.sampled_from(JUNK_VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(argv=argument_lists())
+def test_any_argument_list_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--outdir", outdir])
+            except SystemExit as exc:
+                pytest.fail("SystemExit(%r) for %r" % (exc.code, argv))
+        assert code in (0, 1, 2)
+        report = os.path.join(outdir, "verify_report.json")
+        if code == 0 or (argv[0] == "verify" and code == 2
+                         and os.path.exists(report)):
+            assert err.getvalue() == ""
+            return
+        lines = err.getvalue().strip().split("\n")
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert payload["exit_code"] == code
+        if payload["operation"] == "parse":
+            assert not os.path.exists(outdir)
