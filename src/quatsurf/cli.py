@@ -144,6 +144,11 @@ class RunConfig:
                                   "known differential")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        names = [name for name, _ in VERIFY_CHECKS]
+        for check in self.checks:
+            if check not in names:
+                raise ConfigError("unknown check %r; choose from %s"
+                                  % (check, ", ".join(names)))
 
     def as_dict(self):
         d = asdict(self)
@@ -740,10 +745,11 @@ _FLAGS = {
     "--levels": dict(type=int, help="ladder rungs: n, 2n-1, 4n-3 "
                      "(default %d)" % RunConfig.levels),
     "--all": dict(action="store_true",
-                  help="run every check (default when none named)"),
+                  help="run every check (default when none named; not "
+                       "with --check)"),
     "--check": dict(action="append", dest="checks", metavar="NAME",
-                    choices=[name for name, _ in VERIFY_CHECKS],
-                    help="run one named check (repeatable): %(choices)s"),
+                    help="run one named check (repeatable): %s"
+                    % ", ".join(name for name, _ in VERIFY_CHECKS)),
 }
 _SOURCE = ("--generator", "--param", "--input", "--n", "--outdir",
            "--chart-tol")
@@ -794,7 +800,10 @@ def _build_parser():
 def main(argv=None):
     try:
         args = vars(_build_parser().parse_args(argv))
-        args.pop("all", None)  # verify runs every check unless some are named
+        # --all restates verify's default, every check unless some are named
+        if args.pop("all", False) and "checks" in args:
+            raise ConfigError("--all runs every check; it cannot be "
+                              "combined with --check")
         config = RunConfig(**args)
     except ConfigError as exc:
         return _emit_error(exc, 1, "parse")

@@ -67,8 +67,13 @@ def qmul(a, b):
     b = np.asarray(b, dtype=QUAT_DTYPE)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = _qempty(np.broadcast_shapes(a.shape, b.shape)[:-1])
-    out[..., 0] = aw * bw - ((ax * bx + ay * by) + az * bz)
+    w = aw * bw
+    out = _qempty(w.shape)
+    w -= (ax * bx + ay * by) + az * bz
+    out[..., 0] = w
+    # one live plane fewer: on large fields, keeping w or writing the
+    # components through out= measured slower than these copies
+    del w
     out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
     out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
     out[..., 3] = (aw * bz + bw * az) + (ax * by - ay * bx)

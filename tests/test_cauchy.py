@@ -8,10 +8,12 @@ spin field solves the march, so every error is pure solver error.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatsurf as qs
-from quatsurf import qnorm
-from quatsurf.cauchy import (CauchyProblem, _left_matrix, _right_matrix,
+from quatsurf import cauchy, qnorm
+from quatsurf.cauchy import (_COND_LIMIT, CauchyProblem, _certified,
+                             _left_matrix, _right_matrix,
                              characteristic_angles, check_wellposed,
                              march_solve, reconstruct, stretch_alignment,
                              symbol)
@@ -152,6 +154,72 @@ def test_march_treats_a_tiny_nonzero_initial_spin_as_nonvanishing(prob):
     lam0[5] = [1e-200, 1e-200, 0.0, 0.0]
     with pytest.raises(RuntimeError, match="condition"):
         march_solve(prob, steps=2, lam0=lam0)
+
+
+def test_march_bits_do_not_depend_on_the_condition_bound(prob, monkeypatch):
+    # the bound only decides whether the exact condition number is taken;
+    # the cylinder's rows are certified, so the march takes none, and with
+    # the bound forced to fail every row's SVD runs and lam keeps its bits
+    svds = []
+    exact_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda M: svds.append(len(M)) or exact_cond(M))
+    fast = march_solve(prob, steps=8).lam
+    assert svds == []
+    monkeypatch.setattr(cauchy, "_certified", lambda M: False)
+    exact = march_solve(prob, steps=8).lam
+    # 8 steps, 2 directions, predictor and corrector
+    assert svds == [prob.imm.grid.nx] * 32
+    assert exact.tobytes() == fast.tobytes()
+
+
+def test_sphere_march_abort_names_the_worst_node(surf):
+    # the sphere with a rotated chart: the march reaches a row whose
+    # bound is not certified, so its exact condition number is reported
+    g = surf("sphere", 33, rotation=0.2)
+    prob = CauchyProblem(g.imm, g.q_known, row=16)
+    with pytest.raises(RuntimeError) as info:
+        march_solve(prob, steps=12)
+    assert str(info.value) == (
+        "march aborted: system condition 8.320e+08 exceeds 1.0e+08 at node "
+        "(j=24, i=0); the march is approaching a characteristic direction")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       log_conds=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+       log_scale=st.floats(-100.0, 100.0))
+def test_condition_bound_certifies_only_rows_below_the_limit(seed, log_conds,
+                                                             log_scale):
+    # 4x4 stacks U diag(s) V^T with set singular values: cond from 1 to
+    # 1e10 per matrix, at scales from 1e-100 to 1e100
+    rng = np.random.default_rng(seed)
+    stack = []
+    for log_cond in log_conds:
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        middle = np.sort(rng.uniform(0.0, log_cond, 2))
+        s = 10.0 ** (log_scale - np.concatenate(([0.0], middle, [log_cond])))
+        stack.append((u * s) @ v.T)
+    M = np.array(stack)
+    worst = np.linalg.cond(M).max()
+    if _certified(M):
+        assert worst <= _COND_LIMIT
+    if worst <= _COND_LIMIT / 10:
+        # |M|_F |M^-1|_F <= 4 cond: such a stack is always certified
+        assert _certified(M)
+
+
+def test_condition_bound_refuses_singular_and_non_finite_stacks():
+    M = np.tile(np.eye(4), (3, 1, 1))
+    assert _certified(M)
+    M[1, 2] = 0.0
+    assert not _certified(M)
+    M[1] = np.eye(4)
+    M[2, 0, 0] = np.nan
+    assert not _certified(M)
+    M[2, 0, 0] = np.inf
+    assert not _certified(M)
 
 
 def test_reconstruct_recovers_background(prob):

@@ -323,6 +323,21 @@ def test_verify_unknown_check(tmp_path, capsys):
     assert last_stderr_json(capsys)["error"] == "ConfigError"
 
 
+def test_verify_all_with_a_named_check_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "v"
+    code = main(["verify", "--all", "--check", "quaternion_algebra",
+                 "--outdir", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
+                                                         "parse")
+    assert "--all" in payload["message"]
+    assert not out.exists()
+
+
 def test_outdir_env_fallback(tmp_path, monkeypatch):
     target = str(tmp_path / "from-env")
     monkeypatch.setenv("QUATSURF_OUTDIR", target)
@@ -355,6 +370,10 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError, match="eps"):
         RunConfig(command="bonnet", generator="cylinder",
                   eps=-1.0).validate()
+    # the one check of check names: a RunConfig built in code is refused
+    # as the --check flag is
+    with pytest.raises(ConfigError, match="unknown check 'nope'"):
+        RunConfig(command="verify", checks=["quaternion_algebra", "nope"])
     cfg = RunConfig(command="analyze", generator="cylinder")
     cfg.validate()
     d = cfg.as_dict()
