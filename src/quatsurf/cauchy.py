@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (qconj, qinv, qmul, qnorm, qnormsq, split_value,
-                          to_vec, wedge)
+from .quaternions import (_qempty, qconj, qinv, qmul, qnorm, qnormsq,
+                          split_value, to_vec, wedge)
 from .charts import (_CHART_TOL, GridChart, _relative, deriv_x, deriv_y,
                      floored_relative, form_rms, rms, weingarten_split)
 from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
@@ -160,45 +160,66 @@ def check_wellposed(prob, det_tol=_DET_TOL):
 
 def _certified(M):
     """True when every 4x4 system of the stack M provably clears
-    _COND_LIMIT: cond_2(M) <= |M|_F |M^-1|_F <= 4 cond_2(M), and a bound
-    of at most _COND_LIMIT / 2 leaves a factor 2 for rounding in the
-    computed inverse.  A singular, non-finite or larger bound is not a
-    verdict; the caller then takes the exact condition number."""
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):
+    _COND_LIMIT, by a bound at most _COND_LIMIT / 2 (a factor 2 for
+    rounding).  Scaled to |M|_F = 1 no singular value exceeds 1, so
+    cond_2(M) <= 1 / |det|; systems this leaves open are bounded by
+    cond_2(M) <= |M|_F |M^-1|_F <= 4 cond_2(M).  A singular, non-finite
+    or larger bound is not a verdict; the caller then takes the exact
+    condition number."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.sqrt(np.einsum("...ij,...ij->...", M, M))[..., None, None]
+        # NaN compares False, so a NaN bound is not certified either
+        M = M[~(np.abs(np.linalg.det(M / norm)) >= 2 / _COND_LIMIT)]
+        if not len(M):
+            return True
+        try:
+            Minv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            return False
         bound_sq = (np.einsum("...ij,...ij->...", M, M)
                     * np.einsum("...ij,...ij->...", Minv, Minv))
-    # NaN compares False, so a NaN bound is not certified either
     return bool(np.all(bound_sq <= (_COND_LIMIT / 2) ** 2))
 
 
-def _solve_row(lam, j, prob, wz):
-    """lam_y on row j from the 4x4 systems; lam is the (nx, 4) row and
-    wz the row's (omega ^ tau - tau ^ omega) real part."""
+def _stack(*qs):
+    """Quaternion arrays as one stack over four contiguous planes."""
+    out = _qempty((len(qs),) + qs[0].shape[:-1])
+    for k, q in enumerate(qs):
+        out[k] = q
+    return out
+
+
+def _solve_rows(lams, js, prob, wz):
+    """lam_y on rows js from the 4x4 systems; lams is the (m, nx, 4)
+    stack of those rows and wz the grid's (omega ^ tau - tau ^ omega)
+    real part."""
     imm = prob.imm
-    lam_x = deriv_x(lam[None], imm.grid.hx)[0]
-    lc = qconj(lam)
-    lai = qinv(lam)
-    Nv = to_vec(imm.N[j])
+    lam_x = deriv_x(lams, imm.grid.hx)
+    lc = qconj(lams)
+    lai = qinv(lams)
+    Nv = to_vec(imm.N[js])
+    # the six products in two stacked calls: fy lam_x and lai tau first,
+    # then lc fx, lc (fy lam_x) and lam_x (lai tau_y)
+    p = qmul(_stack(imm.fy[js], lai, lai),
+             _stack(lam_x, prob.tau.ax[js], prob.tau.ay[js]))
+    r = qmul(_stack(lc, lc, lam_x), _stack(imm.fx[js], p[0], p[2]))
 
-    M = _system(qmul(lc, imm.fx[j]), qmul(lai, prob.tau.ax[j]), Nv)
-
-    b = np.zeros((lam.shape[0], 4))
-    b[:, 0:3] = qmul(lc, qmul(imm.fy[j], lam_x))[:, 1:4]
-    cross = qmul(lam_x, qmul(lai, prob.tau.ay[j]))
-    b[:, 3] = wz / 4.0 - np.einsum("nk,nk->n", Nv, cross[:, 1:4])
+    M = _system(r[0], p[1], Nv)
+    b = np.zeros(lams.shape)
+    b[..., 0:3] = r[1][..., 1:4]
+    b[..., 3] = wz[js] / 4.0 - np.einsum("...k,...k->...", Nv,
+                                         r[2][..., 1:4])
 
     if not _certified(M):
-        conds = np.linalg.cond(M)
-        worst = int(np.argmax(conds))
-        if conds[worst] > _COND_LIMIT:
-            raise RuntimeError(
-                "march aborted: system condition %.3e exceeds %.1e at node "
-                "(j=%d, i=%d); the march is approaching a characteristic "
-                "direction" % (float(conds[worst]), _COND_LIMIT, j, worst))
+        for j, Mj in zip(js, M):
+            conds = np.linalg.cond(Mj)
+            worst = int(np.argmax(conds))
+            if conds[worst] > _COND_LIMIT:
+                raise RuntimeError(
+                    "march aborted: system condition %.3e exceeds %.1e at "
+                    "node (j=%d, i=%d); the march is approaching a "
+                    "characteristic direction"
+                    % (float(conds[worst]), _COND_LIMIT, j, worst))
     return np.linalg.solve(M, b[..., None])[..., 0]
 
 
@@ -209,10 +230,14 @@ def march_solve(prob, steps, lam0=None):
     band spans the reached rows, with lam equal to the initial data on
     the curve row exactly.  Uses an explicit predictor-corrector step of
     one grid row in the march direction and 4th-order differences along
-    rows.  lam0 is checked as a SpinField row: finite and nonzero at
-    every node.  The march aborts where a row system's condition number
-    exceeds _COND_LIMIT or min |lam| on a row falls below 1e-6 of its
-    initial value.
+    rows.  Both directions march together, each predictor and each
+    corrector one stacked solve of both rows (the step-0 predictor,
+    the same for both, once).  lam0 is checked as a SpinField row:
+    finite and nonzero at every node.  The march aborts where a row
+    system's condition number exceeds _COND_LIMIT or min |lam| on a row
+    falls below 1e-6 of its initial value; the abort reported is the
+    one a march of the whole upward side first, then the downward side,
+    meets.
     """
     check_wellposed(prob)
     grid = prob.imm.grid
@@ -229,29 +254,41 @@ def march_solve(prob, steps, lam0=None):
         lam[prob.row] = row0
         SpinField(grid, lam, row_span=(prob.row, prob.row))
     ref_mag = float(qnorm(lam[prob.row]).min())
+    n = max(int(steps), 0)
 
-    j_lo = j_hi = prob.row
-    for direction in (+1, -1):
-        h = direction * grid.hy
-        j = prob.row
-        for _ in range(int(steps)):
-            jn = j + direction
-            if jn < 0 or jn >= grid.ny:
+    def march(sides):
+        d = np.array(sides)
+        j = np.full(len(d), prob.row)
+        for step in range(n):
+            keep = (j + d >= 0) & (j + d < grid.ny)
+            d, j = d[keep], j[keep]
+            if not len(d):
                 break
-            k1 = _solve_row(lam[j], j, prob, wz[j])
-            pred = lam[j] + h * k1
-            k2 = _solve_row(pred, jn, prob, wz[jn])
-            lam[jn] = lam[j] + 0.5 * h * (k1 + k2)
-            low = float(qnorm(lam[jn]).min())
-            if low < 1e-6 * ref_mag:
+            h = (d * grid.hy)[:, None, None]
+            # the step-0 predictor is the same for both sides: one solve
+            s = 1 if step == 0 else len(j)
+            k1 = _solve_rows(lam[j[:s]], j[:s], prob, wz)
+            k2 = _solve_rows(lam[j] + h * k1, j + d, prob, wz)
+            j = j + d
+            lam[j] = lam[j - d] + 0.5 * h * (k1 + k2)
+            low = qnorm(lam[j]).min(axis=-1)
+            if np.any(low < 1e-6 * ref_mag):
                 raise RuntimeError(
                     "march aborted: |lambda| collapsed to %.3e of its "
-                    "initial size at row j=%d" % (low / ref_mag, jn))
-            j = jn
-            j_lo = min(j_lo, j)
-            j_hi = max(j_hi, j)
+                    "initial size at row j=%d"
+                    % (low.min() / ref_mag, j[np.argmin(low)]))
 
-    return SpinField(grid, lam, row_span=(j_lo, j_hi))
+    try:
+        # a floating-point event that would warn raises here instead
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            march((1, -1))
+    except Exception:
+        # one side at a time: what is raised or warned is then what a
+        # march of the upward side before the downward side meets
+        march((1,))
+        march((-1,))
+    span = (max(prob.row - n, 0), min(prob.row + n, grid.ny - 1))
+    return SpinField(grid, lam, row_span=span)
 
 
 def reconstruct(prob, spin, closed_tol=_CLOSED_TOL, chart_tol=_CHART_TOL):

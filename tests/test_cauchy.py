@@ -8,16 +8,18 @@ spin field solves the march, so every error is pure solver error.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import quatsurf as qs
 from quatsurf import cauchy, qnorm
+from quatsurf.bonnet import SpinField
 from quatsurf.cauchy import (_COND_LIMIT, CauchyProblem, _certified,
-                             _left_matrix, _right_matrix,
+                             _left_matrix, _right_matrix, _system,
                              characteristic_angles, check_wellposed,
                              march_solve, reconstruct, stretch_alignment,
                              symbol)
-from quatsurf.quaternions import qmul
+from quatsurf.charts import deriv_x, weingarten_split
+from quatsurf.quaternions import qconj, qinv, qmul, to_vec, wedge
 
 ROT = np.pi / 4
 
@@ -168,9 +170,110 @@ def test_march_bits_do_not_depend_on_the_condition_bound(prob, monkeypatch):
     assert svds == []
     monkeypatch.setattr(cauchy, "_certified", lambda M: False)
     exact = march_solve(prob, steps=8).lam
-    # 8 steps, 2 directions, predictor and corrector
-    assert svds == [prob.imm.grid.nx] * 32
+    # 8 steps, 2 directions, predictor and corrector; the step-0
+    # predictor is the same for both directions and is solved once
+    assert svds == [prob.imm.grid.nx] * 31
     assert exact.tobytes() == fast.tobytes()
+
+
+def test_cylinder_rows_are_certified_without_an_inverse(prob, monkeypatch):
+    # the scale-free determinant bound certifies every cylinder row, so
+    # neither the |M|_F |M^-1|_F bound's inverse nor an SVD is taken
+    calls = []
+    for name in ("inv", "cond"):
+        exact = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda M, exact=exact, name=name:
+                            calls.append(name) or exact(M))
+    march_solve(prob, steps=8)
+    assert calls == []
+
+
+def march_sequential_explicit(prob, steps, lam0=None):
+    """The march written out one direction at a time, upward first, one
+    4x4 solve per row, with the exact condition number of every row: the
+    results and aborts march_solve must reproduce bit for bit."""
+    check_wellposed(prob)
+    imm, tau, grid = prob.imm, prob.tau, prob.imm.grid
+    omega = weingarten_split(imm).omega
+    wz = (wedge(omega, tau) - wedge(tau, omega))[..., 0]
+
+    def solve_row(lam, j):
+        lam_x = deriv_x(lam[None], grid.hx)[0]
+        lc = qconj(lam)
+        lai = qinv(lam)
+        Nv = to_vec(imm.N[j])
+        M = _system(qmul(lc, imm.fx[j]), qmul(lai, tau.ax[j]), Nv)
+        b = np.zeros((lam.shape[0], 4))
+        b[:, 0:3] = qmul(lc, qmul(imm.fy[j], lam_x))[:, 1:4]
+        cross = qmul(lam_x, qmul(lai, tau.ay[j]))
+        b[:, 3] = wz[j] / 4.0 - np.einsum("nk,nk->n", Nv, cross[:, 1:4])
+        conds = np.linalg.cond(M)
+        worst = int(np.argmax(conds))
+        if conds[worst] > _COND_LIMIT:
+            raise RuntimeError(
+                "march aborted: system condition %.3e exceeds %.1e at node "
+                "(j=%d, i=%d); the march is approaching a characteristic "
+                "direction" % (float(conds[worst]), _COND_LIMIT, j, worst))
+        return np.linalg.solve(M, b[..., None])[..., 0]
+
+    lam = np.full((grid.ny, grid.nx, 4), np.nan)
+    if lam0 is None:
+        lam[prob.row] = (1.0, 0.0, 0.0, 0.0)
+    else:
+        lam[prob.row] = lam0
+        SpinField(grid, lam, row_span=(prob.row, prob.row))
+    ref_mag = float(qnorm(lam[prob.row]).min())
+    j_lo = j_hi = prob.row
+    for direction in (+1, -1):
+        h = direction * grid.hy
+        j = prob.row
+        for _ in range(int(steps)):
+            jn = j + direction
+            if jn < 0 or jn >= grid.ny:
+                break
+            k1 = solve_row(lam[j], j)
+            k2 = solve_row(lam[j] + h * k1, jn)
+            lam[jn] = lam[j] + 0.5 * h * (k1 + k2)
+            low = float(qnorm(lam[jn]).min())
+            if low < 1e-6 * ref_mag:
+                raise RuntimeError(
+                    "march aborted: |lambda| collapsed to %.3e of its "
+                    "initial size at row j=%d" % (low / ref_mag, jn))
+            j = jn
+            j_lo = min(j_lo, j)
+            j_hi = max(j_hi, j)
+    return SpinField(grid, lam, row_span=(j_lo, j_hi))
+
+
+def _outcome(march, prob, steps, lam0):
+    try:
+        spin = march(prob, steps, lam0=lam0)
+    except Exception as err:
+        return type(err), str(err)
+    return spin.lam.tobytes(), spin.row_span
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(["sphere", "cylinder"]),
+       n=st.sampled_from([17, 33]), rotation=st.floats(0.1, 1.2),
+       row_frac=st.floats(0.0, 1.0), steps=st.integers(0, 14),
+       seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.0, 1.0))
+def test_march_matches_the_sequential_explicit_march(name, n, rotation,
+                                                     row_frac, steps, seed,
+                                                     spread):
+    # both directions in lockstep give the bits and the abort of the
+    # march one direction at a time, upward first
+    g = qs.make_surface(name, n=n, rotation=rotation)
+    prob = CauchyProblem(g.imm, g.q_known, row=round(row_frac * (n - 1)))
+    try:
+        check_wellposed(prob)
+    except ValueError:
+        assume(False)
+    lam0 = (np.array([1.0, 0.0, 0.0, 0.0])
+            + spread * np.random.default_rng(seed).standard_normal((n, 4)))
+    assume(np.all(np.any(lam0 != 0.0, axis=-1)))
+    want = _outcome(march_sequential_explicit, prob, steps, lam0)
+    assert _outcome(march_solve, prob, steps, lam0) == want
 
 
 def test_sphere_march_abort_names_the_worst_node(surf):
@@ -183,6 +286,51 @@ def test_sphere_march_abort_names_the_worst_node(surf):
     assert str(info.value) == (
         "march aborted: system condition 8.320e+08 exceeds 1.0e+08 at node "
         "(j=24, i=0); the march is approaching a characteristic direction")
+
+
+@pytest.mark.parametrize("rotation, row, message", [
+    # the downward side fails at j=15 first, but the upward side's
+    # abort at j=29 is the one a march of the upward side first meets
+    (0.15, 22, "system condition 5.967e+08 exceeds 1.0e+08 at node "
+               "(j=29, i=32)"),
+    # only the downward side fails, after the upward side has finished
+    (0.2, 24, "system condition 3.789e+08 exceeds 1.0e+08 at node "
+              "(j=16, i=32)"),
+])
+def test_sphere_march_reports_the_upward_side_abort_first(surf, rotation,
+                                                          row, message):
+    g = surf("sphere", 33, rotation=rotation)
+    prob = CauchyProblem(g.imm, g.q_known, row=row)
+    with pytest.raises(RuntimeError) as info:
+        march_solve(prob, steps=14)
+    assert str(info.value) == (
+        "march aborted: " + message + "; the march is approaching a "
+        "characteristic direction")
+
+
+@pytest.mark.parametrize("rotation, row, steps, drift, message", [
+    # the downward side collapses at j=20 first; the upward side's
+    # collapse at j=25 is the one a march of the upward side first meets
+    (0.15, 22, 14, 9e-3, "1.000e-07 of its initial size at row j=25"),
+    # only the downward side collapses
+    (0.2, 24, 4, 0.1, "1.006e-07 of its initial size at row j=20"),
+])
+def test_march_collapse_reports_the_upward_side_first(surf, monkeypatch,
+                                                      rotation, row, steps,
+                                                      drift, message):
+    # no input met so far collapses before its systems lose their
+    # condition, so the norm the collapse check reads is shrunk 1e7-fold
+    # wherever lam has drifted from 1 by more than drift
+    def shrunk(q):
+        moved = np.abs(np.asarray(q) - (1.0, 0.0, 0.0, 0.0)).max(axis=-1)
+        return qnorm(q) * np.where(moved > drift, 1e-7, 1.0)
+
+    monkeypatch.setattr(cauchy, "qnorm", shrunk)
+    g = surf("sphere", 33, rotation=rotation)
+    prob = CauchyProblem(g.imm, g.q_known, row=row)
+    with pytest.raises(RuntimeError) as info:
+        march_solve(prob, steps=steps)
+    assert str(info.value) == "march aborted: |lambda| collapsed to " + message
 
 
 @settings(max_examples=200, deadline=None, database=None)
