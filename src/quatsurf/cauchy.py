@@ -162,23 +162,14 @@ def _certified(M):
     """True when every 4x4 system of the stack M provably clears
     _COND_LIMIT, by a bound at most _COND_LIMIT / 2 (a factor 2 for
     rounding).  Scaled to |M|_F = 1 no singular value exceeds 1, so
-    cond_2(M) <= 1 / |det|; systems this leaves open are bounded by
-    cond_2(M) <= |M|_F |M^-1|_F <= 4 cond_2(M).  A singular, non-finite
-    or larger bound is not a verdict; the caller then takes the exact
-    condition number."""
+    cond_2(M) <= 1 / |det|.  A NaN (zero or non-finite system) or
+    smaller determinant is not a verdict; the caller then takes the
+    exact condition number."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         norm = np.sqrt(np.einsum("...ij,...ij->...", M, M))[..., None, None]
-        # NaN compares False, so a NaN bound is not certified either
-        M = M[~(np.abs(np.linalg.det(M / norm)) >= 2 / _COND_LIMIT)]
-        if not len(M):
-            return True
-        try:
-            Minv = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            return False
-        bound_sq = (np.einsum("...ij,...ij->...", M, M)
-                    * np.einsum("...ij,...ij->...", Minv, Minv))
-    return bool(np.all(bound_sq <= (_COND_LIMIT / 2) ** 2))
+        det = np.abs(np.linalg.det(M / norm))
+    # NaN compares False, so a NaN determinant is not certified either
+    return bool(np.all(det >= 2 / _COND_LIMIT))
 
 
 def _stack(*qs):
@@ -234,10 +225,11 @@ def march_solve(prob, steps, lam0=None):
     corrector one stacked solve of both rows (the step-0 predictor,
     the same for both, once).  lam0 is checked as a SpinField row:
     finite and nonzero at every node.  The march aborts where a row
-    system's condition number exceeds _COND_LIMIT or min |lam| on a row
-    falls below 1e-6 of its initial value; the abort reported is the
-    one a march of the whole upward side first, then the downward side,
-    meets.
+    system's condition number exceeds _COND_LIMIT (taken by SVD for
+    each stack the determinant certificate of _certified leaves open)
+    or min |lam| on a row falls below 1e-6 of its initial value; the
+    abort reported is the one a march of the whole upward side first,
+    then the downward side, meets.
     """
     check_wellposed(prob)
     grid = prob.imm.grid

@@ -178,7 +178,7 @@ def test_march_bits_do_not_depend_on_the_condition_bound(prob, monkeypatch):
 
 def test_cylinder_rows_are_certified_without_an_inverse(prob, monkeypatch):
     # the scale-free determinant bound certifies every cylinder row, so
-    # neither the |M|_F |M^-1|_F bound's inverse nor an SVD is taken
+    # no SVD is taken; the march takes no inverse anywhere
     calls = []
     for name in ("inv", "cond"):
         exact = getattr(np.linalg, name)
@@ -186,6 +186,23 @@ def test_cylinder_rows_are_certified_without_an_inverse(prob, monkeypatch):
                             calls.append(name) or exact(M))
     march_solve(prob, steps=8)
     assert calls == []
+
+
+def test_rows_the_determinant_leaves_open_take_the_exact_condition(
+        surf, monkeypatch):
+    # on the rotated sphere one stacked solve of two rows is left open by
+    # the determinant bound: its two rows take the SVD, both clear the
+    # limit, and lam keeps the bits of a march that takes every SVD
+    g = surf("sphere", 33, rotation=0.2)
+    prob = CauchyProblem(g.imm, g.q_known, row=16)
+    svds = []
+    exact_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda M: svds.append(len(M)) or exact_cond(M))
+    fast = march_solve(prob, steps=8).lam
+    assert svds == [prob.imm.grid.nx] * 2
+    monkeypatch.setattr(cauchy, "_certified", lambda M: False)
+    assert march_solve(prob, steps=8).lam.tobytes() == fast.tobytes()
 
 
 def march_sequential_explicit(prob, steps, lam0=None):
@@ -350,12 +367,15 @@ def test_condition_bound_certifies_only_rows_below_the_limit(seed, log_conds,
         s = 10.0 ** (log_scale - np.concatenate(([0.0], middle, [log_cond])))
         stack.append((u * s) @ v.T)
     M = np.array(stack)
-    worst = np.linalg.cond(M).max()
     if _certified(M):
-        assert worst <= _COND_LIMIT
-    if worst <= _COND_LIMIT / 10:
-        # |M|_F |M^-1|_F <= 4 cond: such a stack is always certified
-        assert _certified(M)
+        assert np.linalg.cond(M).max() <= _COND_LIMIT
+    # and certified exactly when every |det| of the stack scaled to
+    # |M|_F = 1 reaches 2 / _COND_LIMIT, away from rounding at the edge
+    margin = (np.linalg.slogdet(M)[1]
+              - 4 * np.log(np.linalg.norm(M, axis=(1, 2)))
+              - np.log(2 / _COND_LIMIT))
+    if np.all(np.abs(margin) > 1e-9):
+        assert _certified(M) == bool(np.all(margin > 0))
 
 
 def test_condition_bound_refuses_singular_and_non_finite_stacks():

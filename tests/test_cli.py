@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from quatsurf.bonnet import bonnet_pair
 from quatsurf.charts import build_immersion
-from quatsurf.cli import (_FLAGS, COMMANDS, ConfigError, RunConfig,
-                          _parse_complex, main)
+from quatsurf.cli import (_FLAGS, _KINDS, COMMANDS, ConfigError,
+                          RunConfig, _parse_complex, main)
 
 
 def read_report(outdir, command):
@@ -709,3 +710,18 @@ def test_any_argument_list_exits_with_a_documented_code(argv):
         assert payload["exit_code"] == code
         if payload["operation"] == "parse":
             assert not os.path.exists(outdir)
+
+
+def test_golden_sweep_covers_every_command_kind_and_flag():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "golden_sweep.py")
+    spec = importlib.util.spec_from_file_location("golden_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    argvs = [argv for _, argv, _ in sweep.CASES]
+    words = {word for argv in argvs for word in argv.split()}
+    # every case also gets --outdir
+    assert set(COMMANDS) | set(_FLAGS) - {"--outdir"} <= words
+    for kind in _KINDS:
+        assert any(argv.startswith("converge --kind %s " % kind)
+                   for argv in argvs)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatsurf as qs
 from quatsurf.charts import GridChart, build_immersion, interior, rms
@@ -107,6 +108,19 @@ def test_dual_of_dual_returns_to_start(surf, dual_of):
     dd = qs.integrate_dual(istar, gen.q_known)
     sim = qs.similarity_distance(dd.positions, gen.imm.positions)
     assert sim < 1e-4
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(["cylinder", "sphere", "unduloid"]),
+       rotation=st.floats(0.0, np.pi, exclude_max=True))
+def test_dual_of_dual_returns_to_start_under_a_chart_rotation(name, rotation):
+    # below verify's dual_roundtrip threshold 1e-3; the worst of 15
+    # rotations per surface was 2.5e-4 (cylinder).  The catenoid is left
+    # out: its rotated Gauss-map dual fails chart_tol at n=33 and n=65
+    gen = qs.make_surface(name, n=33, rotation=rotation)
+    istar = qs.integrate_dual(gen.imm, gen.q_known).as_immersion()
+    dd = qs.integrate_dual(istar, gen.q_known)
+    assert qs.similarity_distance(dd.positions, gen.imm.positions) < 1e-3
 
 
 def test_grid_mismatch_rejected(surf):
