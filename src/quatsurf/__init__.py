@@ -16,9 +16,9 @@ from .charts import (ChartImmersion, CurvatureData, GridChart,
                      interior, raw_frame, relate_hopf, rms,
                      tangentiality_residual, umbilics, weingarten_residual,
                      weingarten_split)
-from .quaddiff import (ChartCurve, QuadDifferential, check_holomorphic,
-                       cr_residual, form_from_qdiff, noncharacteristic,
-                       qdiff_from_form, stretch_directions, zero_locus)
+from .quaddiff import (QuadDifferential, check_holomorphic, cr_residual,
+                       form_from_qdiff, noncharacteristic, qdiff_from_form,
+                       stretch_directions, zero_locus)
 from .duality import (DualResult, classify_christoffel, integrate_dual,
                       integrate_form, verify_duality)
 from .bonnet import (BonnetPair, SpinField, bonnet_pair, cmc_eps_uniqueness,

@@ -1,10 +1,10 @@
 """Row-marching solver for the conformal deformation Cauchy problem.
 
 Given a background conformal immersion, a holomorphic quadratic
-differential q, and a grid-row initial curve, the solver marches a
+differential q, and an initial grid row, the solver marches a
 quaternion spin field lam away from the row so that the deformed
 differential conj(lam) df lam stays closed and the deformed immersion
-stays compatible with q.  With lam = 1 on the curve the deformed
+stays compatible with q.  With lam = 1 on the row the deformed
 surface agrees with the background along it.
 
 At each node the four real components of the row-normal derivative
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quaternions import (_qempty, qconj, qinv, qmul, qnorm, qnormsq,
-                          split_value, to_vec, wedge)
+                          split_value, to_vec)
 from .charts import (_CHART_TOL, GridChart, _relative, deriv_x, deriv_y,
                      floored_relative, form_rms, rms, weingarten_split)
-from .quaddiff import (_MIN_MARGIN_DEG, ChartCurve, QuadDifferential,
+from .quaddiff import (_MIN_MARGIN_DEG, QuadDifferential,
                        _line_angle_distance, form_from_qdiff,
                        noncharacteristic, stretch_directions)
 from .duality import _CLOSED_TOL
@@ -121,24 +121,24 @@ def characteristic_angles(imm, tau, node):
 
 
 class CauchyProblem:
-    """Background immersion + differential + grid-row initial curve."""
+    """Background immersion + differential + initial grid row, checked
+    by the non-characteristic test of that row."""
 
     def __init__(self, background, q, row):
         self.imm = background
         q = QuadDifferential.coerce(background.grid, q)
         self.q = q
         self.row = int(row)
-        self.curve = ChartCurve.grid_row(background.grid, self.row)
         self.tau = form_from_qdiff(background, q)
-        self.margin_ok, self.margin_deg = noncharacteristic(self.curve, q)
+        self.margin_ok, self.margin_deg = noncharacteristic(q, self.row)
 
 
 def check_wellposed(prob, det_tol=_DET_TOL):
     """Well-posedness of marching off the initial row.
 
     Evaluates the normalized symbol determinant for the row conormal
-    xi = (0, 1) at every curve node and the angular margin between the
-    curve and the stretch foliations; raises on a characteristic curve.
+    xi = (0, 1) at every node of the row and the angular margin between
+    the row and the stretch foliations; raises on a characteristic row.
     """
     dets = symbol(prob.imm, prob.tau, (prob.row, slice(None)),
                   (0.0, 1.0)).normalized_det()
@@ -170,6 +170,13 @@ def _certified(M):
         det = np.abs(np.linalg.det(M / norm))
     # NaN compares False, so a NaN determinant is not certified either
     return bool(np.all(det >= 2 / _COND_LIMIT))
+
+
+def _qmul_real(a, b):
+    """qmul(a, b)[..., 0] bit for bit: Re(a b) in qmul's operation order."""
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return aw * bw - ((ax * bx + ay * by) + az * bz)
 
 
 def _stack(*qs):
@@ -219,7 +226,7 @@ def march_solve(prob, steps, lam0=None):
 
     steps counts rows marched per side; the result is a SpinField whose
     band spans the reached rows, with lam equal to the initial data on
-    the curve row exactly.  Uses an explicit predictor-corrector step of
+    the initial row exactly.  Uses an explicit predictor-corrector step of
     one grid row in the march direction and 4th-order differences along
     rows.  Both directions march together, each predictor and each
     corrector one stacked solve of both rows (the step-0 predictor,
@@ -234,7 +241,9 @@ def march_solve(prob, steps, lam0=None):
     check_wellposed(prob)
     grid = prob.imm.grid
     omega = weingarten_split(prob.imm).omega
-    wz = (wedge(omega, prob.tau) - wedge(prob.tau, omega))[..., 0]
+    # Re(a b) == Re(b a) bit for bit: wz is twice Re(omega ^ tau) exactly
+    wz = 2.0 * (_qmul_real(omega.ax, prob.tau.ay)
+                - _qmul_real(omega.ay, prob.tau.ax))
 
     lam = np.full((grid.ny, grid.nx, 4), np.nan)
     if lam0 is None:
@@ -289,7 +298,7 @@ def reconstruct(prob, spin, closed_tol=_CLOSED_TOL, chart_tol=_CHART_TOL):
 
     Returns (immersion on the band sub-grid, report) where the report
     carries (a) the match of the new differential to the background one
-    along the initial curve, (b) the closedness residual of the
+    along the initial row, (b) the closedness residual of the
     transformed differential, and (c) the two components (tangential /
     normal) of the compatibility residual d(df~ \\ q).
     """

@@ -4,8 +4,8 @@ A quadratic differential is stored as its complex coefficient field phi
 over the grid (the dz^2 coefficient in the chart coordinate z = x + iy).
 This module provides the holomorphy residual, zero locus with winding
 multiplicities, principal stretch foliations, the non-characteristic
-curve test, and the two-way correspondence between coefficients and
-anti-conformal tangential one-forms through an immersion's frame.
+test of a grid row, and the two-way correspondence between coefficients
+and anti-conformal tangential one-forms through an immersion's frame.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from .charts import _relative, deriv_x, deriv_y, form_rms, rms
 from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
                           split_tangential)
 
-# least angle (degrees) a non-characteristic curve keeps from both
+# least angle (degrees) a non-characteristic row keeps from both
 # stretch foliations
 _MIN_MARGIN_DEG = 5.0
 # relative anti-conformality/tangentiality residual qdiff_from_form accepts
@@ -61,31 +61,6 @@ class QuadDifferential:
 
     def max_abs(self):
         return float(np.max(np.abs(self.phi)))
-
-
-class ChartCurve:
-    """Ordered chart points with tangent vectors, both in chart units."""
-
-    def __init__(self, points, tangents):
-        points = np.asarray(points, dtype=np.float64)
-        tangents = np.asarray(tangents, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2 or points.shape != tangents.shape:
-            raise ValueError("points and tangents must both be (k, 2)")
-        if np.any(np.linalg.norm(np.diff(points, axis=0), axis=1) == 0.0):
-            raise ValueError("consecutive curve points must be distinct")
-        if np.any(np.linalg.norm(tangents, axis=1) == 0.0):
-            raise ValueError("curve tangents must not vanish")
-        self.points = points
-        self.tangents = tangents
-
-    @classmethod
-    def grid_row(cls, grid, j):
-        """The grid row y = y0 + j hy, oriented along +x."""
-        if not 0 <= j < grid.ny:
-            raise ValueError("row index out of range")
-        pts = np.column_stack([grid.xs, np.full(grid.nx, grid.ys[j])])
-        tans = np.tile([1.0, 0.0], (grid.nx, 1))
-        return cls(pts, tans)
 
 
 def cr_residual(q):
@@ -164,13 +139,11 @@ def stretch_directions(q):
 
     horizontal: directions where phi e^{2 i theta} is real positive;
     vertical: the orthogonal field.  Zero nodes (|phi| < 1e-8 max|phi|)
-    are masked with NaN; evaluating a single zero node raises instead.
+    are masked with NaN; the zero differential raises.
     """
     phi = q.phi
     horizontal = np.mod(-0.5 * np.angle(phi), np.pi)
     zeros = np.abs(phi) < _ZERO_TOL * _zero_scale(q)
-    if zeros.all():
-        raise ValueError("stretch directions undefined on the zero locus")
     horizontal = np.where(zeros, np.nan, horizontal)
     vertical = np.mod(horizontal + 0.5 * np.pi, np.pi)
     return horizontal, vertical
@@ -182,35 +155,20 @@ def _line_angle_distance(a, b):
     return np.minimum(d, np.pi - d)
 
 
-def _bilinear(field, grid, points):
-    """Sample a complex/real node field at chart points (k, 2)."""
-    x = (points[:, 0] - grid.x0) / grid.hx
-    y = (points[:, 1] - grid.y0) / grid.hy
-    i0 = np.clip(np.floor(x).astype(int), 0, grid.nx - 2)
-    j0 = np.clip(np.floor(y).astype(int), 0, grid.ny - 2)
-    tx = np.clip(x - i0, 0.0, 1.0)
-    ty = np.clip(y - j0, 0.0, 1.0)
-    f = np.asarray(field)
-    return ((1 - tx) * (1 - ty) * f[j0, i0] + tx * (1 - ty) * f[j0, i0 + 1]
-            + (1 - tx) * ty * f[j0 + 1, i0] + tx * ty * f[j0 + 1, i0 + 1])
-
-
-def noncharacteristic(curve, q):
-    """Test transversality of a chart curve to both stretch foliations.
-
-    Returns (ok, margin_deg): margin is the minimum angle (degrees)
-    between the curve tangent and either stretch field over all samples;
-    ok requires margin >= _MIN_MARGIN_DEG.  Curves touching the zero
-    locus (|phi| < 1e-8 max|phi|) are rejected (the foliations
-    degenerate there).
-    """
-    vals = _bilinear(q.phi, q.grid, curve.points)
+def noncharacteristic(q, row):
+    """Transversality of the grid row j = row (direction +x) to both
+    stretch foliations: (ok, margin_deg), margin the least angle over
+    the row's nodes, ok when margin >= _MIN_MARGIN_DEG.  A row touching
+    the zero locus (|phi| < 1e-8 max|phi|), where the foliations
+    degenerate, is rejected."""
+    if not 0 <= row < q.grid.ny:
+        raise ValueError("row index out of range")
+    vals = q.phi[row]
     if np.any(np.abs(vals) < _ZERO_TOL * _zero_scale(q)):
         raise ValueError("curve touches the zero locus of the differential")
     horiz = np.mod(-0.5 * np.angle(vals), np.pi)
-    tangent = np.mod(np.arctan2(curve.tangents[:, 1], curve.tangents[:, 0]), np.pi)
-    d_h = _line_angle_distance(tangent, horiz)
-    d_v = _line_angle_distance(tangent, np.mod(horiz + 0.5 * np.pi, np.pi))
+    d_h = _line_angle_distance(0.0, horiz)
+    d_v = _line_angle_distance(0.0, np.mod(horiz + 0.5 * np.pi, np.pi))
     margin = float(np.degrees(np.min(np.minimum(d_h, d_v))))
     return margin >= _MIN_MARGIN_DEG, margin
 

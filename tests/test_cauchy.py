@@ -34,7 +34,6 @@ def test_problem_setup(prob):
     assert prob.row == 16
     assert prob.margin_ok
     assert prob.margin_deg == pytest.approx(45.0, abs=1e-6)
-    assert prob.curve.points.shape == (33, 2)
     assert prob.q.phi[0, 0] == 1j
 
 
@@ -106,6 +105,13 @@ def test_characteristic_curve_rejected(surf):
         check_wellposed(bad)
     with pytest.raises(ValueError, match="characteristic"):
         march_solve(bad, steps=4)
+
+
+def test_problem_rejects_a_row_off_the_grid(prob):
+    # a negative row would otherwise wrap to the top of the grid
+    for row in (-1, prob.imm.grid.ny):
+        with pytest.raises(ValueError, match="row index out of range"):
+            CauchyProblem(prob.imm, 1j, row)
 
 
 def test_march_holds_identity_solution(prob):

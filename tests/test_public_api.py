@@ -5,9 +5,9 @@ import inspect
 import quatsurf
 
 PUBLIC = [
-    'BonnetPair', 'CATALOG', 'CauchyProblem', 'ChartCurve',
-    'ChartImmersion', 'CurvatureData', 'DualResult', 'GeneratorResult',
-    'GridChart', 'QForm', 'QuadDifferential', 'SpinField', 'SymbolMap',
+    'BonnetPair', 'CATALOG', 'CauchyProblem', 'ChartImmersion',
+    'CurvatureData', 'DualResult', 'GeneratorResult', 'GridChart',
+    'QForm', 'QuadDifferential', 'SpinField', 'SymbolMap',
     'align', 'anticonformal_defect', 'anticonformality_residual',
     'bonnet', 'bonnet_pair', 'build_immersion',
     'canonical_json', 'catenoid', 'cauchy', 'characteristic_angles',

@@ -1,11 +1,12 @@
-"""Quadratic differentials: CR residuals, zeros, foliations, curve tests."""
+"""Quadratic differentials: CR residuals, zeros, foliations, row tests."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quatsurf as qs
 from quatsurf.charts import GridChart, interior, rms
-from quatsurf.quaddiff import (ChartCurve, QuadDifferential, cr_residual,
+from quatsurf.quaddiff import (QuadDifferential, cr_residual,
                                check_holomorphic, form_from_qdiff,
                                noncharacteristic, qdiff_from_form,
                                stretch_directions, zero_locus)
@@ -107,30 +108,33 @@ def test_stretch_directions_convention():
     assert np.isfinite(horiz[0, 0])
 
 
-def test_chart_curve_grid_row():
-    g = centered_grid(9)
-    curve = ChartCurve.grid_row(g, 3)
-    assert curve.points.shape == (9, 2)
-    assert np.allclose(curve.points[:, 1], g.ys[3])
-    assert np.allclose(curve.points[:, 0], g.xs)
-    # unit tangents along +x
-    assert np.allclose(curve.tangents, [1.0, 0.0])
-
-
 def test_noncharacteristic_margin():
     g = centered_grid(33)
-    row = ChartCurve.grid_row(g, 16)
     # phi = i: stretch lines at 45 deg to the row, maximal margin
-    ok, margin = noncharacteristic(row, QuadDifferential.coerce(g, 1.0j))
+    ok, margin = noncharacteristic(QuadDifferential.coerce(g, 1.0j), 16)
     assert ok
     assert margin == pytest.approx(45.0, abs=1e-9)
     # phi = 1: the row is itself a stretch line
-    ok, margin = noncharacteristic(row, QuadDifferential.coerce(g, 1.0))
+    ok, margin = noncharacteristic(QuadDifferential.coerce(g, 1.0), 16)
     assert not ok
     assert margin == pytest.approx(0.0, abs=1e-9)
     # phi = -1: the row is the orthogonal stretch line, still characteristic
-    ok, margin = noncharacteristic(row, QuadDifferential.coerce(g, -1.0))
+    ok, margin = noncharacteristic(QuadDifferential.coerce(g, -1.0), 16)
     assert not ok
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(theta=st.floats(-4.0, 4.0), row=st.integers(0, 8))
+def test_constant_differential_margin_is_the_distance_to_its_cross(theta,
+                                                                   row):
+    g = centered_grid(9)
+    q = QuadDifferential.coerce(g, np.exp(1j * theta))
+    _, margin = noncharacteristic(q, row)
+    # the stretch lines of e^{i theta} sit at -theta/2 and -theta/2 + pi/2;
+    # the row direction 0 is m from one of them and pi/2 - m from the other
+    m = np.mod(-theta / 2, np.pi / 2)
+    assert margin == pytest.approx(np.degrees(min(m, np.pi / 2 - m)),
+                                   abs=1e-9)
 
 
 def test_form_qdiff_roundtrip(surf):

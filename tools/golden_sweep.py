@@ -10,8 +10,8 @@ case directory holds ``argv.txt``, ``stdout.txt``, ``stderr.txt``,
 ``exit_code.txt`` and the artifacts under ``out/``; OUTDIR is made if
 missing, and a case directory already there is an error.  The list
 covers every command and every flag at least once, at n <= 33,
-including the configuration errors (exit 1) and the sphere march
-aborts (exit 2).
+including the configuration errors (exit 1), the rejected initial rows
+and the sphere march aborts (exit 2).
 
 Two sweeps of the same tree must agree byte for byte (``diff -r``); a
 sweep of a change against one of its parent shows every output the
@@ -96,6 +96,13 @@ CASES = [
     ("solve-ivp-sphere-downward-abort",
      "solve-ivp --generator sphere --param rotation=0.2 --n 33 --row 24 "
      "--steps 14", None),
+    # rejected initial rows: exit 2 from the non-characteristic test
+    ("solve-ivp-cylinder-characteristic",
+     "solve-ivp --generator cylinder --q 1 --n 17", None),
+    ("solve-ivp-enneper-zero-row", "solve-ivp --generator enneper --n 17",
+     None),
+    ("solve-ivp-enneper-characteristic",
+     "solve-ivp --generator enneper --n 18", None),
     ("verify-all", "verify --all", None),
     ("verify-checks",
      "verify --check quaternion_algebra --check io_roundtrip --n 17 "
