@@ -15,8 +15,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .quaternions import (QForm, _qempty, from_real, qdot, qiszero, qnorm,
-                          qnormsq, star, to_vec)
+from . import quaternions
+from .quaternions import (QForm, _qempty, _split_rows, from_real, qdot,
+                          qiszero, qnorm, qnormsq, star, to_vec)
 # Not called here since the spin kernel was fused: the benchmark's tracer
 # test (perfbench/tests/test_harness.py) checks its wrapper replaces this
 # `from .quaternions import` binding, so the name stays bound.
@@ -63,48 +64,68 @@ class SpinField:
 
 
 def _spin_rotation(lam):
-    """(M, |lam|^2) with Im(conj(lam) v lam) = M Im(v) per node: the
-    3x3 rows of |lam|^2 times the rotation by conj(lam), built from
-    lam's ten pairwise products (mixed ones doubled, which is exact)."""
+    """(..., 10) planes R with Im(conj(lam) v lam) = M Im(v) per node:
+    planes 0-8 hold the 3x3 rows M of |lam|^2 times the rotation by
+    conj(lam), row by row, and plane 9 holds |lam|^2.  Built from lam's
+    ten pairwise products (mixed ones doubled, which is exact)."""
     lam = np.asarray(lam, dtype=np.float64)
+    R = _qempty(lam.shape[:-1], 10)
+    if lam.size >= quaternions._SPLIT_SIZE and lam.ndim == 3:
+        return _split_rows(_spin_rotation_rows, R, (lam,))
+    return _spin_rotation_rows(R, lam)
+
+
+def _spin_rotation_rows(R, lam):
+    # each product is dropped once the entries that read it are written,
+    # so R and at most seven product planes are alive at once
     w, x, y, z = lam[..., 0], lam[..., 1], lam[..., 2], lam[..., 3]
     ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    s, t = ww + xx, yy + zz
+    np.add(s, t, out=R[..., 9])
+    np.subtract(s, t, out=R[..., 0])
+    del s, t
+    u, v = np.subtract(ww, xx, out=ww), np.subtract(yy, zz, out=yy)
+    del xx, zz
+    np.add(u, v, out=R[..., 4])
+    np.subtract(u, v, out=R[..., 8])
+    del u, v, ww, yy
     wx, wy, wz = 2.0 * w * x, 2.0 * w * y, 2.0 * w * z
     xy, xz, yz = 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
-    # each entry is written over a product once nothing else reads it,
-    # so at most 17 planes are alive at once
-    s, t = ww + xx, yy + zz
-    n2 = s + t
-    m00 = np.subtract(s, t, out=s)
-    u, v = np.subtract(ww, xx, out=ww), np.subtract(yy, zz, out=yy)
-    m11 = u + v
-    m22 = np.subtract(u, v, out=u)
-    m01, m02, m12 = xy + wz, xz - wy, yz + wx
-    m10 = np.subtract(xy, wz, out=xy)
-    m20 = np.add(xz, wy, out=xz)
-    m21 = np.subtract(yz, wx, out=yz)
-    return ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)), n2
+    np.add(xy, wz, out=R[..., 1])
+    np.subtract(xz, wy, out=R[..., 2])
+    np.subtract(xy, wz, out=R[..., 3])
+    np.add(yz, wx, out=R[..., 5])
+    np.add(xz, wy, out=R[..., 6])
+    np.subtract(yz, wx, out=R[..., 7])
+    return R
 
 
-def _rotate(M, n2, v):
-    """conj(lam) v lam = |lam|^2 Re(v) + M Im(v), for (M, n2) =
+def _rotate(R, v):
+    """conj(lam) v lam = |lam|^2 Re(v) + M Im(v), for R =
     _spin_rotation(lam)."""
     v = np.asarray(v, dtype=np.float64)
-    out = _qempty(np.broadcast_shapes(n2.shape, v.shape[:-1]))
-    np.multiply(n2, v[..., 0], out=out[..., 0])
-    for k, (a, b, c) in enumerate(M, 1):
+    if v.size >= quaternions._SPLIT_SIZE and v.ndim == 3 \
+            and R.shape[:-1] == v.shape[:-1]:
+        return _split_rows(_rotate_rows, _qempty(v.shape[:-1]), (R, v))
+    out = _qempty(np.broadcast_shapes(R.shape[:-1], v.shape[:-1]))
+    return _rotate_rows(out, R, v)
+
+
+def _rotate_rows(out, R, v):
+    np.multiply(R[..., 9], v[..., 0], out=out[..., 0])
+    for k in range(1, 4):
         o = out[..., k]
-        np.multiply(a, v[..., 1], out=o)
-        o += b * v[..., 2]
-        o += c * v[..., 3]
+        np.multiply(R[..., 3 * k - 3], v[..., 1], out=o)
+        o += R[..., 3 * k - 2] * v[..., 2]
+        o += R[..., 3 * k - 1] * v[..., 3]
     return out
 
 
 def _spin_transform(lam, fx, fy):
     """conj(lam) (fx, fy) lam as a one-form, with lam's rotation built
     once for both components."""
-    M, n2 = _spin_rotation(lam)
-    return QForm(_rotate(M, n2, fx), _rotate(M, n2, fy))
+    R = _spin_rotation(lam)
+    return QForm(_rotate(R, fx), _rotate(R, fy))
 
 
 def spin_form(imm, lam):
@@ -287,10 +308,10 @@ def _spin_frame(imm, lam):
     carries what weingarten_split and the metric read (grid, fx, fy, N,
     df)."""
     df = spin_form(imm, lam)
-    # M a second time: df~ comes from spin_form, which builds its own
-    M, n2 = _spin_rotation(lam)
-    N = _rotate(M, n2, imm.N)
-    N /= n2[..., None]
+    # R a second time: df~ comes from spin_form, which builds its own
+    R = _spin_rotation(lam)
+    N = _rotate(R, imm.N)
+    N /= R[..., 9:]
     return SimpleNamespace(grid=imm.grid, fx=df.ax, fy=df.ay, df=df, N=N)
 
 

@@ -20,6 +20,7 @@ the conormal of the row aligns with a principal stretch direction of
 q, which is what the symbol machinery below quantifies.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,13 @@ def characteristic_angles(imm, tau, node):
     return sorted(np.where(t < 2 * np.pi, t, 0.0))
 
 
+def _integer(value, name):
+    """value as an int: integer types only (operator.index), not bool."""
+    if isinstance(value, bool):
+        raise TypeError("%s must be an integer, not bool" % name)
+    return operator.index(value)
+
+
 class CauchyProblem:
     """Background immersion + differential + initial grid row, checked
     by the non-characteristic test of that row."""
@@ -128,7 +136,7 @@ class CauchyProblem:
         self.imm = background
         q = QuadDifferential.coerce(background.grid, q)
         self.q = q
-        self.row = int(row)
+        self.row = _integer(row, "row")
         self.tau = form_from_qdiff(background, q)
         self.margin_ok, self.margin_deg = noncharacteristic(q, self.row)
 
@@ -238,6 +246,9 @@ def march_solve(prob, steps, lam0=None):
     abort reported is the one a march of the whole upward side first,
     then the downward side, meets.
     """
+    n = _integer(steps, "steps")
+    if n < 0:
+        raise ValueError("steps must be >= 0, got %d" % n)
     check_wellposed(prob)
     grid = prob.imm.grid
     omega = weingarten_split(prob.imm).omega
@@ -255,7 +266,6 @@ def march_solve(prob, steps, lam0=None):
         lam[prob.row] = row0
         SpinField(grid, lam, row_span=(prob.row, prob.row))
     ref_mag = float(qnorm(lam[prob.row]).min())
-    n = max(int(steps), 0)
 
     def march(sides):
         d = np.array(sides)

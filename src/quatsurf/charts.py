@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (QForm, anticonformal_defect, check_unit_imaginary,
-                          from_vec, qdot, qmul, qnorm, qnormsq,
-                          split_tangential, to_vec)
+from . import quaternions
+from .quaternions import (QForm, _split_rows, anticonformal_defect,
+                          check_unit_imaginary, from_vec, qdot, qmul, qnorm,
+                          qnormsq, split_tangential, to_vec)
 
 # default tolerances of build_immersion's chart test and of umbilics
 _CHART_TOL = 1e-3
@@ -82,6 +83,13 @@ def deriv_x(field, hx):
         return deriv_x(field.real, hx) + 1j * deriv_x(field.imag, hx)
     f = np.asarray(field, dtype=np.float64)
     d = np.empty_like(f)
+    if f.size >= quaternions._SPLIT_SIZE:
+        return _split_rows(_deriv_x_rows, d, (f,), hx)
+    return _deriv_x_rows(d, f, hx)
+
+
+def _deriv_x_rows(d, f, hx):
+    """deriv_x of a float64 field into d, row by row."""
     terms = f[:, _EDGE_NODES]
     terms *= _EDGE_COEFFS.reshape(_EDGE_COEFFS.shape + (1,) * (f.ndim - 2))
     edge = terms[:, 0] + terms[:, 1]

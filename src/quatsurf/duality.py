@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (_CHART_TOL, GridChart, _mean_curvature_x, _relative,
-                     build_immersion, closedness_residual, deriv_x, deriv_y,
-                     form_rms, raw_frame, rms)
+from . import quaternions
+from .charts import (_CHART_TOL, GridChart, _deriv_x_rows, _mean_curvature_x,
+                     _relative, build_immersion, closedness_residual, deriv_x,
+                     deriv_y, form_rms, raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
-from .quaternions import (QForm, from_real, qdot, qinv, qmul, qnorm, qnormsq,
-                          quat, to_vec, wedge)
+from .quaternions import (QForm, _split_rows, from_real, qdot, qinv, qmul,
+                          qnorm, qnormsq, quat, to_vec, wedge)
 
 # default tolerances of the closedness gate and of classify_christoffel
 _CLOSED_TOL = 5e-3
@@ -27,10 +28,20 @@ _CLASSIFY_TOL = 1e-3
 
 def _cumint_x(g, hx):
     """Cumulative integral along axis 1 from column 0, corrected trapezoid."""
-    T = np.zeros_like(g)
-    T[:, 1:] = np.cumsum(0.5 * hx * (g[:, :-1] + g[:, 1:]), axis=1)
-    gp = deriv_x(g, hx)
-    return T - (hx * hx / 12.0) * (gp - gp[:, :1])
+    T = np.empty_like(g)
+    if g.size >= quaternions._SPLIT_SIZE:
+        return _split_rows(_cumint_x_rows, T, (g,), hx)
+    return _cumint_x_rows(T, g, hx)
+
+
+def _cumint_x_rows(T, g, hx):
+    """_cumint_x of a float64 field into T, row by row; the sums run
+    along the rows, so each row is summed whole in either case."""
+    T[:, 0] = 0.0
+    np.cumsum(0.5 * hx * (g[:, :-1] + g[:, 1:]), axis=1, out=T[:, 1:])
+    gp = _deriv_x_rows(np.empty_like(g), g, hx)
+    T -= (hx * hx / 12.0) * (gp - gp[:, :1])
+    return T
 
 
 def _cumint_y(g, hy):

@@ -8,7 +8,16 @@ The imaginary part (x, y, z) doubles as an R^3 vector, so surface
 positions, frames and normals all live in the same representation.
 Everything here is exact pointwise algebra; there are no grids and no
 tolerances except for unit-normal validation.
+
+The whole-grid kernels (qmul, qnormsq and qdot here, and deriv_x, the
+spin rotation and the cumulative integral elsewhere) hand the upper half
+of their rows to a second thread when an operand holds _SPLIT_SIZE
+values or more; see _split_rows.
 """
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -17,11 +26,76 @@ QUAT_DTYPE = np.float64
 # largest |Re N| and | |N|^2 - 1 | a normal field may show
 _NORMAL_TOL = 1e-9
 
+# Operands of at least this many values split their rows over two
+# threads: quaternion fields from 2**16 nodes, real fields from 2**18.
+# Below it the cheapest kernels (qnormsq, qdot) lose to the hand-off;
+# the crossover table is in CHANGES.md.
+_SPLIT_SIZE = 1 << 18
 
-def _qempty(shape):
-    """Uninitialised (*shape, 4) view over four contiguous (*shape) planes."""
-    return np.empty((4,) + shape, dtype=QUAT_DTYPE).transpose(
+_split_lock = threading.Lock()
+_split_state = threading.local()
+_split_pool = None  # (pid, ThreadPoolExecutor(1)), started by the first split
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_half(fill, out, rows, args):
+    _split_state.inside = True
+    try:
+        fill(out, *rows, *args)
+    finally:
+        _split_state.inside = False
+
+
+def _split_rows(fill, out, rows, *args):
+    """fill(out, *rows, *args) with the rows split over two threads.
+
+    Axis 0 of out and of every array in rows is the row axis: this thread
+    fills the lower half of the rows and one worker thread the upper half.
+    fill computes each element from the same expression whatever rows it
+    is handed, so the result is the same bits as one inline call, which
+    is what runs inside a half (the worker is taken) and on one CPU.  The
+    worker runs in a copy of the caller's context, so np.errstate holds
+    there too; an exception from either half reaches the caller once both
+    halves are done.  Returns out.
+    """
+    global _split_pool
+    if getattr(_split_state, "inside", False) or _cpu_count() < 2:
+        fill(out, *rows, *args)
+        return out
+    with _split_lock:
+        # a forked child inherits the pool but not its thread
+        if _split_pool is None or _split_pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _split_pool = (os.getpid(), ThreadPoolExecutor(1))
+        pool = _split_pool[1]
+    h = out.shape[0] // 2
+    upper = pool.submit(contextvars.copy_context().run, _fill_half, fill,
+                        out[h:], tuple(r[h:] for r in rows), args)
+    try:
+        _fill_half(fill, out[:h], tuple(r[:h] for r in rows), args)
+    except BaseException:
+        upper.exception()  # the worker still writes into out: wait for it
+        raise
+    upper.result()
+    return out
+
+
+def _qempty(shape, planes=4):
+    """Uninitialised (*shape, planes) view over that many contiguous
+    (*shape) planes."""
+    return np.empty((planes,) + shape, dtype=QUAT_DTYPE).transpose(
         tuple(range(1, len(shape) + 1)) + (0,))
+
+
+def _not_quaternion(q):
+    return ValueError("quaternion array of shape %s: the last axis must "
+                      "have length 4" % (q.shape,))
 
 
 def quat(w=0.0, x=0.0, y=0.0, z=0.0):
@@ -65,10 +139,23 @@ def qmul(a, b):
     """
     a = np.asarray(a, dtype=QUAT_DTYPE)
     b = np.asarray(b, dtype=QUAT_DTYPE)
+    if a.shape[-1:] != (4,):
+        raise _not_quaternion(a)
+    if b.shape[-1:] != (4,):
+        raise _not_quaternion(b)
+    if a.size >= _SPLIT_SIZE and a.ndim == 3 and a.shape == b.shape:
+        return _split_rows(_qmul_rows, _qempty(a.shape[:-1]), (a, b))
+    return _qmul_rows(None, a, b)
+
+
+def _qmul_rows(out, a, b):
+    """qmul of two float64 quaternion arrays into out (a new array when
+    out is None)."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     w = aw * bw
-    out = _qempty(w.shape)
+    if out is None:
+        out = _qempty(w.shape)
     w -= (ax * bx + ay * by) + az * bz
     out[..., 0] = w
     # one live plane fewer: on large fields, keeping w or writing the
@@ -91,8 +178,16 @@ def qnormsq(q):
     """|q|^2 as ((w w + x x) + y y) + z z: the order of a sum over the
     last axis, so bit-identical to np.sum(q**2, axis=-1) (tested)."""
     q = np.asarray(q, dtype=QUAT_DTYPE)
+    if q.shape[-1:] != (4,):
+        raise _not_quaternion(q)
+    if q.size >= _SPLIT_SIZE and q.ndim == 3:
+        return _split_rows(_qnormsq_rows, np.empty_like(q[..., 0]), (q,))
+    return _qnormsq_rows(None, q)
+
+
+def _qnormsq_rows(out, q):
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return ((w * w + x * x) + y * y) + z * z
+    return np.add((w * w + x * x) + y * y, z * z, out=out)
 
 
 def qnorm(q):
@@ -124,8 +219,19 @@ def qdot(a, b):
     the order of qnormsq (and of np.sum(a*b, axis=-1))."""
     a = np.asarray(a)
     b = np.asarray(b)
-    return (((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-             + a[..., 2] * b[..., 2]) + a[..., 3] * b[..., 3])
+    if a.shape[-1:] != (4,):
+        raise _not_quaternion(a)
+    if b.shape[-1:] != (4,):
+        raise _not_quaternion(b)
+    if a.size >= _SPLIT_SIZE and a.ndim == 3 and a.shape == b.shape:
+        out = np.empty_like(a[..., 0], dtype=np.result_type(a, b))
+        return _split_rows(_qdot_rows, out, (a, b))
+    return _qdot_rows(None, a, b)
+
+
+def _qdot_rows(out, a, b):
+    return np.add((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+                  + a[..., 2] * b[..., 2], a[..., 3] * b[..., 3], out=out)
 
 
 def check_unit_imaginary(N):

@@ -114,6 +114,36 @@ def test_problem_rejects_a_row_off_the_grid(prob):
             CauchyProblem(prob.imm, 1j, row)
 
 
+@pytest.mark.parametrize("row", [16.5, np.float64(16.0), True, "16"])
+def test_problem_takes_only_an_integer_row(prob, row):
+    # int() used to march 16.5 from row 16 and True from row 1
+    with pytest.raises(TypeError, match="integer"):
+        CauchyProblem(prob.imm, 1j, row)
+
+
+@pytest.mark.parametrize("row", [16, np.int64(16), np.int32(16)])
+def test_problem_takes_any_integer_type_as_row(prob, row):
+    got = CauchyProblem(prob.imm, 1j, row).row
+    assert got == 16 and type(got) is int
+
+
+@pytest.mark.parametrize("steps", [2.7, np.float64(2.0), True, "2"])
+def test_march_takes_only_integer_steps(prob, steps):
+    with pytest.raises(TypeError, match="integer"):
+        march_solve(prob, steps)
+
+
+def test_march_refuses_negative_steps(prob):
+    # a negative count used to march nothing and return the initial row
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        march_solve(prob, -3)
+
+
+@pytest.mark.parametrize("steps", [0, np.int64(2)])
+def test_march_takes_any_integer_type_as_steps(prob, steps):
+    assert march_solve(prob, steps).band_rows() == (16 - steps, 16 + steps)
+
+
 def test_march_holds_identity_solution(prob):
     spin = march_solve(prob, steps=8)
     lo, hi = spin.band_rows()

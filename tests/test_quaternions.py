@@ -1,5 +1,7 @@
 """Pointwise quaternion algebra and one-form value operations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ def test_qdot_matches_product_real_part():
     b = RNG.standard_normal((32, 4))
     # <a, b> = Re(a conj(b))
     assert np.max(np.abs(qdot(a, b) - qmul(a, qconj(b))[..., 0])) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), (), (4, 3)])
+def test_kernels_refuse_a_trailing_axis_other_than_4(shape):
+    # qmul used to raise IndexError on (3,) and to drop a fifth component
+    bad = np.ones(shape)
+    good = np.ones(shape[:-1] + (4,))
+    for call in (lambda: qmul(bad, good), lambda: qmul(good, bad),
+                 lambda: qnormsq(bad), lambda: qdot(bad, good),
+                 lambda: qdot(good, bad)):
+        with pytest.raises(ValueError, match=r"shape %s" % re.escape(
+                str(shape))):
+            call()
 
 
 def test_star_is_quarter_turn():
