@@ -15,7 +15,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import quaternions
 from .quaternions import (QForm, _qempty, _split_rows, from_real, qdot,
                           qiszero, qnorm, qnormsq, star, to_vec)
 # Not called here since the spin kernel was fused: the benchmark's tracer
@@ -23,7 +22,7 @@ from .quaternions import (QForm, _qempty, _split_rows, from_real, qdot,
 # `from .quaternions import` binding, so the name stays bound.
 from .quaternions import qmul  # noqa: F401
 from .charts import (_CHART_TOL, _UMBILIC_TOL, ChartImmersion, CurvatureData,
-                     _relative, _symmetric_tensor, _umbilic_mask,
+                     _relative, _same_grid, _symmetric_tensor, _umbilic_mask,
                      build_immersion, deriv_x, deriv_y, floored_relative,
                      form_rms, interior, rms, weingarten_split)
 from .quaddiff import (QuadDifferential, _group_minima, form_from_qdiff,
@@ -69,10 +68,8 @@ def _spin_rotation(lam):
     conj(lam), row by row, and plane 9 holds |lam|^2.  Built from lam's
     ten pairwise products (mixed ones doubled, which is exact)."""
     lam = np.asarray(lam, dtype=np.float64)
-    R = _qempty(lam.shape[:-1], 10)
-    if lam.size >= quaternions._SPLIT_SIZE and lam.ndim == 3:
-        return _split_rows(_spin_rotation_rows, R, (lam,))
-    return _spin_rotation_rows(R, lam)
+    return _split_rows(_spin_rotation_rows, _qempty(lam.shape[:-1], 10),
+                       (lam,))
 
 
 def _spin_rotation_rows(R, lam):
@@ -104,11 +101,8 @@ def _rotate(R, v):
     """conj(lam) v lam = |lam|^2 Re(v) + M Im(v), for R =
     _spin_rotation(lam)."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size >= quaternions._SPLIT_SIZE and v.ndim == 3 \
-            and R.shape[:-1] == v.shape[:-1]:
-        return _split_rows(_rotate_rows, _qempty(v.shape[:-1]), (R, v))
     out = _qempty(np.broadcast_shapes(R.shape[:-1], v.shape[:-1]))
-    return _rotate_rows(out, R, v)
+    return _split_rows(_rotate_rows, out, (R, v))
 
 
 def _rotate_rows(out, R, v):
@@ -207,6 +201,7 @@ def bonnet_pair(imm, dual, eps, closed_tol=_CLOSED_TOL,
                 chart_tol=_CHART_TOL):
     """Build the mates for lam = fstar +- eps, with fstar the positions
     of the DualResult dual, and compare them."""
+    _same_grid(imm.grid, dual.grid)
     eps = float(eps)
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
@@ -270,6 +265,7 @@ def shape_distortion_check(imm, dual, pair):
     """Residual of the identity pairing the shape distortion with the
     rotated dual differential: df applied to D against 4 eps star(df*).
     Returns (per-node field, relative RMS)."""
+    _same_grid(imm.grid, dual.grid)
     lhs = form_from_qdiff(imm, pair.D)
     rhs = star(dual.tau) * (4.0 * pair.eps)
     resid = lhs - rhs
@@ -287,6 +283,7 @@ def umbilic_branch_correspondence(pair, dual, tol=_UMBILIC_TOL):
     """Compare the umbilics of the mates, the zeros of the shape
     distortion, and the branch nodes of the dual, each grouped to one
     node per 8-connected group."""
+    _same_grid(pair.D.grid, dual.grid)
     umb_p = _umbilic_groups(pair.curv_plus, tol)
     umb_m = _umbilic_groups(pair.curv_minus, tol)
     try:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quaternions
 from .quaternions import (QForm, _split_rows, anticonformal_defect,
                           check_unit_imaginary, from_vec, qdot, qmul, qnorm,
                           qnormsq, split_tangential, to_vec)
@@ -63,6 +62,13 @@ class GridChart:
                 % (self.nx, self.ny, self.hx, self.hy, self.x0, self.y0))
 
 
+def _same_grid(grid, other):
+    """Refuse operands sampled on grids of different node counts."""
+    if (grid.ny, grid.nx) != (other.ny, other.nx):
+        raise ValueError("immersions must share one grid: %dx%d and %dx%d"
+                         % (grid.ny, grid.nx, other.ny, other.nx))
+
+
 # The one-sided stencils of the two edge columns on each side, taken in
 # one pass: term k of edge column c is _EDGE_COEFFS[k, c] times the node
 # _EDGE_NODES[k, c], for the columns _EDGE_COLUMNS.  Each sign is folded
@@ -82,10 +88,7 @@ def deriv_x(field, hx):
     if np.iscomplexobj(field):
         return deriv_x(field.real, hx) + 1j * deriv_x(field.imag, hx)
     f = np.asarray(field, dtype=np.float64)
-    d = np.empty_like(f)
-    if f.size >= quaternions._SPLIT_SIZE:
-        return _split_rows(_deriv_x_rows, d, (f,), hx)
-    return _deriv_x_rows(d, f, hx)
+    return _split_rows(_deriv_x_rows, np.empty_like(f), (f,), hx)
 
 
 def _deriv_x_rows(d, f, hx):

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quaternions
 from .charts import (_CHART_TOL, GridChart, _deriv_x_rows, _mean_curvature_x,
-                     _relative, build_immersion, closedness_residual, deriv_x,
-                     deriv_y, form_rms, raw_frame, rms)
+                     _relative, _same_grid, build_immersion,
+                     closedness_residual, deriv_x, deriv_y, form_rms,
+                     raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
 from .quaternions import (QForm, _split_rows, from_real, qdot, qinv, qmul,
@@ -28,10 +28,7 @@ _CLASSIFY_TOL = 1e-3
 
 def _cumint_x(g, hx):
     """Cumulative integral along axis 1 from column 0, corrected trapezoid."""
-    T = np.empty_like(g)
-    if g.size >= quaternions._SPLIT_SIZE:
-        return _split_rows(_cumint_x_rows, T, (g,), hx)
-    return _cumint_x_rows(T, g, hx)
+    return _split_rows(_cumint_x_rows, np.empty_like(g), (g,), hx)
 
 
 def _cumint_x_rows(T, g, hx):
@@ -169,6 +166,7 @@ def verify_duality(imm, dual, curv):
     Returns a dict of relative residuals and the fitted-coefficient
     comparison (all chart-RMS normalized).
     """
+    _same_grid(imm.grid, dual.grid)
     tau = dual.tau
     dN = curv.dN
     Hs = dual.Hstar
@@ -210,8 +208,7 @@ def classify_christoffel(immA, immB, tol=_CLASSIFY_TOL):
     multiple of dfA, and "unrelated" otherwise (including whenever the
     tangent planes fail to be parallel).
     """
-    if immA.grid.nx != immB.grid.nx or immA.grid.ny != immB.grid.ny:
-        raise ValueError("immersions must share one grid")
+    _same_grid(immA.grid, immB.grid)
     dot = np.abs(np.sum(to_vec(immA.N) * to_vec(immB.N), axis=-1))
     if float(np.max(1.0 - dot)) > 100 * tol:
         return "unrelated"

@@ -10,7 +10,7 @@ and anti-conformal tangential one-forms through an immersion's frame.
 
 import numpy as np
 
-from .charts import _relative, deriv_x, deriv_y, form_rms, rms
+from .charts import _relative, _same_grid, deriv_x, deriv_y, form_rms, rms
 from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
                           split_tangential)
 
@@ -44,9 +44,10 @@ class QuadDifferential:
 
     @classmethod
     def coerce(cls, grid, q):
-        """Pass an instance through unchanged; broadcast a complex scalar
-        to the grid or wrap a complex (ny, nx) field."""
+        """Pass an instance on the grid through unchanged; broadcast a
+        complex scalar to the grid or wrap a complex (ny, nx) field."""
         if isinstance(q, cls):
+            _same_grid(grid, q.grid)
             return q
         phi = np.asarray(q, dtype=np.complex128)
         if phi.ndim == 0:

@@ -9,10 +9,12 @@ positions, frames and normals all live in the same representation.
 Everything here is exact pointwise algebra; there are no grids and no
 tolerances except for unit-normal validation.
 
-The whole-grid kernels (qmul, qnormsq and qdot here, and deriv_x, the
-spin rotation and the cumulative integral elsewhere) hand the upper half
-of their rows to a second thread when an operand holds _SPLIT_SIZE
-values or more; see _split_rows.
+The whole-grid kernels (qmul, qnormsq and qdot here; deriv_x, the spin
+rotation, _rotate and the cumulative integral elsewhere) fill their
+output through _split_rows, the one place that decides: rows split over
+two threads when every operand is an (ny, nx) or (ny, nx, k) field on
+the output's grid, the smallest holds _SPLIT_SIZE values or more, the
+call is not inside a half, and the process may use two CPUs.
 """
 
 import contextvars
@@ -26,10 +28,11 @@ QUAT_DTYPE = np.float64
 # largest |Re N| and | |N|^2 - 1 | a normal field may show
 _NORMAL_TOL = 1e-9
 
-# Operands of at least this many values split their rows over two
-# threads: quaternion fields from 2**16 nodes, real fields from 2**18.
-# Below it the cheapest kernels (qnormsq, qdot) lose to the hand-off;
-# the crossover table is in CHANGES.md.
+# Rows split over two threads when every operand is an (ny, nx) or
+# (ny, nx, k) field on the output's grid, the smallest holds this many
+# values or more, the call is not inside a half, and the process may use
+# two CPUs: quaternion fields from 2**16 nodes, real fields from 2**18.
+# Below it qnormsq and qdot lose to the hand-off (CHANGES.md has the table).
 _SPLIT_SIZE = 1 << 18
 
 _split_lock = threading.Lock()
@@ -53,19 +56,24 @@ def _fill_half(fill, out, rows, args):
 
 
 def _split_rows(fill, out, rows, *args):
-    """fill(out, *rows, *args) with the rows split over two threads.
+    """fill(out, *rows, *args); returns out.
 
-    Axis 0 of out and of every array in rows is the row axis: this thread
-    fills the lower half of the rows and one worker thread the upper half.
-    fill computes each element from the same expression whatever rows it
-    is handed, so the result is the same bits as one inline call, which
-    is what runs inside a half (the worker is taken) and on one CPU.  The
-    worker runs in a copy of the caller's context, so np.errstate holds
-    there too; an exception from either half reaches the caller once both
-    halves are done.  Returns out.
+    Rows split over two threads when every operand is an (ny, nx) or
+    (ny, nx, k) field on the output's grid, the smallest holds
+    _SPLIT_SIZE values or more, the call is not inside a half, and the
+    process may use two CPUs.  Axis 0 is the row axis: this thread fills
+    the lower half and one worker thread the upper half.  fill computes
+    each element from the same expression whatever rows it is handed, so
+    the result is the same bits as one inline call.  The worker runs in
+    a copy of the caller's context, so np.errstate holds there too; an
+    exception from either half reaches the caller once both are done.
     """
     global _split_pool
-    if getattr(_split_state, "inside", False) or _cpu_count() < 2:
+    # rows[0]'s size first: a small call pays one comparison
+    if (rows[0].size < _SPLIT_SIZE or getattr(_split_state, "inside", False)
+            or any(r.ndim not in (2, 3) or r.shape[:2] != out.shape[:2]
+                   or r.size < _SPLIT_SIZE for r in rows)
+            or _cpu_count() < 2):
         fill(out, *rows, *args)
         return out
     with _split_lock:
@@ -93,9 +101,11 @@ def _qempty(shape, planes=4):
         tuple(range(1, len(shape) + 1)) + (0,))
 
 
-def _not_quaternion(q):
-    return ValueError("quaternion array of shape %s: the last axis must "
-                      "have length 4" % (q.shape,))
+def _check_quaternions(*qs):
+    for q in qs:
+        if q.shape[-1:] != (4,):
+            raise ValueError("quaternion array of shape %s: the last axis "
+                             "must have length 4" % (q.shape,))
 
 
 def quat(w=0.0, x=0.0, y=0.0, z=0.0):
@@ -139,23 +149,16 @@ def qmul(a, b):
     """
     a = np.asarray(a, dtype=QUAT_DTYPE)
     b = np.asarray(b, dtype=QUAT_DTYPE)
-    if a.shape[-1:] != (4,):
-        raise _not_quaternion(a)
-    if b.shape[-1:] != (4,):
-        raise _not_quaternion(b)
-    if a.size >= _SPLIT_SIZE and a.ndim == 3 and a.shape == b.shape:
-        return _split_rows(_qmul_rows, _qempty(a.shape[:-1]), (a, b))
-    return _qmul_rows(None, a, b)
+    _check_quaternions(a, b)
+    shape = a.shape if a.shape == b.shape else np.broadcast(a, b).shape
+    return _split_rows(_qmul_rows, _qempty(shape[:-1]), (a, b))
 
 
 def _qmul_rows(out, a, b):
-    """qmul of two float64 quaternion arrays into out (a new array when
-    out is None)."""
+    """qmul of two float64 quaternion arrays into out."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     w = aw * bw
-    if out is None:
-        out = _qempty(w.shape)
     w -= (ax * bx + ay * by) + az * bz
     out[..., 0] = w
     # one live plane fewer: on large fields, keeping w or writing the
@@ -178,16 +181,16 @@ def qnormsq(q):
     """|q|^2 as ((w w + x x) + y y) + z z: the order of a sum over the
     last axis, so bit-identical to np.sum(q**2, axis=-1) (tested)."""
     q = np.asarray(q, dtype=QUAT_DTYPE)
-    if q.shape[-1:] != (4,):
-        raise _not_quaternion(q)
-    if q.size >= _SPLIT_SIZE and q.ndim == 3:
-        return _split_rows(_qnormsq_rows, np.empty_like(q[..., 0]), (q,))
-    return _qnormsq_rows(None, q)
+    _check_quaternions(q)
+    out = _split_rows(_qnormsq_rows, np.empty(q.shape[:-1]), (q,))
+    # np.add's scalar for one quaternion, else out itself: numpy reuses
+    # a temporary in place only when it owns its data, as views do not
+    return out if out.ndim else out[()]
 
 
 def _qnormsq_rows(out, q):
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.add((w * w + x * x) + y * y, z * z, out=out)
+    np.add((w * w + x * x) + y * y, z * z, out=out)
 
 
 def qnorm(q):
@@ -219,19 +222,16 @@ def qdot(a, b):
     the order of qnormsq (and of np.sum(a*b, axis=-1))."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[-1:] != (4,):
-        raise _not_quaternion(a)
-    if b.shape[-1:] != (4,):
-        raise _not_quaternion(b)
-    if a.size >= _SPLIT_SIZE and a.ndim == 3 and a.shape == b.shape:
-        out = np.empty_like(a[..., 0], dtype=np.result_type(a, b))
-        return _split_rows(_qdot_rows, out, (a, b))
-    return _qdot_rows(None, a, b)
+    _check_quaternions(a, b)
+    shape = a.shape if a.shape == b.shape else np.broadcast(a, b).shape
+    out = np.empty(shape[:-1], dtype=np.result_type(a, b))
+    _split_rows(_qdot_rows, out, (a, b))
+    return out if out.ndim else out[()]  # as in qnormsq
 
 
 def _qdot_rows(out, a, b):
-    return np.add((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-                  + a[..., 2] * b[..., 2], a[..., 3] * b[..., 3], out=out)
+    np.add((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+           + a[..., 2] * b[..., 2], a[..., 3] * b[..., 3], out=out)
 
 
 def check_unit_imaginary(N):

@@ -1,5 +1,7 @@
 """Dual-surface integration, duality identities, and pair classification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,46 @@ def test_classify_christoffel(surf, dual_of):
     assert qs.classify_christoffel(cyl.imm, scaled) == "scaling"
     assert qs.classify_christoffel(cyl.imm, dstar) == "dual_pair"
     assert qs.classify_christoffel(cyl.imm, cat.imm) == "unrelated"
+
+
+@pytest.fixture(scope="module")
+def two_grids(surf, dual_of):
+    """The cylinder's immersion, differential, dual, curvature and mates
+    at n = 33 and at n = 35."""
+    found = []
+    for n in (33, 35):
+        gen = surf("cylinder", n)
+        dual = dual_of("cylinder", n)
+        found.append(SimpleNamespace(
+            imm=gen.imm, q=gen.q_known, dual=dual,
+            curv=qs.weingarten_split(gen.imm),
+            pair=qs.bonnet_pair(gen.imm, dual, 0.7)))
+    return found
+
+
+# each entry with one operand from the n = 35 grid and the rest from n = 33
+GRID_MISMATCHES = {
+    "integrate_dual": lambda a, b: qs.integrate_dual(a.imm, b.q),
+    "form_from_qdiff": lambda a, b: qs.form_from_qdiff(a.imm, b.q),
+    "CauchyProblem": lambda a, b: qs.CauchyProblem(a.imm, b.q, 16),
+    "classify_christoffel": lambda a, b: qs.classify_christoffel(a.imm, b.imm),
+    "verify_duality": lambda a, b: qs.verify_duality(a.imm, b.dual, a.curv),
+    "bonnet_pair": lambda a, b: qs.bonnet_pair(a.imm, b.dual, 0.7),
+    "shape_distortion_check_dual":
+        lambda a, b: qs.shape_distortion_check(a.imm, b.dual, a.pair),
+    "shape_distortion_check_pair":
+        lambda a, b: qs.shape_distortion_check(a.imm, a.dual, b.pair),
+    "umbilic_branch_correspondence":
+        lambda a, b: qs.umbilic_branch_correspondence(a.pair, b.dual),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_MISMATCHES))
+def test_operands_on_two_grids_are_refused(two_grids, entry):
+    with pytest.raises(ValueError,
+                       match="immersions must share one grid: 33x33 and "
+                             "35x35"):
+        GRID_MISMATCHES[entry](*two_grids)
 
 
 def test_dual_of_dual_returns_to_start(surf, dual_of):

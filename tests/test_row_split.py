@@ -114,18 +114,35 @@ def test_broadcasts_and_stacks_stay_inline(pool, monkeypatch):
     rng = np.random.default_rng(3)
     field = rng.standard_normal((6, 7, 4))
     stack = rng.standard_normal((3, 6, 7, 4))
-    want = {}
+    R_row = _spin_rotation(field[:1])
+    cases = {}
+    for name, (a, b) in {"constant": (field[0, 0], field),
+                         "row": (field[:1], field),
+                         "stack": (stack, stack[::-1])}.items():
+        cases[name + "_qmul"] = (qmul, (a, b))
+        cases[name + "_qdot"] = (qdot, (a, b))
+    cases.update({"stack_qnormsq": (qnormsq, (stack,)),
+                  "stack_deriv_x": (deriv_x, (stack, 0.3)),
+                  "stack_cumint_x": (_cumint_x, (stack, 0.3)),
+                  "row_rotate": (_rotate, (R_row, field))})
     monkeypatch.setattr(quaternions, "_SPLIT_SIZE", INLINE)
-    cases = {"constant": (field[0, 0], field), "row": (field[:1], field),
-             "stack": (stack, stack[::-1])}
-    for name, (a, b) in cases.items():
-        want[name] = qmul(a, b).tobytes(), qdot(a, b).tobytes()
-    want["stack_normsq"] = qnormsq(stack).tobytes()
+    want = {name: kernel(*args).tobytes()
+            for name, (kernel, args) in cases.items()}
     monkeypatch.setattr(quaternions, "_SPLIT_SIZE", SPLIT)
-    for name, (a, b) in cases.items():
-        assert (qmul(a, b).tobytes(), qdot(a, b).tobytes()) == want[name]
-    assert qnormsq(stack).tobytes() == want["stack_normsq"]
+    for name, (kernel, args) in cases.items():
+        assert kernel(*args).tobytes() == want[name], name
+        assert pool.submitted == 0, name
+
+
+def test_the_smallest_operand_decides(pool, monkeypatch):
+    a = np.random.default_rng(4).standard_normal((8, 9, 4))
+    R = _spin_rotation(a)  # ten planes to a's four
+    monkeypatch.setattr(quaternions, "_SPLIT_SIZE", a.size + 1)
+    _rotate(R, a)
     assert pool.submitted == 0
+    monkeypatch.setattr(quaternions, "_SPLIT_SIZE", a.size)
+    _rotate(R, a)
+    assert pool.submitted == 1
 
 
 def test_worker_sees_the_callers_errstate(pool, monkeypatch):
@@ -151,7 +168,9 @@ def raise_on_nan(out, a):
 
 
 @pytest.mark.parametrize("row", [1, 6])
-def test_an_exception_from_either_half_reaches_the_caller(pool, row):
+def test_an_exception_from_either_half_reaches_the_caller(pool, monkeypatch,
+                                                          row):
+    monkeypatch.setattr(quaternions, "_SPLIT_SIZE", SPLIT)
     a = np.zeros((8, 3))
     a[row, 0] = np.nan
     with pytest.raises(ValueError, match="NaN in these rows"):
@@ -163,7 +182,8 @@ def test_an_exception_from_either_half_reaches_the_caller(pool, row):
     assert pool.submitted == 2
 
 
-def test_the_caller_waits_for_the_worker_before_raising(pool):
+def test_the_caller_waits_for_the_worker_before_raising(pool, monkeypatch):
+    monkeypatch.setattr(quaternions, "_SPLIT_SIZE", SPLIT)
     done = []
 
     def fill(out, a):

@@ -11,7 +11,10 @@ case directory holds ``argv.txt``, ``stdout.txt``, ``stderr.txt``,
 missing, and a case directory already there is an error.  The list
 covers every command and every flag at least once, at n <= 33,
 including the configuration errors (exit 1), the rejected initial rows
-and the sphere march aborts (exit 2).
+and the sphere march aborts (exit 2).  Two cases run at n = 257, past
+the row-split threshold, so that the whole-grid kernels split their rows
+over two threads there: a Bonnet pair, and a dual, whose path integrals
+split as well.
 
 Two sweeps of the same tree must agree byte for byte (``diff -r``); a
 sweep of a change against one of its parent shows every output the
@@ -78,10 +81,14 @@ CASES = [
     ("dual-qdiff", "dual --generator cylinder --n 33 --qdiff qdiff.csv",
      _setup_qdiff),
     ("dual-plane", "dual --input plane.csv --q 1", _setup_plane),
+    ("dual-catenoid-split",
+     "dual --generator catenoid --n 257 --param rotation=0.3", None),
     ("bonnet-cylinder", "bonnet --generator cylinder --n 33 --eps 0.7", None),
     ("bonnet-enneper",
      "bonnet --generator enneper --n 33 --umbilic-tol 5e-2", None),
     ("bonnet-unduloid", "bonnet --generator unduloid --n 33 --eps 0.8", None),
+    ("bonnet-enneper-split",
+     "bonnet --generator enneper --n 257 --eps 0.8", None),
     ("solve-ivp-cylinder",
      "solve-ivp --generator cylinder --param rotation=0.5 --n 33", None),
     ("solve-ivp-cylinder-row",
