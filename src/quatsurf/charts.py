@@ -63,10 +63,17 @@ class GridChart:
 
 
 def _same_grid(grid, other):
-    """Refuse operands sampled on grids of different node counts."""
+    """Refuse operands sampled on grids of different node counts, spacing
+    or origin; the message gives spacing and origin at full precision,
+    since two grids can differ past the digits ``%g`` prints."""
     if (grid.ny, grid.nx) != (other.ny, other.nx):
         raise ValueError("immersions must share one grid: %dx%d and %dx%d"
                          % (grid.ny, grid.nx, other.ny, other.nx))
+    placed = [(g.hx, g.hy, g.x0, g.y0) for g in (grid, other)]
+    if placed[0] != placed[1]:
+        raise ValueError("immersions must share one grid: spacing (%r, %r) "
+                         "origin (%r, %r) and spacing (%r, %r) origin "
+                         "(%r, %r)" % (*placed[0], *placed[1]))
 
 
 # The one-sided stencils of the two edge columns on each side, taken in

@@ -46,6 +46,10 @@ def test_generate_then_analyze_file_input(tmp_path, capsys):
     assert rep2["results"]["H"]["mean"] == pytest.approx(0.5, abs=1e-3)
     assert rep2["grid"] == rep["grid"]
 
+    # the file's surface is closed for q = 1 at the default --closed-tol
+    assert main(["dual", "--input", csv, "--q", "1",
+                 "--outdir", str(tmp_path / "dual")]) == 0
+
 
 def test_analyze_report_structure(tmp_path):
     out = str(tmp_path / "a")
@@ -160,6 +164,16 @@ def test_numerical_error_has_module_and_operation(tmp_path, capsys):
     assert payload["module"] == "quatsurf.duality"
     assert payload["operation"] == "integrate_dual"
     assert "not isothermic" in payload["message"]
+
+
+def test_initial_row_through_a_zero_of_q_is_refused(tmp_path, capsys):
+    # the order-2 Enneper differential vanishes on the default middle row
+    code = main(["solve-ivp", "--generator", "enneper", "--n", "17",
+                 "--outdir", str(tmp_path / "s")])
+    assert code == 2
+    payload = last_stderr_json(capsys)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.quaddiff",
+                                                         "noncharacteristic")
 
 
 def test_converge_error_names_the_failing_stage(tmp_path, capsys):
@@ -322,6 +336,7 @@ def test_verify_unknown_check(tmp_path, capsys):
                  "--outdir", str(tmp_path / "v")])
     assert code == 1
     assert last_stderr_json(capsys)["error"] == "ConfigError"
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_all_with_a_named_check_is_a_parse_error(tmp_path, capsys):
@@ -712,16 +727,33 @@ def test_any_argument_list_exits_with_a_documented_code(argv):
             assert not os.path.exists(outdir)
 
 
-def test_golden_sweep_covers_every_command_kind_and_flag():
+@pytest.fixture(scope="module")
+def golden_sweep():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                         "golden_sweep.py")
     spec = importlib.util.spec_from_file_location("golden_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    argvs = [argv for _, argv, _ in sweep.CASES]
+    return sweep
+
+
+def test_golden_sweep_covers_every_command_kind_and_flag(golden_sweep,
+                                                         tmp_path):
+    argvs = [argv for _, _, argv, _ in golden_sweep.CASES]
     words = {word for argv in argvs for word in argv.split()}
     # every case also gets --outdir
     assert set(COMMANDS) | set(_FLAGS) - {"--outdir"} <= words
     for kind in _KINDS:
         assert any(argv.startswith("converge --kind %s " % kind)
                    for argv in argvs)
+    # every case gives its expected exit code, and its one JSON error line
+    assert golden_sweep.main_sweep(str(tmp_path)) == []
+
+
+def test_golden_sweep_names_a_case_with_another_exit_code(golden_sweep,
+                                                          tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(golden_sweep, "CASES", [
+        ("error-small-n", 0, "analyze --generator cylinder --n 4", None)])
+    assert golden_sweep.main_sweep(str(tmp_path)) == [
+        "01-error-small-n exit 1 (expected 0)"]

@@ -1,5 +1,6 @@
 """Dual-surface integration, duality identities, and pair classification."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,13 +106,14 @@ def test_classify_christoffel(surf, dual_of):
 
 
 @pytest.fixture(scope="module")
-def two_grids(surf, dual_of):
-    """The cylinder's immersion, differential, dual, curvature and mates
-    at n = 33 and at n = 35."""
+def three_grids(surf, dual_of):
+    """The immersion, differential, dual, curvature and mates of the
+    cylinder at n = 33 and at n = 35, and of the sphere at n = 33, whose
+    33 x 33 chart has another spacing and origin than the cylinder's."""
     found = []
-    for n in (33, 35):
-        gen = surf("cylinder", n)
-        dual = dual_of("cylinder", n)
+    for name, n in (("cylinder", 33), ("cylinder", 35), ("sphere", 33)):
+        gen = surf(name, n)
+        dual = dual_of(name, n)
         found.append(SimpleNamespace(
             imm=gen.imm, q=gen.q_known, dual=dual,
             curv=qs.weingarten_split(gen.imm),
@@ -119,7 +121,8 @@ def two_grids(surf, dual_of):
     return found
 
 
-# each entry with one operand from the n = 35 grid and the rest from n = 33
+# each entry with one operand from another grid and the rest from the
+# cylinder at n = 33
 GRID_MISMATCHES = {
     "integrate_dual": lambda a, b: qs.integrate_dual(a.imm, b.q),
     "form_from_qdiff": lambda a, b: qs.form_from_qdiff(a.imm, b.q),
@@ -137,11 +140,20 @@ GRID_MISMATCHES = {
 
 
 @pytest.mark.parametrize("entry", sorted(GRID_MISMATCHES))
-def test_operands_on_two_grids_are_refused(two_grids, entry):
+def test_operands_on_two_grids_are_refused(three_grids, entry):
+    cylinder, cylinder_35, sphere = three_grids
     with pytest.raises(ValueError,
                        match="immersions must share one grid: 33x33 and "
                              "35x35"):
-        GRID_MISMATCHES[entry](*two_grids)
+        GRID_MISMATCHES[entry](cylinder, cylinder_35)
+    # the same node counts: spacing and origin decide, at full precision
+    with pytest.raises(ValueError,
+                       match=re.escape(
+                           "immersions must share one grid: spacing "
+                           "(0.19634954084936207, 0.0625) origin (0.0, -1.0)"
+                           " and spacing (0.0375, 0.0375) origin "
+                           "(-0.6, -0.6)")):
+        GRID_MISMATCHES[entry](cylinder, sphere)
 
 
 def test_dual_of_dual_returns_to_start(surf, dual_of):

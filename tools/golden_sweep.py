@@ -1,4 +1,5 @@
-"""Run a fixed list of CLI invocations and keep everything each one leaves.
+"""Run a fixed list of CLI invocations, keep everything each one leaves,
+and check each exit against the command-line contract.
 
     python tools/golden_sweep.py OUTDIR
 
@@ -16,6 +17,13 @@ the row-split threshold, so that the whole-grid kernels split their rows
 over two threads there: a Bonnet pair, and a dual, whose path integrals
 split as well.
 
+Each case names the exit code it must give.  A case that exits non-zero
+must also leave exactly one stderr line, a JSON object whose
+``exit_code`` is that code; a ``verify`` run is the exception, as it
+leaves its report instead.  ``main_sweep`` returns the cases that break
+either rule, and the script prints each as ``NN-name exit K (expected
+E)`` and exits 1.
+
 Two sweeps of the same tree must agree byte for byte (``diff -r``); a
 sweep of a change against one of its parent shows every output the
 change moved.
@@ -23,6 +31,7 @@ change moved.
 
 import contextlib
 import io
+import json
 import os
 import sys
 import warnings
@@ -62,97 +71,102 @@ def _setup_report_in_the_way():
     os.makedirs("out/analyze_report.json")
 
 
-# (name, argv, setup run in the case directory first or None)
+# (name, expected exit code, argv, setup run in the case directory first
+# or None)
 CASES = [
-    ("generate-cylinder",
+    ("generate-cylinder", 0,
      "generate --generator cylinder --n 33", None),
-    ("generate-sphere",
+    ("generate-sphere", 0,
      "generate --generator sphere --n 17 --param rotation=0.4 "
      "--chart-tol 2e-3", None),
-    ("generate-unduloid", "generate --generator unduloid --n 17", None),
-    ("analyze-catenoid",
+    ("generate-unduloid", 0, "generate --generator unduloid --n 17", None),
+    ("analyze-catenoid", 0,
      "analyze --generator catenoid --n 33 --umbilic-tol 1e-5", None),
-    ("analyze-enneper", "analyze --generator enneper --n 33", None),
-    ("analyze-input", "analyze --input " + _FIELDS, None),
-    ("analyze-plane", "analyze --input plane.csv", _setup_plane),
-    ("dual-catenoid", "dual --generator catenoid --n 33", None),
-    ("dual-input", "dual --input %s --q 1 --closed-tol 1e-2" % _FIELDS,
+    ("analyze-enneper", 0, "analyze --generator enneper --n 33", None),
+    ("analyze-input", 0, "analyze --input " + _FIELDS, None),
+    ("analyze-plane", 0, "analyze --input plane.csv", _setup_plane),
+    ("dual-catenoid", 0, "dual --generator catenoid --n 33", None),
+    ("dual-input", 0, "dual --input %s --q 1 --closed-tol 1e-2" % _FIELDS,
      None),
-    ("dual-qdiff", "dual --generator cylinder --n 33 --qdiff qdiff.csv",
+    ("dual-qdiff", 0, "dual --generator cylinder --n 33 --qdiff qdiff.csv",
      _setup_qdiff),
-    ("dual-plane", "dual --input plane.csv --q 1", _setup_plane),
-    ("dual-catenoid-split",
+    ("dual-plane", 0, "dual --input plane.csv --q 1", _setup_plane),
+    ("dual-catenoid-split", 0,
      "dual --generator catenoid --n 257 --param rotation=0.3", None),
-    ("bonnet-cylinder", "bonnet --generator cylinder --n 33 --eps 0.7", None),
-    ("bonnet-enneper",
+    ("bonnet-cylinder", 0, "bonnet --generator cylinder --n 33 --eps 0.7",
+     None),
+    ("bonnet-enneper", 0,
      "bonnet --generator enneper --n 33 --umbilic-tol 5e-2", None),
-    ("bonnet-unduloid", "bonnet --generator unduloid --n 33 --eps 0.8", None),
-    ("bonnet-enneper-split",
+    ("bonnet-unduloid", 0, "bonnet --generator unduloid --n 33 --eps 0.8",
+     None),
+    ("bonnet-enneper-split", 0,
      "bonnet --generator enneper --n 257 --eps 0.8", None),
-    ("solve-ivp-cylinder",
+    ("solve-ivp-cylinder", 0,
      "solve-ivp --generator cylinder --param rotation=0.5 --n 33", None),
-    ("solve-ivp-cylinder-row",
+    ("solve-ivp-cylinder-row", 0,
      "solve-ivp --generator cylinder --param rotation=0.5 --n 33 --row 10 "
      "--steps 6 --det-tol 0.02", None),
-    ("solve-ivp-sphere-abort",
+    ("solve-ivp-sphere-abort", 2,
      "solve-ivp --generator sphere --param rotation=0.2 --n 33 --steps 12",
      None),
-    ("solve-ivp-sphere-upward-abort",
+    ("solve-ivp-sphere-upward-abort", 2,
      "solve-ivp --generator sphere --param rotation=0.15 --n 33 --row 22 "
      "--steps 14", None),
-    ("solve-ivp-sphere-downward-abort",
+    ("solve-ivp-sphere-downward-abort", 2,
      "solve-ivp --generator sphere --param rotation=0.2 --n 33 --row 24 "
      "--steps 14", None),
     # rejected initial rows: exit 2 from the non-characteristic test
-    ("solve-ivp-cylinder-characteristic",
+    ("solve-ivp-cylinder-characteristic", 2,
      "solve-ivp --generator cylinder --q 1 --n 17", None),
-    ("solve-ivp-enneper-zero-row", "solve-ivp --generator enneper --n 17",
+    ("solve-ivp-enneper-zero-row", 2, "solve-ivp --generator enneper --n 17",
      None),
-    ("solve-ivp-enneper-characteristic",
+    ("solve-ivp-enneper-characteristic", 2,
      "solve-ivp --generator enneper --n 18", None),
-    ("verify-all", "verify --all", None),
-    ("verify-checks",
+    ("verify-all", 0, "verify --all", None),
+    ("verify-checks", 0,
      "verify --check quaternion_algebra --check io_roundtrip --n 17 "
      "--seed 3", None),
-    ("verify-n17", "verify --n 17", None),
-    ("converge-weingarten",
+    ("verify-n17", 2, "verify --n 17", None),
+    ("converge-weingarten", 0,
      "converge --kind weingarten --generator sphere --n 9 --levels 3", None),
-    ("converge-dual",
+    ("converge-dual", 0,
      "converge --kind dual --generator catenoid --n 17 --levels 2", None),
-    ("converge-bonnet",
+    ("converge-bonnet", 0,
      "converge --kind bonnet --generator cylinder --n 17 --levels 2 "
      "--eps 0.7 --closed-tol 1e-2 --chart-tol 2e-3", None),
-    ("converge-ivp",
+    ("converge-ivp", 0,
      "converge --kind ivp --generator cylinder --param rotation=0.5 --n 17 "
      "--levels 2 --q 1j --row 8 --steps 4 --det-tol 0.02 --closed-tol 1e-2 "
      "--chart-tol 2e-3", None),
     # configuration errors: exit 1 and one JSON line
-    ("error-small-n", "analyze --generator cylinder --n 4", None),
-    ("error-eps-nan", "bonnet --generator cylinder --n 17 --eps nan", None),
-    ("error-q-nan", "dual --generator cylinder --n 17 --q nan", None),
-    ("error-unwritable-report", "analyze --generator cylinder --n 17",
+    ("error-small-n", 1, "analyze --generator cylinder --n 4", None),
+    ("error-eps-nan", 1, "bonnet --generator cylinder --n 17 --eps nan", None),
+    ("error-q-nan", 1, "dual --generator cylinder --n 17 --q nan", None),
+    ("error-unwritable-report", 1, "analyze --generator cylinder --n 17",
      _setup_report_in_the_way),
-    ("error-generator", "analyze --generator mobius", None),
-    ("error-kind", "converge --kind foo --generator cylinder", None),
-    ("error-n-not-int", "analyze --generator cylinder --n 4.5", None),
-    ("error-flag-of-another-command",
+    ("error-generator", 1, "analyze --generator mobius", None),
+    ("error-kind", 1, "converge --kind foo --generator cylinder", None),
+    ("error-n-not-int", 1, "analyze --generator cylinder --n 4.5", None),
+    ("error-flag-of-another-command", 1,
      "generate --generator cylinder --seed 1", None),
-    ("error-chart-tol-inf",
+    ("error-chart-tol-inf", 1,
      "analyze --generator cylinder --n 17 --chart-tol inf", None),
-    ("error-check", "verify --check nope", None),
-    ("error-all-and-check", "verify --all --check quaternion_algebra", None),
-    ("error-header-only", "analyze --input header_only.csv",
+    ("error-check", 1, "verify --check nope", None),
+    ("error-all-and-check", 1, "verify --all --check quaternion_algebra",
+     None),
+    ("error-header-only", 1, "analyze --input header_only.csv",
      _setup_header_only),
-    ("error-missing-input", "analyze --input missing.csv", None),
-    ("error-row", "solve-ivp --generator cylinder --n 17 --row 40", None),
-    ("error-param",
+    ("error-missing-input", 1, "analyze --input missing.csv", None),
+    ("error-row", 1, "solve-ivp --generator cylinder --n 17 --row 40", None),
+    ("error-param", 1,
      "generate --generator sphere --n 17 --param radius=2", None),
-    ("error-qdiff-grid", "dual --generator cylinder --n 17 --qdiff qdiff.csv",
-     _setup_qdiff),
+    ("error-qdiff-grid", 1,
+     "dual --generator cylinder --n 17 --qdiff qdiff.csv", _setup_qdiff),
 ]
 
 
 def run_case(casedir, argv, setup):
+    """Run one case in ``casedir``; return its exit code and stderr."""
     os.makedirs(casedir)
     here = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
@@ -173,18 +187,44 @@ def run_case(casedir, argv, setup):
                        ("exit_code.txt", "%d\n" % code)):
         with open(os.path.join(casedir, name), "w") as fh:
             fh.write(text)
-    return code
+    return code, err.getvalue()
+
+
+def _complaint(casedir, argv, code, expected, err):
+    """How a case's exit breaks the contract, or None."""
+    if code != expected:
+        return "expected %d" % expected
+    report = os.path.join(casedir, "out", "verify_report.json")
+    if code == 0 or (argv.split()[0] == "verify" and os.path.exists(report)):
+        return None
+    lines = err.splitlines()
+    try:
+        if len(lines) == 1 and json.loads(lines[0])["exit_code"] == code:
+            return None
+    except (ValueError, TypeError, KeyError):
+        pass
+    return "expected one JSON error line"
 
 
 def main_sweep(outdir):
+    """Run every case into ``outdir``; return ``NN-name exit K (expected
+    ...)`` for each case that breaks the contract."""
     os.makedirs(outdir, exist_ok=True)
-    for k, (name, argv, setup) in enumerate(CASES, start=1):
-        code = run_case(os.path.join(outdir, "%02d-%s" % (k, name)), argv,
-                        setup)
-        print("%02d-%s exit %d" % (k, name, code))
+    broken = []
+    for k, (name, expected, argv, setup) in enumerate(CASES, start=1):
+        casedir = os.path.join(outdir, "%02d-%s" % (k, name))
+        code, err = run_case(casedir, argv, setup)
+        line = "%02d-%s exit %d" % (k, name, code)
+        print(line)
+        complaint = _complaint(casedir, argv, code, expected, err)
+        if complaint is not None:
+            broken.append("%s (%s)" % (line, complaint))
+    return broken
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/golden_sweep.py OUTDIR")
-    main_sweep(sys.argv[1])
+    broken = main_sweep(sys.argv[1])
+    if broken:
+        sys.exit("\n".join(broken))
