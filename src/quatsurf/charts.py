@@ -58,7 +58,7 @@ class GridChart:
                 "x0": self.x0, "y0": self.y0}
 
     def __repr__(self):
-        return ("GridChart(nx=%d, ny=%d, hx=%g, hy=%g, x0=%g, y0=%g)"
+        return ("GridChart(nx=%d, ny=%d, hx=%r, hy=%r, x0=%r, y0=%r)"
                 % (self.nx, self.ny, self.hx, self.hy, self.x0, self.y0))
 
 

@@ -199,12 +199,12 @@ def _load_qdiff(config, surf):
     """--qdiff file, --q constant, or the surface's known differential."""
     imm = surf.imm
     if config.qdiff_path is not None:
-        grid, phi = read_qdiff_csv(config.qdiff_path)
-        if grid.ny != imm.grid.ny or grid.nx != imm.grid.nx:
-            raise ConfigError("quadratic differential grid %dx%d does not "
-                              "match surface grid %dx%d"
-                              % (grid.ny, grid.nx, imm.grid.ny, imm.grid.nx))
-        return QuadDifferential(imm.grid, phi)
+        q = QuadDifferential(*read_qdiff_csv(config.qdiff_path))
+        try:
+            return QuadDifferential.coerce(imm.grid, q)
+        except ValueError as exc:
+            raise ConfigError("--qdiff %s: %s"
+                              % (config.qdiff_path, exc)) from exc
     if config.q is not None:
         return QuadDifferential.coerce(imm.grid, _parse_complex(config.q))
     if surf.q_known is not None:
@@ -564,7 +564,7 @@ def _check_io_roundtrip(n, seed, cylinder_pair):
         write_field_csv(path, gen.imm.grid, _position_fields(gen.imm))
         grid, pos = read_positions_csv(path)
     err = float(np.max(np.abs(pos - gen.imm.positions)))
-    same = grid.ny == gen.imm.grid.ny and grid.nx == gen.imm.grid.nx
+    same = grid.spec() == gen.imm.grid.spec()
     return err < 1e-12 and same, {"roundtrip_max_err": err}
 
 

@@ -116,8 +116,8 @@ def _infer_grid(x, y):
         if np.any(np.abs(d - d[0]) > 1e-9 * max(abs(d[0]), 1e-30)):
             raise ConfigError("CSV %s coordinates are not uniformly spaced"
                               % name)
-    grid = GridChart(nx, ny, float(xs[1] - xs[0]), float(ys[1] - ys[0]),
-                     float(xs[0]), float(ys[0]))
+    grid = GridChart.from_bounds(float(xs[0]), float(xs[-1]), float(ys[0]),
+                                 float(ys[-1]), nx, ny)
     return grid, np.searchsorted(ys, y), np.searchsorted(xs, x)
 
 

@@ -16,6 +16,8 @@ from quatsurf.bonnet import bonnet_pair
 from quatsurf.charts import build_immersion
 from quatsurf.cli import (_FLAGS, _KINDS, COMMANDS, ConfigError,
                           RunConfig, _parse_complex, main)
+from quatsurf.generators import CATALOG, make_surface
+from quatsurf.io import write_field_csv
 
 
 def read_report(outdir, command):
@@ -29,26 +31,34 @@ def last_stderr_json(capsys):
     return json.loads(err)
 
 
-def test_generate_then_analyze_file_input(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_generate_then_analyze_file_input(name, tmp_path):
     out = str(tmp_path / "gen")
-    assert main(["generate", "--generator", "cylinder", "--n", "33",
+    assert main(["generate", "--generator", name, "--n", "33",
                  "--outdir", out]) == 0
     rep = read_report(out, "generate")
-    assert rep["results"]["label"] == "cylinder"
+    assert rep["results"]["label"] == name
     assert rep["results"]["conformality_residual"] < 1e-3
-    assert os.path.exists(os.path.join(out, "cylinder_surface.obj"))
-    csv = os.path.join(out, "cylinder_fields.csv")
-    assert os.path.exists(csv)
+    assert os.path.exists(os.path.join(out, "%s_surface.obj" % name))
+    csv = os.path.join(out, "%s_fields.csv" % name)
 
-    out2 = str(tmp_path / "ana")
-    assert main(["analyze", "--input", csv, "--outdir", out2]) == 0
-    rep2 = read_report(out2, "analyze")
-    assert rep2["results"]["H"]["mean"] == pytest.approx(0.5, abs=1e-3)
+    ana = str(tmp_path / "ana")
+    assert main(["analyze", "--input", csv, "--outdir", ana]) == 0
+    rep2 = read_report(ana, "analyze")
     assert rep2["grid"] == rep["grid"]
+    if name == "cylinder":
+        assert rep2["results"]["H"]["mean"] == pytest.approx(0.5, abs=1e-3)
+        # the file's surface is closed for q = 1 at the default --closed-tol
+        assert main(["dual", "--input", csv, "--q", "1",
+                     "--outdir", str(tmp_path / "dual")]) == 0
 
-    # the file's surface is closed for q = 1 at the default --closed-tol
-    assert main(["dual", "--input", csv, "--q", "1",
-                 "--outdir", str(tmp_path / "dual")]) == 0
+    # the file reads back on the generator's grid, so analyzing it writes
+    # the bytes analyzing the generator does
+    assert main(["analyze", "--generator", name, "--n", "33",
+                 "--outdir", ana]) == 0
+    blobs = [open(os.path.join(ana, label + "_curvature.csv"), "rb").read()
+             for label in (name + "_fields", name)]
+    assert blobs[0] == blobs[1]
 
 
 def test_analyze_report_structure(tmp_path):
@@ -269,20 +279,6 @@ def test_flat_input(tmp_path):
     assert read_report(out, "dual")["results"]["classify"] == "dual_pair"
 
 
-def test_verify_all_is_byte_identical(tmp_path, capsys):
-    outs = [str(tmp_path / "v1"), str(tmp_path / "v2")]
-    for out in outs:
-        assert main(["verify", "--all", "--n", "33", "--outdir", out]) == 0
-    blobs = [open(os.path.join(o, "verify_report.json"), "rb").read()
-             for o in outs]
-    assert blobs[0] == blobs[1]
-    text = capsys.readouterr().out
-    assert "FAIL" not in text
-    rep = read_report(outs[0], "verify")
-    assert rep["results"]["passed"] is True
-    assert rep["results"]["failures"] == 0
-
-
 def test_verify_builds_the_cylinder_pair_once_per_run(tmp_path,
                                                       monkeypatch):
     import quatsurf.cli as cli
@@ -456,6 +452,27 @@ def test_qdiff_grid_mismatch_is_config_error(tmp_path, capsys):
     assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
                                                          "dual")
     assert "5x5" in payload["message"] and "17x17" in payload["message"]
+
+    # same node count, another chart: the sphere's grid under the cylinder
+    grid = make_surface("sphere", n=33).imm.grid
+    path = str(tmp_path / "phi_sphere.csv")
+    write_field_csv(path, grid, {"re_phi": np.ones((grid.ny, grid.nx)),
+                                 "im_phi": np.zeros((grid.ny, grid.nx))})
+    code = main(["dual", "--generator", "cylinder", "--n", "33",
+                 "--qdiff", path, "--outdir", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
+                                                         "dual")
+    cylinder = make_surface("cylinder", n=33).imm.grid
+    assert path in payload["message"]
+    assert all("spacing (%r, %r)" % (g.hx, g.hy) in payload["message"]
+               for g in (grid, cylinder))
+    # on the grid it was written on, the same file is accepted
+    assert main(["dual", "--generator", "sphere", "--n", "33",
+                 "--qdiff", path, "--outdir", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("kind, argv, names", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quatsurf import GridChart
+from quatsurf.generators import CATALOG, make_surface
 from quatsurf.io import (canonical_json, config_hash, ensure_outdir,
                          read_positions_csv, read_qdiff_csv, write_field_csv,
                          write_obj, write_report)
@@ -44,9 +45,7 @@ def test_write_obj_rejects_bad_shape(tmp_path):
         write_obj(tmp_path / "bad.obj", np.zeros((4, 4)))
 
 
-def test_positions_csv_roundtrip_exact(tmp_path):
-    grid = small_grid()
-    X, Y = grid.mesh()
+def assert_positions_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(11)
     pos = rng.standard_normal((grid.ny, grid.nx, 3))
     path = tmp_path / "p.csv"
@@ -56,6 +55,18 @@ def test_positions_csv_roundtrip_exact(tmp_path):
     # %.17g round-trips doubles exactly
     assert np.array_equal(pos2, pos)
     assert grid2.spec() == grid.spec()
+
+
+def test_positions_csv_roundtrip_exact(tmp_path):
+    assert_positions_roundtrip(tmp_path, small_grid())
+
+
+@pytest.mark.parametrize("n", [21, 33, 65])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_grid_csv_roundtrip_exact(tmp_path, name, n):
+    # a generator's grid reads back bit for bit, spacing and origin too,
+    # so the exact grid comparison accepts a file written on it
+    assert_positions_roundtrip(tmp_path, make_surface(name, n).imm.grid)
 
 
 def test_vector_field_columns(tmp_path):

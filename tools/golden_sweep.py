@@ -54,12 +54,11 @@ def _setup_plane():
         fh.write("x,y,px,py,pz\n" + "\n".join(rows) + "\n")
 
 
-def _setup_qdiff():
-    # phi = 1 on the unrotated cylinder's grid
-    grid = make_surface("cylinder", n=33).imm.grid
-    write_field_csv("qdiff.csv", grid,
-                    {"re_phi": np.ones((grid.ny, grid.nx)),
-                     "im_phi": np.zeros((grid.ny, grid.nx))})
+def _setup_qdiff(path="qdiff.csv", generator="cylinder"):
+    # phi = 1 on the unrotated n=33 grid of a catalog surface
+    grid = make_surface(generator, n=33).imm.grid
+    write_field_csv(path, grid, {"re_phi": np.ones((grid.ny, grid.nx)),
+                                 "im_phi": np.zeros((grid.ny, grid.nx))})
 
 
 def _setup_header_only():
@@ -162,6 +161,10 @@ CASES = [
      "generate --generator sphere --n 17 --param radius=2", None),
     ("error-qdiff-grid", 1,
      "dual --generator cylinder --n 17 --qdiff qdiff.csv", _setup_qdiff),
+    # as many nodes as the surface's grid, but another spacing and origin
+    ("error-qdiff-placement", 1,
+     "dual --generator cylinder --n 33 --qdiff qdiff_sphere.csv",
+     lambda: _setup_qdiff("qdiff_sphere.csv", "sphere")),
 ]
 
 
