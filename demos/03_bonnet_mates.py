@@ -28,9 +28,9 @@ def main():
         print("  %.1f   %.3e          %.3e      %.3f"
               % (eps, pair.metric_rel, dH, pair.congruence_rms))
         if eps == 1.0:
-            qs.write_obj(out + "/mate_plus.obj", pair.fplus.positions,
+            qs.write_obj(out + "/mate_plus.obj", qs.to_vec(pair.fplus),
                          comment="Bonnet mate, lam = f* + 1")
-            qs.write_obj(out + "/mate_minus.obj", pair.fminus.positions,
+            qs.write_obj(out + "/mate_minus.obj", qs.to_vec(pair.fminus),
                          comment="Bonnet mate, lam = f* - 1")
 
     pair = qs.bonnet_pair(gen.imm, dual, eps=1.0)

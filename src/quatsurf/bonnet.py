@@ -21,7 +21,7 @@ from .quaternions import (QForm, _qempty, _split_rows, from_real, qdot,
 # test (perfbench/tests/test_harness.py) checks its wrapper replaces this
 # `from .quaternions import` binding, so the name stays bound.
 from .quaternions import qmul  # noqa: F401
-from .charts import (_CHART_TOL, _UMBILIC_TOL, ChartImmersion, CurvatureData,
+from .charts import (_CHART_TOL, _UMBILIC_TOL, CurvatureData,
                      _relative, _same_grid, _symmetric_tensor, _umbilic_mask,
                      build_immersion, deriv_x, deriv_y, floored_relative,
                      form_rms, interior, rms, weingarten_split)
@@ -169,6 +169,11 @@ def _metric_tensor(form):
 class BonnetPair:
     """The two mates and their comparison diagnostics.
 
+    fplus/fminus hold the mates' imaginary-quaternion positions, shape
+    (ny, nx, 4), as DualResult.fstar holds the dual's; their frames are
+    dropped once read, and build_immersion(grid, to_vec(pair.fplus))
+    rebuilds a mate's frame with the same bits.
+
     metric_rel compares the induced metrics of the two transform forms
     (exact algebra, so it tests the |lam+| = |lam-| identity, not the
     integrator); Hplus/Hminus come from finite differences on the
@@ -183,8 +188,8 @@ class BonnetPair:
     """
 
     eps: float
-    fplus: ChartImmersion
-    fminus: ChartImmersion
+    fplus: np.ndarray
+    fminus: np.ndarray
     Hplus: np.ndarray
     Hminus: np.ndarray
     D: QuadDifferential
@@ -225,14 +230,16 @@ def bonnet_pair(imm, dual, eps, closed_tol=_CLOSED_TOL,
         # exact in lam and the background, so D is two derivative levels
         # cleaner than anything extracted from re-differentiated
         # integrals.  lam, the frame, omega and dN are dropped once
-        # read, so at most one sign's intermediates are alive at a time.
+        # read, and of the mate only its positions are kept, so at most
+        # one sign's intermediates are alive at a time.
         frame = _spin_frame(imm, lam)
         del lam
         rec = max(rec, rms(qnorm(mate.N - frame.N)))
-        metric.append(_metric_tensor(frame.df))
+        mates.append(mate.f)
+        del mate
         curv.append(replace(weingarten_split(frame), omega=None, dN=None))
+        metric.append(_metric_tensor(frame.df))
         del frame
-        mates.append(mate)
         reports.append(report)
 
     # Coefficient of the (second fundamental form) difference against
@@ -255,7 +262,7 @@ def bonnet_pair(imm, dual, eps, closed_tol=_CLOSED_TOL,
     D_cr_rel = floored_relative(imm.grid, rms(trim(cr)), gscale,
                                 rms(np.abs(Dphi)))
 
-    cong = congruence_distance(mates[0].positions, mates[1].positions)
+    cong = congruence_distance(to_vec(mates[0]), to_vec(mates[1]))
     metric_rel = _relative(rms(metric[0] - metric[1]), rms(metric[0]))
     return BonnetPair(eps, *mates, *H, D, *curv, metric_rel, D_cr_rel, cong,
                       rec, {"plus": reports[0], "minus": reports[1]})

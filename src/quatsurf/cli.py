@@ -26,7 +26,7 @@ from .charts import (_CHART_TOL, _UMBILIC_TOL, GridChart,
                      anticonformality_residual, build_immersion, field_stats,
                      interior, relate_hopf, rms, tangentiality_residual,
                      umbilics, weingarten_residual, weingarten_split)
-from .quaternions import qconj, qmul, qnorm, quat
+from .quaternions import qconj, qmul, qnorm, quat, to_vec
 from .quaddiff import QuadDifferential, check_holomorphic
 from .duality import (_CLASSIFY_TOL, _CLOSED_TOL, classify_christoffel,
                       integrate_dual, verify_duality)
@@ -380,9 +380,9 @@ def _cmd_bonnet(config, outdir):
                                     _load_qdiff(config, surf))
     corr = umbilic_branch_correspondence(pair, dual, tol=config.umbilic_tol)
     write_obj(os.path.join(outdir, "%s_mate_plus.obj" % surf.name),
-              pair.fplus.positions, comment="mate at +eps")
+              to_vec(pair.fplus), comment="mate at +eps")
     write_obj(os.path.join(outdir, "%s_mate_minus.obj" % surf.name),
-              pair.fminus.positions, comment="mate at -eps")
+              to_vec(pair.fminus), comment="mate at -eps")
     results.update(label=surf.name, umbilic_branch_match=corr["all_match"],
                    distortion_zeros=_nodes_list(corr["distortion_zeros"]))
     return results, surf.imm.grid

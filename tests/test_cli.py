@@ -754,8 +754,16 @@ def golden_sweep():
     return sweep
 
 
+@pytest.fixture(scope="module")
+def swept(golden_sweep, tmp_path_factory):
+    """(outdir, broken cases) of one golden sweep, shared by the tests
+    that read it."""
+    outdir = str(tmp_path_factory.mktemp("golden"))
+    return outdir, golden_sweep.main_sweep(outdir)
+
+
 def test_golden_sweep_covers_every_command_kind_and_flag(golden_sweep,
-                                                         tmp_path):
+                                                         swept):
     argvs = [argv for _, _, argv, _ in golden_sweep.CASES]
     words = {word for argv in argvs for word in argv.split()}
     # every case also gets --outdir
@@ -764,7 +772,20 @@ def test_golden_sweep_covers_every_command_kind_and_flag(golden_sweep,
         assert any(argv.startswith("converge --kind %s " % kind)
                    for argv in argvs)
     # every case gives its expected exit code, and its one JSON error line
-    assert golden_sweep.main_sweep(str(tmp_path)) == []
+    assert swept[1] == []
+
+
+def test_golden_sweep_matches_the_committed_manifest(golden_sweep, swept):
+    # a change that moves an output regenerates the manifest with
+    # `python tools/golden_sweep.py OUTDIR --manifest tools/golden.sha256`
+    manifest = os.path.normpath(os.path.join(
+        os.path.dirname(golden_sweep.__file__), "golden.sha256"))
+    env, moved = golden_sweep.manifest_differences(swept[0], manifest)
+    if env:
+        pytest.skip("the manifest was written under %s, this is %s"
+                    % (", ".join(env), ", ".join(golden_sweep.environment())))
+    assert moved == [], "sweep files that differ from %s: %s" % (
+        manifest, ", ".join(moved))
 
 
 def test_golden_sweep_names_a_case_with_another_exit_code(golden_sweep,

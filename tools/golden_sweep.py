@@ -1,7 +1,7 @@
 """Run a fixed list of CLI invocations, keep everything each one leaves,
 and check each exit against the command-line contract.
 
-    python tools/golden_sweep.py OUTDIR
+    python tools/golden_sweep.py OUTDIR [--manifest PATH]
 
 Every case runs through ``quatsurf.cli.main`` in this process, with the
 working directory set to its own subdirectory ``OUTDIR/NN-name`` and
@@ -27,12 +27,24 @@ E)`` and exits 1.
 Two sweeps of the same tree must agree byte for byte (``diff -r``); a
 sweep of a change against one of its parent shows every output the
 change moved.
+
+    python tools/golden_sweep.py OUTDIR --manifest tools/golden.sha256
+
+also writes the manifest of the sweep: a header naming the Python and
+numpy versions and the machine, then one ``sha256 size path`` line per
+file under OUTDIR, sorted by path.  The committed ``tools/golden.sha256``
+is the manifest of this tree; the test suite hashes its own sweep
+against it, so a change that moves an output regenerates it and the
+diff of the manifest lists the moved files.
 """
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import warnings
 
@@ -225,9 +237,56 @@ def main_sweep(outdir):
     return broken
 
 
+def environment():
+    """The manifest header: what the bytes of a sweep depend on besides
+    the code."""
+    return ["# python %s" % platform.python_version(),
+            "# numpy %s" % np.__version__,
+            "# machine %s" % platform.machine()]
+
+
+def manifest(outdir):
+    """The manifest lines of the sweep in ``outdir``: the environment,
+    then ``sha256 size path`` per file, sorted by path (with forward
+    slashes)."""
+    lines = []
+    for root, _, files in os.walk(outdir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            rel = os.path.relpath(path, outdir).replace(os.sep, "/")
+            lines.append((rel, "%s %d %s" % (hashlib.sha256(data).hexdigest(),
+                                             len(data), rel)))
+    return environment() + [line for _, line in sorted(lines)]
+
+
+def manifest_differences(outdir, path):
+    """Compare the sweep in ``outdir`` with the manifest at ``path``.
+
+    Returns (header lines of the manifest that this environment does not
+    match, paths that differ); a path differs when its hash or size
+    moved or when it is on one side only."""
+    with open(path) as fh:
+        want = fh.read().splitlines()
+    got = manifest(outdir)
+    env = [line for line in want if line.startswith("#") and line not in got]
+    want, got = ({line.split(" ", 2)[2]: line for line in lines
+                  if not line.startswith("#")} for lines in (want, got))
+    return env, sorted(rel for rel in want.keys() | got.keys()
+                       if want.get(rel) != got.get(rel))
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tools/golden_sweep.py OUTDIR")
-    broken = main_sweep(sys.argv[1])
+    parser = argparse.ArgumentParser(
+        description="Run the golden sweep into OUTDIR.")
+    parser.add_argument("outdir")
+    parser.add_argument("--manifest", metavar="PATH",
+                        help="also write the manifest of the sweep to PATH")
+    args = parser.parse_args()
+    broken = main_sweep(args.outdir)
+    if args.manifest:
+        with open(args.manifest, "w") as fh:
+            fh.write("\n".join(manifest(args.outdir)) + "\n")
     if broken:
         sys.exit("\n".join(broken))
