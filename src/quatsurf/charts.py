@@ -39,7 +39,9 @@ class GridChart:
 
     @classmethod
     def from_bounds(cls, x0, x1, y0, y1, nx, ny):
-        return cls(nx, ny, (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1), x0, y0)
+        # max(): a count below 2 meets the node count check, not 1 / 0
+        return cls(nx, ny, (x1 - x0) / max(nx - 1, 1),
+                   (y1 - y0) / max(ny - 1, 1), x0, y0)
 
     @property
     def xs(self):

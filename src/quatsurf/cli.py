@@ -56,6 +56,10 @@ _TOLERANCES = ("closed_tol", "chart_tol", "umbilic_tol", "classify_tol",
 # errors that end a run as a numerical failure (exit 2)
 _NUMERICAL = (ValueError, RuntimeError, np.linalg.LinAlgError)
 
+# grid nodes per side when n is unset (RunConfig.n is None); verify's checks
+# run on a smaller grid
+_N_DEFAULT, _N_VERIFY = 65, 33
+
 
 @dataclass
 class RunConfig:
@@ -77,7 +81,7 @@ class RunConfig:
     eps: float = 1.0
     row: int | None = None
     steps: int = 8
-    n: int = 65
+    n: int | None = None
     closed_tol: float = _CLOSED_TOL
     chart_tol: float = _CHART_TOL
     umbilic_tol: float = _UMBILIC_TOL
@@ -92,6 +96,8 @@ class RunConfig:
     def __post_init__(self):
         self.params = dict(self.params or {})
         self.checks = list(self.checks or [])
+        if self.n is None:
+            self.n = _N_VERIFY if self.command == "verify" else _N_DEFAULT
         self.validate()
 
     def validate(self):
@@ -448,7 +454,7 @@ def _cmd_converge(config, outdir):
 # verify: a registry of fast self-checks
 
 
-def _check_quaternion_algebra(n, seed, cylinder_pair):
+def _check_quaternion_algebra(seed, surface, cylinder):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((64, 4))
     b = rng.standard_normal((64, 4))
@@ -462,30 +468,26 @@ def _check_quaternion_algebra(n, seed, cylinder_pair):
     return worst < 1e-12, {"max_residual": worst}
 
 
-def _check_weingarten(n, seed, cylinder_pair):
-    gen = make_surface("cylinder", n=n)
-    curv = weingarten_split(gen.imm)
-    _, wrel = weingarten_residual(gen.imm, curv)
-    h = field_stats(curv.H)
-    ok = wrel < 1e-3 and abs(h["mean"] - 0.5) < 1e-3
-    return ok, {"weingarten_rel": wrel, "H_mean": h["mean"]}
+def _check_weingarten(seed, surface, cylinder):
+    _, res = cylinder(_analyze)
+    wrel, h_mean = res["weingarten_rel"], res["H"]["mean"]
+    ok = wrel < 1e-3 and abs(h_mean - 0.5) < 1e-3
+    return ok, {"weingarten_rel": wrel, "H_mean": h_mean}
 
 
-def _check_hopf(n, seed, cylinder_pair):
-    gen = make_surface("cylinder", n=n)
-    curv = weingarten_split(gen.imm)
-    _, hrel = relate_hopf(gen.imm, curv)
+def _check_hopf(seed, surface, cylinder):
+    curv, res = cylinder(_analyze)
+    hrel = res["hopf_consistency_rel"]
     # loose tol: the coefficient comes from differentiated samples, so
     # one-sided stencils inflate its CR residual near the boundary
-    worst = check_holomorphic(QuadDifferential(gen.imm.grid, curv.hopf_qd),
-                              tol=5e-3)
+    grid = surface("cylinder").imm.grid
+    worst = check_holomorphic(QuadDifferential(grid, curv.hopf_qd), tol=5e-3)
     return hrel < 1e-3, {"hopf_consistency_rel": hrel, "cr_worst": worst}
 
 
-def _check_dual_roundtrip(n, seed, cylinder_pair):
-    gen = make_surface("cylinder", n=n)
-    dual = integrate_dual(gen.imm, gen.q_known)
-    istar = dual.as_immersion()
+def _check_dual_roundtrip(seed, surface, cylinder):
+    gen = surface("cylinder")
+    istar = cylinder(_dual)[0].as_immersion()
     flip = float(rms(interior(qnorm(istar.N + gen.imm.N))))
     dual2 = integrate_dual(istar, gen.q_known)
     sim = similarity_distance(dual2.positions, gen.imm.positions)
@@ -493,51 +495,39 @@ def _check_dual_roundtrip(n, seed, cylinder_pair):
     return ok, {"normal_flip_rms": flip, "roundtrip_similarity": sim}
 
 
-def _check_catenoid_dual(n, seed, cylinder_pair):
-    gen = make_surface("catenoid", n=n)
+def _check_catenoid_dual(seed, surface, cylinder):
+    gen = surface("catenoid")
     dual = integrate_dual(gen.imm, gen.q_known)
     err = _centred_rms(dual.positions, gen.dual_known)
     size = _centred_rms(gen.dual_known, np.zeros(3))  # RMS radius
     return err < 1e-3 * max(size, 1.0), {"dual_vs_gauss_rms": err}
 
 
-def _check_classify(n, seed, cylinder_pair):
-    cyl = make_surface("cylinder", n=n)
-    cat = make_surface("catenoid", n=n)
-    scaled = build_immersion(cyl.imm.grid, 2.0 * cyl.imm.positions + 0.25)
-    dual = integrate_dual(cyl.imm, cyl.q_known).as_immersion()
-    got = (classify_christoffel(cyl.imm, scaled),
-           classify_christoffel(cyl.imm, dual),
-           classify_christoffel(cyl.imm, cat.imm))
+def _check_classify(seed, surface, cylinder):
+    cyl = surface("cylinder").imm
+    scaled = build_immersion(cyl.grid, 2.0 * cyl.positions + 0.25)
+    dual = cylinder(_dual)[0].as_immersion()
+    got = (classify_christoffel(cyl, scaled),
+           classify_christoffel(cyl, dual),
+           classify_christoffel(cyl, surface("catenoid").imm))
     want = ("scaling", "dual_pair", "unrelated")
     return got == want, {"got": list(got), "want": list(want)}
 
 
-def _cylinder_pair(n):
-    """The cylinder's (imm, dual, eps = 1 pair); verify builds it once."""
-    gen = make_surface("cylinder", n=n)
-    dual = integrate_dual(gen.imm, gen.q_known)
-    return gen.imm, dual, bonnet_pair(gen.imm, dual, 1.0)
+def _check_bonnet(seed, surface, cylinder):
+    res = cylinder(_bonnet)[1]
+    return (res["metric_rel"] < 1e-8 and res["noncongruent"],
+            {name: res[name] for name in ("metric_rel", "congruence_rms")})
 
 
-def _check_bonnet(n, seed, cylinder_pair):
-    imm, _, pair = cylinder_pair(n)
-    ok = (pair.metric_rel < 1e-8
-          and pair.congruence_rms > 1e-3 * imm.diameter())
-    return ok, {"metric_rel": pair.metric_rel,
-                "congruence_rms": pair.congruence_rms}
-
-
-def _check_distortion(n, seed, cylinder_pair):
-    imm, dual, pair = cylinder_pair(n)
-    _, rel = shape_distortion_check(imm, dual, pair)
+def _check_distortion(seed, surface, cylinder):
+    rel = cylinder(_bonnet)[1]["distortion_identity_rel"]
     return rel < 0.05, {"distortion_identity_rel": rel}
 
 
-def _check_march(n, seed, cylinder_pair):
-    gen = make_surface("cylinder", n=n, rotation=np.pi / 4)
-    q = QuadDifferential.coerce(gen.imm.grid, 1j)
-    prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
+def _check_march(seed, surface, cylinder):
+    imm = surface("cylinder", rotation=np.pi / 4).imm
+    prob = CauchyProblem(imm, 1j, imm.grid.ny // 2)
     spin = march_solve(prob, 4)
     lo, hi = spin.band_rows()
     dev = float(np.max(qnorm(spin.lam[lo:hi + 1]
@@ -545,10 +535,9 @@ def _check_march(n, seed, cylinder_pair):
     return dev < 1e-3, {"spin_dev_max": dev}
 
 
-def _check_characteristic_reject(n, seed, cylinder_pair):
-    gen = make_surface("cylinder", n=n, rotation=np.pi / 4)
-    q = QuadDifferential.coerce(gen.imm.grid, 1.0 + 0.0j)
-    prob = CauchyProblem(gen.imm, q, gen.imm.grid.ny // 2)
+def _check_characteristic_reject(seed, surface, cylinder):
+    imm = surface("cylinder", rotation=np.pi / 4).imm
+    prob = CauchyProblem(imm, 1.0 + 0.0j, imm.grid.ny // 2)
     try:
         check_wellposed(prob)
     except ValueError:
@@ -556,15 +545,15 @@ def _check_characteristic_reject(n, seed, cylinder_pair):
     return False, {"rejected": False}
 
 
-def _check_io_roundtrip(n, seed, cylinder_pair):
+def _check_io_roundtrip(seed, surface, cylinder):
     import tempfile
-    gen = make_surface("cylinder", n=n)
+    imm = surface("cylinder").imm
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surf.csv")
-        write_field_csv(path, gen.imm.grid, _position_fields(gen.imm))
+        write_field_csv(path, imm.grid, _position_fields(imm))
         grid, pos = read_positions_csv(path)
-    err = float(np.max(np.abs(pos - gen.imm.positions)))
-    same = grid.spec() == gen.imm.grid.spec()
+    err = float(np.max(np.abs(pos - imm.positions)))
+    same = grid.spec() == imm.grid.spec()
     return err < 1e-12 and same, {"roundtrip_max_err": err}
 
 
@@ -586,10 +575,23 @@ VERIFY_CHECKS = [
 def _cmd_verify(config, outdir):
     selected = [(m, f) for m, f in VERIFY_CHECKS
                 if not config.checks or m in config.checks]
-    outcomes, cylinder_pair = {}, functools.cache(_cylinder_pair)
+
+    # per-run memos, so each is built once: a catalog surface at the run's
+    # n, and a command stage on the cylinder (with its q where it takes one)
+    @functools.cache
+    def surface(name, **params):
+        return make_surface(name, n=config.n, **params)
+
+    @functools.cache
+    def cylinder(stage):
+        gen = surface("cylinder")
+        return stage(config, gen.imm, *(() if stage is _analyze
+                                         else (gen.q_known,)))
+
+    outcomes = {}
     for name, fn in selected:
         try:
-            passed, metrics = fn(config.n, config.seed, cylinder_pair)
+            passed, metrics = fn(config.seed, surface, cylinder)
         except ConfigError:
             raise
         except _NUMERICAL as exc:  # a check that raises fails; the rest run
@@ -719,8 +721,8 @@ _FLAGS = {
                     metavar="KEY=VALUE",
                     help="numeric generator parameter (repeatable)"),
     "--input": dict(dest="input_path", help="CSV with columns x,y,px,py,pz"),
-    "--n": dict(type=int, help="grid nodes per side (default %d, verify 33)"
-                % RunConfig.n),
+    "--n": dict(type=int, help="grid nodes per side (default %d, verify %d)"
+                % (_N_DEFAULT, _N_VERIFY)),
     "--outdir": dict(help="artifact directory (or set $%s)" % OUTDIR_ENV),
     "--q": dict(help="constant quadratic differential coefficient, "
                      "e.g. '1j' or '0.5+0.5j'"),
@@ -793,7 +795,6 @@ def _build_parser():
                            argument_default=argparse.SUPPRESS)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-    sub.choices["verify"].set_defaults(n=33)
     return parser
 
 

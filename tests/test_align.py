@@ -76,3 +76,9 @@ def test_shape_mismatch_rejected():
     b = RNG.standard_normal((11, 3))
     with pytest.raises(ValueError):
         rigid_align(a, b)
+
+
+def test_points_need_a_trailing_axis_of_3():
+    with pytest.raises(ValueError, match="^expected points with a trailing "
+                       "axis of length 3$"):
+        rigid_align(np.zeros((5, 2)), np.zeros((5, 2)))

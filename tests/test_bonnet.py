@@ -96,6 +96,10 @@ def test_spin_field_band_validation(surf):
     with pytest.raises(ValueError, match=r"\(j=12, i=7\)"):
         SpinField(g.imm.grid, zeroed, row_span=(10, 20))
 
+    with pytest.raises(ValueError,
+                       match="^spin field shape does not match the grid$"):
+        SpinField(g.imm.grid, lam[:, 1:])
+
 
 def test_bonnet_pair_cylinder(surf, dual_of):
     g = surf("cylinder")
@@ -201,6 +205,9 @@ def test_bonnet_pair_rejects_bad_eps(surf, dual_of):
     for eps in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive"):
             qs.bonnet_pair(g.imm, dual, eps=eps)
+    with pytest.raises(ValueError, match="^eps on the singular sphere: "
+                       "the spin factor vanishes at a node$"):
+        qs.bonnet_pair(g.imm, dual, eps=1e-14)
 
 
 def test_distortion_pairs_with_rotated_dual(surf, dual_of):

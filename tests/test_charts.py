@@ -57,6 +57,25 @@ def test_grid_chart_rejects_non_finite_geometry(bad):
         GridChart(**spec)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"nx": 4}, "grid needs nx, ny >= 5 for the stencils"),
+    ({"hx": 0.0}, "grid spacings must be positive"),
+    ({"hy": -0.1}, "grid spacings must be positive"),
+])
+def test_grid_chart_refuses_few_nodes_and_non_positive_spacing(bad, message):
+    spec = {"nx": 9, "ny": 9, "hx": 0.1, "hy": 0.1}
+    spec.update(bad)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        GridChart(**spec)
+
+
+def test_from_bounds_refuses_one_node_as_the_grid_does():
+    # one node would make the spacing a zero division
+    with pytest.raises(ValueError,
+                       match="^grid needs nx, ny >= 5 for the stencils$"):
+        GridChart.from_bounds(0, 1, 0, 1, 1, 9)
+
+
 def test_derivative_convergence_is_fourth_order():
     errs = []
     for n in (33, 65):

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from quatsurf.bonnet import bonnet_pair
 from quatsurf.charts import build_immersion
 from quatsurf.cli import (_FLAGS, _KINDS, COMMANDS, ConfigError,
-                          RunConfig, _parse_complex, main)
+                          RunConfig, _parse_complex, main, run)
 from quatsurf.generators import CATALOG, make_surface
-from quatsurf.io import write_field_csv
+from quatsurf.io import write_field_csv, write_report
 
 
 def read_report(outdir, command):
@@ -284,9 +284,9 @@ def test_verify_builds_the_cylinder_pair_once_per_run(tmp_path,
     import quatsurf.cli as cli
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return bonnet_pair(*args)
+        return bonnet_pair(*args, **kwargs)
 
     monkeypatch.setattr(cli, "bonnet_pair", counted)
     out = str(tmp_path / "all")
@@ -301,6 +301,36 @@ def test_verify_builds_the_cylinder_pair_once_per_run(tmp_path,
         assert len(calls) == k + 2
         checks = read_report(out, "verify")["results"]["checks"]
         assert checks == {check: everything[check]}
+
+
+def test_verify_builds_each_surface_once_per_run(tmp_path, monkeypatch):
+    import quatsurf.cli as cli
+    calls = {"make_surface": 0, "integrate_dual": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["verify", "--all", "--n", "33",
+                 "--outdir", str(tmp_path)]) == 0
+    # the cylinder, the catenoid and the rotated cylinder; the duals of
+    # the dual and bonnet stages, of the cylinder's dual and of the
+    # catenoid
+    assert calls == {"make_surface": 3, "integrate_dual": 4}
+
+
+def test_verify_bonnet_check_reads_the_bonnet_command_figures(tmp_path):
+    assert main(["verify", "--check", "bonnet_cylinder", "--n", "33",
+                 "--outdir", str(tmp_path / "v")]) == 0
+    check = read_report(str(tmp_path / "v"),
+                        "verify")["results"]["checks"]["bonnet_cylinder"]
+    assert main(["bonnet", "--generator", "cylinder", "--n", "33", "--eps",
+                 "1", "--outdir", str(tmp_path / "b")]) == 0
+    bonnet = read_report(str(tmp_path / "b"), "bonnet")["results"]
+    assert check["metrics"] == {"metric_rel": bonnet["metric_rel"],
+                                "congruence_rms": bonnet["congruence_rms"]}
+    # the check passes on the command's own noncongruence verdict
+    assert check["passed"] and bonnet["noncongruent"] is True
 
 
 def test_verify_reports_the_cylinder_grid_without_sampling_it(tmp_path,
@@ -370,7 +400,20 @@ def test_parse_complex():
         _parse_complex("nope")
 
 
-def test_runconfig_validation():
+def test_grid_size_default_has_one_home(tmp_path):
+    assert RunConfig(command="verify").n == 33
+    assert RunConfig(command="analyze", generator="cylinder").n == 65
+    # a configuration built in code runs verify on the CLI's grid
+    assert run(RunConfig(command="verify", checks=["io_roundtrip"],
+                         outdir=str(tmp_path / "code"))) == 0
+    assert main(["verify", "--check", "io_roundtrip",
+                 "--outdir", str(tmp_path / "cli")]) == 0
+    grids = [read_report(str(tmp_path / d), "verify")["grid"]
+             for d in ("code", "cli")]
+    assert grids[0] == grids[1] and grids[0]["nx"] == 33
+
+
+def test_runconfig_validation(tmp_path):
     with pytest.raises(ConfigError, match="n"):
         RunConfig(command="analyze", generator="cylinder", n=3).validate()
     with pytest.raises(ConfigError):
@@ -386,6 +429,15 @@ def test_runconfig_validation():
     # as the --check flag is
     with pytest.raises(ConfigError, match="unknown check 'nope'"):
         RunConfig(command="verify", checks=["quaternion_algebra", "nope"])
+    # converge has no --qdiff flag, but a RunConfig built in code can name
+    # a file
+    path = tmp_path / "qdiff.csv"
+    path.write_text("x,y,re_phi,im_phi\n")
+    with pytest.raises(ConfigError, match="^converge cannot refine a fixed "
+                       "--qdiff file; use --q or a generator with a known "
+                       "differential$"):
+        RunConfig(command="converge", kind="dual", generator="cylinder",
+                  qdiff_path=str(path))
     cfg = RunConfig(command="analyze", generator="cylinder")
     cfg.validate()
     d = cfg.as_dict()
@@ -396,24 +448,61 @@ IVP = ["--generator", "cylinder", "--n", "17",
        "--param", "rotation=0.7853981633974483", "--q", "1j"]
 
 
-@pytest.mark.parametrize("argv, operation", [
+@pytest.mark.parametrize("argv, operation, message", [
     (["dual", "--generator", "cylinder", "--n", "17", "--q", "bogus"],
-     "parse"),
-    (["solve-ivp"] + IVP + ["--row", "99"], "solve-ivp"),
-    (["verify", "--check", "nope"], "parse"),
+     "parse", "--q must be a finite complex number"),
+    (["solve-ivp"] + IVP + ["--row", "99"], "solve-ivp",
+     "row 99 outside grid (ny=17)"),
+    (["verify", "--check", "nope"], "parse", "unknown check 'nope'"),
     (["converge", "--kind", "ivp", "--levels", "2"] + IVP + ["--row", "99"],
-     "converge"),
-], ids=["dual-q", "solve-ivp-row", "verify-check", "converge-row"])
-def test_cli_errors_name_the_command(argv, operation, tmp_path, capsys):
+     "converge", "row 99 outside grid (ny=17)"),
+    (["converge", "--kind", "dual", "--generator", "cylinder", "--levels",
+      "0"], "parse", "levels must be at least 1"),
+    (["solve-ivp", "--generator", "cylinder", "--steps", "0"], "parse",
+     "steps must be at least 1"),
+    (["dual", "--q", "1"], "parse",
+     "command 'dual' needs --generator or --input"),
+    (["converge", "--kind", "dual"], "parse", "converge resamples the "
+     "surface at each level and therefore needs --generator"),
+    (["verify", "--seed", "-1"], "parse", "seed must be non-negative"),
+], ids=["dual-q", "solve-ivp-row", "verify-check", "converge-row",
+        "levels-0", "steps-0", "dual-no-source", "converge-no-generator",
+        "seed-negative"])
+def test_cli_errors_name_the_command(argv, operation, message, tmp_path,
+                                     capsys):
     # flag values are refused before the outdir exists; a --row outside
     # the grid only once the surface is read
     code = main(argv + ["--outdir", str(tmp_path / "o")])
     assert code == 1
-    payload = last_stderr_json(capsys)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["message"].startswith(message)
     assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
     assert (payload["module"], payload["operation"]) \
         == ("quatsurf.cli", operation)
     assert (tmp_path / "o").exists() == (operation != "parse")
+
+
+def test_dual_of_an_input_file_needs_a_differential(tmp_path, capsys):
+    imm = make_surface("cylinder", n=17).imm
+    path = str(tmp_path / "surf.csv")
+    write_field_csv(path, imm.grid, {"px": imm.positions[..., 0],
+                                     "py": imm.positions[..., 1],
+                                     "pz": imm.positions[..., 2]})
+    out = tmp_path / "o"
+    assert main(["dual", "--input", path, "--outdir", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["message"] == ("no quadratic differential: pass --q or "
+                                  "--qdiff, or use a generator with a "
+                                  "known one")
+    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
+                                                         "dual")
+    # the surface was read before the differential was looked for
+    assert out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -786,6 +875,34 @@ def test_golden_sweep_matches_the_committed_manifest(golden_sweep, swept):
                     % (", ".join(env), ", ".join(golden_sweep.environment())))
     assert moved == [], "sweep files that differ from %s: %s" % (
         manifest, ", ".join(moved))
+
+
+def test_golden_sweep_keeps_reports_at_full_precision(golden_sweep, tmp_path,
+                                                     monkeypatch):
+    import quatsurf.cli as cli
+    _, _, argv, setup = next(case for case in golden_sweep.CASES
+                             if case[0] == "bonnet-cylinder")
+    golden_sweep.run_case(str(tmp_path / "a"), argv, setup)
+    stage = cli._bonnet
+
+    def nudged(*args):
+        objects, results = stage(*args)
+        results["metric_rel"] = float(np.nextafter(results["metric_rel"],
+                                                   1.0))
+        return objects, results
+
+    monkeypatch.setattr(cli, "_bonnet", nudged)
+    golden_sweep.run_case(str(tmp_path / "b"), argv, setup)
+    # the sweep puts the CLI's own writer back after each case
+    assert cli.write_report is write_report
+
+    def read(case, suffix):
+        path = tmp_path / case / "out" / ("bonnet_report" + suffix)
+        return path.read_bytes()
+
+    # the report rounds the one-ulp change away; its full copy keeps it
+    assert read("a", ".json") == read("b", ".json")
+    assert read("a", ".full.json") != read("b", ".full.json")
 
 
 def test_golden_sweep_names_a_case_with_another_exit_code(golden_sweep,

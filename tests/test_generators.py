@@ -135,3 +135,19 @@ def test_import_loads_no_scipy():
 def test_unknown_parameter_rejected():
     with pytest.raises(TypeError):
         make_surface("cylinder", n=33, wavelength=2.0)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_one_node_is_refused_as_the_grid_refuses_it(name):
+    with pytest.raises(ValueError,
+                       match="^grid needs nx, ny >= 5 for the stencils$"):
+        make_surface(name, n=1)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("enneper", {"order": 0}, "order must be >= 1"),
+    ("unduloid", {"neck": 2.0, "bulge": 1.0}, "need 0 < neck <= bulge"),
+])
+def test_out_of_range_shape_parameter_is_refused(name, params, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        make_surface(name, n=9, **params)

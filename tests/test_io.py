@@ -93,6 +93,12 @@ def test_field_csv_rejects_complex_field(tmp_path):
                         {"phi": np.zeros((6, 5), dtype=complex)})
 
 
+def test_field_csv_rejects_a_rank_4_field(tmp_path):
+    with pytest.raises(ValueError, match="^field 't' has unsupported rank$"):
+        write_field_csv(tmp_path / "t.csv", small_grid(),
+                        {"t": np.zeros((6, 5, 2, 2))})
+
+
 def test_qdiff_csv_roundtrip(tmp_path):
     grid = small_grid()
     rng = np.random.default_rng(3)

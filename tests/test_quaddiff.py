@@ -155,3 +155,25 @@ def test_form_from_qdiff_is_anticonformal_and_tangential(surf):
     # tangential: values anticommute with N
     anti = qmul(imm.N, tau.ax) + qmul(tau.ax, imm.N)
     assert np.max(np.abs(anti)) < 1e-10
+
+
+def test_non_finite_phi_is_refused():
+    grid = centered_grid(9)
+    phi = np.ones((9, 9), dtype=complex)
+    phi[4, 4] = np.nan
+    with pytest.raises(ValueError, match="^phi must be finite$"):
+        QuadDifferential(grid, phi)
+
+
+def test_qdiff_from_form_refuses_a_form_off_the_hopf_type(surf):
+    imm = surf("cylinder", 33).imm
+    # df is conformal, not anti-conformal
+    with pytest.raises(ValueError, match="^form is not anti-conformal for "
+                       "this immersion$"):
+        qdiff_from_form(imm, qs.QForm(imm.fx, imm.fy))
+    # tau(d/dy) = -N tau(d/dx) is anti-conformal, but tau(d/dx) = 1 is real
+    one = np.zeros_like(imm.N)
+    one[..., 0] = 1.0
+    with pytest.raises(ValueError, match="^form is not tangential for "
+                       "this immersion$"):
+        qdiff_from_form(imm, qs.QForm(one, -imm.N))

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from quatsurf.quaternions import (QForm, anticonformal_defect, from_real,
+from quatsurf.quaternions import (QForm, anticonformal_defect,
+                                  check_unit_imaginary, from_real,
                                   from_vec, qconj, qdot, qinv, qiszero, qmul,
                                   qnorm, qnormsq, quat, split_conformal,
                                   split_tangential, split_value, star,
@@ -161,6 +162,16 @@ def test_tangential_split():
     comm = qmul(N, perp.ax) - qmul(perp.ax, N)
     assert np.max(qnorm(anti)) < 1e-12
     assert np.max(qnorm(comm)) < 1e-12
+
+
+def test_check_unit_imaginary_refuses_a_real_part_then_a_length():
+    N = np.tile(I, (9, 9, 1))
+    real = N.copy()
+    real[4, 4, 0] = 1e-6
+    with pytest.raises(ValueError, match="^normal field has a real part$"):
+        check_unit_imaginary(real)
+    with pytest.raises(ValueError, match="^normal field is not unit length$"):
+        check_unit_imaginary(1.001 * N)
 
 
 def test_value_splits_are_complementary():
