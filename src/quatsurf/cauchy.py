@@ -147,6 +147,9 @@ def check_wellposed(prob, det_tol=_DET_TOL):
     Evaluates the normalized symbol determinant for the row conormal
     xi = (0, 1) at every node of the row and the angular margin between
     the row and the stretch foliations; raises on a characteristic row.
+    The determinant is |sin 2 theta| to fourth order (theta the row's angle
+    to the horizontal foliation), at least sin 10 deg ~ 0.174 on a row the
+    margin accepts: only a det_tol above that decides, the default never.
     """
     dets = symbol(prob.imm, prob.tau, (prob.row, slice(None)),
                   (0.0, 1.0)).normalized_det()

@@ -53,8 +53,10 @@ _NODE_RE = re.compile(r"\(j=(\d+),\s*i=(\d+)\)")
 _TOLERANCES = ("closed_tol", "chart_tol", "umbilic_tol", "classify_tol",
                "det_tol")
 
-# errors that end a run as a numerical failure (exit 2)
-_NUMERICAL = (ValueError, RuntimeError, np.linalg.LinAlgError)
+# errors that end a run as a numerical failure (exit 2), ArithmeticError
+# for the FloatingPointError of run()'s np.errstate
+_NUMERICAL = (ValueError, RuntimeError, ArithmeticError,
+              np.linalg.LinAlgError)
 
 # grid nodes per side when n is unset (RunConfig.n is None); verify's checks
 # run on a smaller grid
@@ -432,12 +434,14 @@ def _cmd_converge(config, outdir):
     ns = _ladder(config)
     series = {name: [] for name in names}
     grid = None
-    for n in ns:
-        surf = _load_surface(replace(config, n=n))
+    for k, n in enumerate(ns):
+        # --row names the first rung's row: the same curve on rung k
+        rung = replace(config, n=n, row=config.row and config.row * 2 ** k)
+        surf = _load_surface(rung)
         if grid is None:
             grid = surf.imm.grid  # the report grid is the first rung's
-        args = (_load_qdiff(config, surf),) if takes_q else ()
-        _, results = stage(config, surf.imm, *args)
+        args = (_load_qdiff(rung, surf),) if takes_q else ()
+        _, results = stage(rung, surf.imm, *args)
         if config.kind == "ivp":
             # max | |lam| - 1 | over the band, from its min and max
             stats = results["spin_norm"]
@@ -688,7 +692,8 @@ def run(config):
     try:
         outdir = config.outdir or os.environ.get(OUTDIR_ENV, DEFAULT_OUTDIR)
         ensure_outdir(outdir)
-        results, grid = _HANDLERS[config.command](config, outdir)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            results, grid = _HANDLERS[config.command](config, outdir)
         cfg = config.as_dict()
         report = {
             "command": config.command,

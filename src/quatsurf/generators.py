@@ -111,6 +111,8 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=_CHART_TOL):
     coefficient), whose dual is the Gauss map, branched at 0 for m >= 2.
     """
     m = int(order)
+    if m != order:
+        raise ValueError("order must be an integer, got %r" % (order,))
     if m < 1:
         raise ValueError("order must be >= 1")
     grid, X, Y = _chart(n, (-extent, extent, -extent, extent), rotation)

@@ -247,3 +247,39 @@ def test_normal_is_unit_and_orthogonal(surf):
     dot_x = np.abs(np.sum(imm.N[..., 1:] * imm.fx[..., 1:], axis=-1))
     scale = np.exp(2.0 * imm.u)
     assert np.max(dot_x / scale) < 1e-3
+
+
+def _transposed(imm):
+    """The immersion on the chart with x and y swapped."""
+    g = imm.grid
+    return build_immersion(GridChart(g.ny, g.nx, g.hy, g.hx, g.y0, g.x0),
+                           imm.positions.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("sphere", {"rotation": 0.4}), ("cylinder", {"rotation": 0.5}),
+    ("catenoid", {"rotation": 0.3}), ("unduloid", {}), ("enneper", {})])
+def test_transposed_chart_maps_the_chart_fields_bit_for_bit(name, params,
+                                                           surf):
+    # the stencils treat both axes alike; swapping them reverses the
+    # orientation, so the Hopf coefficient maps to its conjugate
+    imm = surf(name, 33, **params).imm
+    trans = _transposed(imm)
+    assert np.array_equal(trans.conformality_field, imm.conformality_field.T)
+    assert np.array_equal(trans.u, imm.u.T)
+    assert np.array_equal(weingarten_split(trans).hopf_qd,
+                          np.conj(weingarten_split(imm).hopf_qd.T))
+
+
+@pytest.mark.parametrize("name, rotation", [("sphere", 0.4),
+                                            ("cylinder", 0.5)])
+def test_transposed_chart_maps_mean_curvature_to_its_negative(name, rotation,
+                                                              surf):
+    # -H only to fourth order: H is read off the d/dx component of dN's
+    # conformal part, which the swap turns into its d/dy component
+    errs = []
+    for n in (33, 65, 129):
+        imm = surf(name, n, rotation=rotation).imm
+        errs.append(np.max(np.abs(interior(weingarten_split(_transposed(
+            imm)).H + weingarten_split(imm).H.T))))
+    assert min(np.log2(np.divide(errs[:-1], errs[1:]))) >= 3.5, errs

@@ -26,9 +26,29 @@ def read_report(outdir, command):
         return json.load(fh)
 
 
-def last_stderr_json(capsys):
-    err = capsys.readouterr().err.strip().split("\n")[-1]
-    return json.loads(err)
+def _load_golden_sweep():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "golden_sweep.py")
+    spec = importlib.util.spec_from_file_location("golden_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
+golden_sweep = _load_golden_sweep()
+
+
+def refused(argv, code, outdir):
+    """Run the CLI on argv with ``--outdir=outdir``, assert that it exits
+    with code and keeps the command-line contract, and return its JSON
+    error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv + ["--outdir=%s" % outdir]) == code
+    breach = golden_sweep.contract_breach(argv, code, err.getvalue(),
+                                          str(outdir))
+    assert breach is None, breach
+    return json.loads(err.getvalue())
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -121,80 +141,47 @@ def test_converge_command(tmp_path, capsys):
     assert "orders:" in text
 
 
-def test_unknown_generator_is_config_error(tmp_path, capsys):
-    out = str(tmp_path / "e")
-    code = main(["analyze", "--generator", "cylinder", "--n", "4",
-                 "--outdir", out])
-    assert code == 1
-    payload = last_stderr_json(capsys)
-    assert payload["exit_code"] == 1
-    assert payload["error"] == "ConfigError"
-    assert payload["module"] == "quatsurf.cli"
-    assert payload["operation"] == "parse"
-
-
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--generator", "mobius"],
-    ["converge", "--kind", "foo", "--generator", "cylinder"],
-    ["analyze", "--generator", "cylinder", "--n", "4.5"],
-], ids=["generator", "kind", "n-not-int"])
-def test_bad_generator_or_kind_value_is_one_config_error(argv, tmp_path,
-                                                         capsys):
-    # a value the parse pass refuses, whether argparse or RunConfig.validate
-    # refuses it, is a configuration error with one JSON line, not a usage
-    # block, and nothing is written
-    code = main(argv + ["--outdir", str(tmp_path / "o")])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
-                                                         "parse")
-    assert not (tmp_path / "o").exists()
-
-
-def test_missing_command_is_config_error(capsys):
-    assert main([]) == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
+def test_missing_command_is_config_error(tmp_path):
+    payload = refused([], 1, tmp_path / "o")
     assert (payload["error"], payload["operation"]) == ("ConfigError",
                                                         "parse")
-    assert "command" in payload["message"]
+    assert payload["message"] == ("the following arguments are required: "
+                                  "command")
 
 
-def test_numerical_error_has_module_and_operation(tmp_path, capsys):
-    out = str(tmp_path / "e2")
-    code = main(["dual", "--generator", "catenoid", "--n", "33",
-                 "--q", "1j", "--outdir", out])
-    assert code == 2
-    payload = last_stderr_json(capsys)
-    assert payload["exit_code"] == 2
-    assert payload["module"] == "quatsurf.duality"
-    assert payload["operation"] == "integrate_dual"
+def test_numerical_error_has_module_and_operation(tmp_path):
+    payload = refused(["dual", "--generator", "catenoid", "--n", "33",
+                       "--q", "1j"], 2, tmp_path / "o")
+    assert (payload["module"], payload["operation"]) == ("quatsurf.duality",
+                                                         "integrate_dual")
     assert "not isothermic" in payload["message"]
 
 
-def test_initial_row_through_a_zero_of_q_is_refused(tmp_path, capsys):
-    # the order-2 Enneper differential vanishes on the default middle row
-    code = main(["solve-ivp", "--generator", "enneper", "--n", "17",
-                 "--outdir", str(tmp_path / "s")])
-    assert code == 2
-    payload = last_stderr_json(capsys)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.quaddiff",
-                                                         "noncharacteristic")
+# inputs whose overflow, divide or invalid events numpy would only warn of
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    "dual --generator cylinder --q 1e300",
+    "dual --generator cylinder --q 1e-300",
+    "generate --generator sphere --param extent=1e300",
+    "generate --generator enneper --param order=1e6",
+    "generate --generator unduloid --param neck=1e-300",
+    "generate --generator ellipsoid_of_revolution --param a=1e-300",
+])
+def test_a_floating_point_event_is_a_numerical_failure(argv, tmp_path):
+    payload = refused(argv.split() + ["--n", "17"], 2, tmp_path / "o")
+    stage = {"dual": ("quatsurf.duality", "integrate_dual"),
+             "generate": ("quatsurf.generators", "make_surface")}
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("FloatingPointError",) + stage[argv.split()[0]]
 
 
-def test_converge_error_names_the_failing_stage(tmp_path, capsys):
+def test_converge_error_names_the_failing_stage(tmp_path):
     # the n=17 cylinder already fails closedness inside integrate_dual,
     # before bonnet_pair runs
-    code = main(["converge", "--generator", "cylinder", "--kind", "bonnet",
-                 "--n", "17", "--outdir", str(tmp_path / "c")])
-    assert code == 2
-    payload = last_stderr_json(capsys)
-    assert payload["module"] == "quatsurf.duality"
-    assert payload["operation"] == "integrate_dual"
+    payload = refused(["converge", "--generator", "cylinder", "--kind",
+                       "bonnet", "--n", "17"], 2, tmp_path / "o")
+    assert (payload["module"], payload["operation"]) == ("quatsurf.duality",
+                                                         "integrate_dual")
     assert "not isothermic" in payload["message"]
 
 
@@ -202,17 +189,11 @@ def test_converge_error_names_the_failing_stage(tmp_path, capsys):
                                    "radius=nan", "radius=-inf",
                                    "chart_tol=0.01", "radius", "radius=abc",
                                    "=1"])
-def test_bad_generator_param_is_config_error(param, tmp_path, capsys):
-    code = main(["analyze", "--generator", "cylinder", "--n", "17",
-                 "--param", param, "--outdir", str(tmp_path / "p")])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "ConfigError"
-    assert payload["exit_code"] == 1
-    assert payload["operation"] == "parse"
-    assert not (tmp_path / "p").exists()
+def test_bad_generator_param_is_config_error(param, tmp_path):
+    payload = refused(["analyze", "--generator", "cylinder", "--n", "17",
+                       "--param", param], 1, tmp_path / "p")
+    assert (payload["error"], payload["operation"]) == ("ConfigError",
+                                                        "parse")
 
 
 def _leaves(obj):
@@ -239,7 +220,7 @@ def test_dual_report_is_finite_at_a_branch_point(tmp_path, capsys):
     assert all(math.isfinite(v) for v in leaves if isinstance(v, float))
 
 
-def test_error_node_is_machine_readable(tmp_path, capsys):
+def test_error_node_is_machine_readable(tmp_path):
     # y-stretched plane: valid CSV, but the chart is not conformal, and
     # that failure names the offending node
     path = tmp_path / "bad.csv"
@@ -249,12 +230,9 @@ def test_error_node_is_machine_readable(tmp_path, capsys):
             for i in range(7):
                 fh.write("%g,%g,%g,%g,0\n" % (0.1 * i, 0.1 * j,
                                               0.1 * i, 0.2 * j))
-    code = main(["analyze", "--input", str(path),
-                 "--outdir", str(tmp_path / "o")])
-    assert code == 2
-    payload = last_stderr_json(capsys)
-    assert payload["module"] == "quatsurf.charts"
-    assert payload["operation"] == "build_immersion"
+    payload = refused(["analyze", "--input", str(path)], 2, tmp_path / "o")
+    assert (payload["module"], payload["operation"]) == ("quatsurf.charts",
+                                                         "build_immersion")
     assert "not conformal" in payload["message"]
     node = payload["node"]
     assert isinstance(node, list) and len(node) == 2
@@ -357,27 +335,12 @@ def test_verify_reports_the_cylinder_grid_without_sampling_it(tmp_path,
             == read_report(gen, "generate")["grid"])
 
 
-def test_verify_unknown_check(tmp_path, capsys):
-    code = main(["verify", "--check", "no_such_check",
-                 "--outdir", str(tmp_path / "v")])
-    assert code == 1
-    assert last_stderr_json(capsys)["error"] == "ConfigError"
-    assert not (tmp_path / "v").exists()
-
-
-def test_verify_all_with_a_named_check_is_a_parse_error(tmp_path, capsys):
-    out = tmp_path / "v"
-    code = main(["verify", "--all", "--check", "quaternion_algebra",
-                 "--outdir", str(out)])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
-                                                         "parse")
+def test_verify_all_with_a_named_check_is_a_parse_error(tmp_path):
+    payload = refused(["verify", "--all", "--check", "quaternion_algebra"],
+                      1, tmp_path / "v")
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.cli", "parse")
     assert "--all" in payload["message"]
-    assert not out.exists()
 
 
 def test_outdir_env_fallback(tmp_path, monkeypatch):
@@ -468,39 +431,29 @@ IVP = ["--generator", "cylinder", "--n", "17",
 ], ids=["dual-q", "solve-ivp-row", "verify-check", "converge-row",
         "levels-0", "steps-0", "dual-no-source", "converge-no-generator",
         "seed-negative"])
-def test_cli_errors_name_the_command(argv, operation, message, tmp_path,
-                                     capsys):
+def test_cli_errors_name_the_command(argv, operation, message, tmp_path):
     # flag values are refused before the outdir exists; a --row outside
     # the grid only once the surface is read
-    code = main(argv + ["--outdir", str(tmp_path / "o")])
-    assert code == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
+    payload = refused(argv, 1, tmp_path / "o")
     assert payload["message"].startswith(message)
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) \
-        == ("quatsurf.cli", operation)
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.cli", operation)
     assert (tmp_path / "o").exists() == (operation != "parse")
 
 
-def test_dual_of_an_input_file_needs_a_differential(tmp_path, capsys):
+def test_dual_of_an_input_file_needs_a_differential(tmp_path):
     imm = make_surface("cylinder", n=17).imm
     path = str(tmp_path / "surf.csv")
     write_field_csv(path, imm.grid, {"px": imm.positions[..., 0],
                                      "py": imm.positions[..., 1],
                                      "pz": imm.positions[..., 2]})
     out = tmp_path / "o"
-    assert main(["dual", "--input", path, "--outdir", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
+    payload = refused(["dual", "--input", path], 1, out)
     assert payload["message"] == ("no quadratic differential: pass --q or "
                                   "--qdiff, or use a generator with a "
                                   "known one")
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
-                                                         "dual")
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.cli", "dual")
     # the surface was read before the differential was looked for
     assert out.exists()
 
@@ -512,34 +465,25 @@ def test_dual_of_an_input_file_needs_a_differential(tmp_path, capsys):
     ["dual", "--q", "1+infj"],
     ["analyze", "--chart-tol", "inf"],
 ], ids=["eps-nan", "eps-inf", "q-nan", "q-inf", "chart-tol-inf"])
-def test_non_finite_eps_or_q_is_config_error(argv, tmp_path, capsys):
-    code = main(argv + ["--generator", "cylinder", "--n", "17",
-                        "--outdir", str(tmp_path / "o")])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
-                                                         "parse")
+def test_non_finite_eps_or_q_is_config_error(argv, tmp_path):
+    payload = refused(argv + ["--generator", "cylinder", "--n", "17"], 1,
+                      tmp_path / "o")
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.cli", "parse")
     assert "finite" in payload["message"]
-    assert not (tmp_path / "o").exists()
 
 
-def test_qdiff_grid_mismatch_is_config_error(tmp_path, capsys):
+def test_qdiff_grid_mismatch_is_config_error(tmp_path):
     path = tmp_path / "phi.csv"
     with open(path, "w") as fh:
         fh.write("x,y,re_phi,im_phi\n")
         for j in range(5):
             for i in range(5):
                 fh.write("%g,%g,1,0\n" % (0.25 * i, 0.25 * j))
-    code = main(["dual", "--generator", "cylinder", "--n", "17",
-                 "--qdiff", str(path), "--outdir", str(tmp_path / "o")])
-    assert code == 1
-    payload = last_stderr_json(capsys)
-    assert payload["error"] == "ConfigError"
-    assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
-                                                         "dual")
+    payload = refused(["dual", "--generator", "cylinder", "--n", "17",
+                       "--qdiff", str(path)], 1, tmp_path / "o")
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.cli", "dual")
     assert "5x5" in payload["message"] and "17x17" in payload["message"]
 
     # same node count, another chart: the sphere's grid under the cylinder
@@ -547,12 +491,8 @@ def test_qdiff_grid_mismatch_is_config_error(tmp_path, capsys):
     path = str(tmp_path / "phi_sphere.csv")
     write_field_csv(path, grid, {"re_phi": np.ones((grid.ny, grid.nx)),
                                  "im_phi": np.zeros((grid.ny, grid.nx))})
-    code = main(["dual", "--generator", "cylinder", "--n", "33",
-                 "--qdiff", path, "--outdir", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    payload = json.loads(err[0])
+    payload = refused(["dual", "--generator", "cylinder", "--n", "33",
+                       "--qdiff", path], 1, tmp_path / "o")
     assert (payload["module"], payload["operation"]) == ("quatsurf.cli",
                                                          "dual")
     cylinder = make_surface("cylinder", n=33).imm.grid
@@ -584,18 +524,28 @@ def test_converge_kinds(kind, argv, names, tmp_path):
     assert all(len(row["residuals"]) == 2 for row in res["series"].values())
 
 
-def test_tolerance_flags_change_the_outcome(tmp_path, capsys):
+def test_converge_row_names_the_same_curve_on_every_rung(tmp_path):
+    # row 8 is the default, middle row of the first rung (n = 17)
+    argv = ["converge", "--kind", "ivp", "--generator", "sphere", "--param",
+            "rotation=0.5", "--n", "17", "--levels", "3", "--steps", "4"]
+    results = []
+    for k, row in enumerate(([], ["--row", "8"])):
+        assert main(argv + row + ["--outdir", str(tmp_path / str(k))]) == 0
+        results.append(read_report(str(tmp_path / str(k)),
+                                   "converge")["results"])
+    assert results[0] == results[1]
+
+
+def test_tolerance_flags_change_the_outcome(tmp_path):
     out = str(tmp_path / "t")
-    assert main(["dual", "--generator", "catenoid", "--n", "33",
-                 "--closed-tol", "1e-12", "--outdir", out]) == 2
-    assert main(["generate", "--generator", "cylinder", "--n", "33",
-                 "--chart-tol", "1e-14", "--outdir", out]) == 2
-    payload = last_stderr_json(capsys)
+    refused(["dual", "--generator", "catenoid", "--n", "33", "--closed-tol",
+             "1e-12"], 2, out)
+    payload = refused(["generate", "--generator", "cylinder", "--n", "33",
+                       "--chart-tol", "1e-14"], 2, out)
     assert (payload["module"], payload["operation"]) \
         == ("quatsurf.generators", "make_surface")
-    assert main(["solve-ivp"] + IVP + ["--det-tol", "2",
-                                        "--outdir", out]) == 2
-    assert last_stderr_json(capsys)["operation"] == "check_wellposed"
+    assert refused(["solve-ivp"] + IVP + ["--det-tol", "2"], 2,
+                   out)["operation"] == "check_wellposed"
     counts = []
     for extra in ([], ["--umbilic-tol", "0.05"]):
         assert main(["analyze", "--generator", "enneper", "--param",
@@ -605,18 +555,13 @@ def test_tolerance_flags_change_the_outcome(tmp_path, capsys):
     assert counts == [1, 9]
 
 
-def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):
+def test_outdir_that_is_a_file_is_config_error(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")
-    code = main(["analyze", "--generator", "cylinder", "--n", "17",
-                 "--outdir", str(path)])
-    assert code == 1
-    err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1
-    payload = json.loads(err[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.io",
-                                                         "ensure_outdir")
+    payload = refused(["analyze", "--generator", "cylinder", "--n", "17"],
+                      1, path)
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.io", "ensure_outdir")
 
 
 @pytest.mark.parametrize("command, blocked, operation", [
@@ -625,17 +570,12 @@ def test_outdir_that_is_a_file_is_config_error(tmp_path, capsys):
     ("analyze", "cylinder_curvature.csv", "write_field_csv"),
 ])
 def test_unwritable_artifact_is_config_error(command, blocked, operation,
-                                             tmp_path, capsys):
+                                             tmp_path):
     (tmp_path / blocked).mkdir()
-    code = main([command, "--generator", "cylinder", "--n", "17",
-                 "--outdir", str(tmp_path)])
-    assert code == 1
-    err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1
-    payload = json.loads(err[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.io",
-                                                         operation)
+    payload = refused([command, "--generator", "cylinder", "--n", "17"], 1,
+                      tmp_path)
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.io", operation)
     assert str(tmp_path / blocked) in payload["message"]
 
 
@@ -689,17 +629,12 @@ def _malformed_csv(path, header, kind):
      ["x", "y", "re_phi", "im_phi"], "read_qdiff_csv"),
 ], ids=["input", "qdiff"])
 def test_malformed_csv_is_config_error(kind, argv, header, operation,
-                                       tmp_path, capsys):
+                                       tmp_path):
     path = tmp_path / "bad.csv"
     _malformed_csv(path, header, kind)
-    code = main(argv + [str(path), "--outdir", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err.strip().split("\n")
-    assert len(err) == 1
-    payload = json.loads(err[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert (payload["module"], payload["operation"]) == ("quatsurf.io",
-                                                         operation)
+    payload = refused(argv + [str(path)], 1, tmp_path / "o")
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.io", operation)
     assert payload["node"] == MALFORMED_NODE.get(kind)
 
 
@@ -715,16 +650,11 @@ UNREAD_FLAGS = (
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
-def test_unread_flags_are_rejected(command, flag, tmp_path, capsys):
-    code = main([command, flag, "1", "--outdir", str(tmp_path / "o")])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
-    assert payload["operation"] == "parse"
+def test_unread_flags_are_rejected(command, flag, tmp_path):
+    payload = refused([command, flag, "1"], 1, tmp_path / "o")
+    assert (payload["error"], payload["operation"]) == ("ConfigError",
+                                                        "parse")
     assert "unrecognized arguments: %s" % flag in payload["message"]
-    assert not (tmp_path / "o").exists()
 
 
 def test_verify_records_a_check_that_raises_and_runs_the_rest(tmp_path,
@@ -747,8 +677,7 @@ def test_verify_records_a_check_that_raises_and_runs_the_rest(tmp_path,
     assert "FAIL dual_roundtrip" in captured.out
 
 
-def test_verify_stops_at_a_configuration_error(tmp_path, monkeypatch,
-                                               capsys):
+def test_verify_stops_at_a_configuration_error(tmp_path, monkeypatch):
     import quatsurf.cli as cli
 
     def unreadable(path):
@@ -756,10 +685,9 @@ def test_verify_stops_at_a_configuration_error(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "read_positions_csv", unreadable)
     out = tmp_path / "v"
-    assert main(["verify", "--check", "io_roundtrip", "--n", "17",
-                 "--outdir", str(out)]) == 1
-    payload = last_stderr_json(capsys)
-    assert (payload["error"], payload["exit_code"]) == ("ConfigError", 1)
+    payload = refused(["verify", "--check", "io_roundtrip", "--n", "17"], 1,
+                      out)
+    assert payload["error"] == "ConfigError"
     assert not (out / "verify_report.json").exists()
 
 
@@ -819,40 +747,20 @@ def test_any_argument_list_exits_with_a_documented_code(argv):
                 code = main(argv + ["--outdir", outdir])
             except SystemExit as exc:
                 pytest.fail("SystemExit(%r) for %r" % (exc.code, argv))
-        assert code in (0, 1, 2)
-        report = os.path.join(outdir, "verify_report.json")
-        if code == 0 or (argv[0] == "verify" and code == 2
-                         and os.path.exists(report)):
-            assert err.getvalue() == ""
-            return
-        lines = err.getvalue().strip().split("\n")
-        assert len(lines) == 1, lines
-        payload = json.loads(lines[0])
-        assert payload["exit_code"] == code
-        if payload["operation"] == "parse":
-            assert not os.path.exists(outdir)
+        breach = golden_sweep.contract_breach(argv, code, err.getvalue(),
+                                              outdir)
+        assert breach is None, (argv, breach)
 
 
 @pytest.fixture(scope="module")
-def golden_sweep():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                        "golden_sweep.py")
-    spec = importlib.util.spec_from_file_location("golden_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
-
-
-@pytest.fixture(scope="module")
-def swept(golden_sweep, tmp_path_factory):
+def swept(tmp_path_factory):
     """(outdir, broken cases) of one golden sweep, shared by the tests
     that read it."""
     outdir = str(tmp_path_factory.mktemp("golden"))
     return outdir, golden_sweep.main_sweep(outdir)
 
 
-def test_golden_sweep_covers_every_command_kind_and_flag(golden_sweep,
-                                                         swept):
+def test_golden_sweep_covers_every_command_kind_and_flag(swept):
     argvs = [argv for _, _, argv, _ in golden_sweep.CASES]
     words = {word for argv in argvs for word in argv.split()}
     # every case also gets --outdir
@@ -860,11 +768,11 @@ def test_golden_sweep_covers_every_command_kind_and_flag(golden_sweep,
     for kind in _KINDS:
         assert any(argv.startswith("converge --kind %s " % kind)
                    for argv in argvs)
-    # every case gives its expected exit code, and its one JSON error line
+    # every case gives what it expects and keeps the command-line contract
     assert swept[1] == []
 
 
-def test_golden_sweep_matches_the_committed_manifest(golden_sweep, swept):
+def test_golden_sweep_matches_the_committed_manifest(swept):
     # a change that moves an output regenerates the manifest with
     # `python tools/golden_sweep.py OUTDIR --manifest tools/golden.sha256`
     manifest = os.path.normpath(os.path.join(
@@ -877,8 +785,7 @@ def test_golden_sweep_matches_the_committed_manifest(golden_sweep, swept):
         manifest, ", ".join(moved))
 
 
-def test_golden_sweep_keeps_reports_at_full_precision(golden_sweep, tmp_path,
-                                                     monkeypatch):
+def test_golden_sweep_keeps_reports_at_full_precision(tmp_path, monkeypatch):
     import quatsurf.cli as cli
     _, _, argv, setup = next(case for case in golden_sweep.CASES
                              if case[0] == "bonnet-cylinder")
@@ -905,10 +812,13 @@ def test_golden_sweep_keeps_reports_at_full_precision(golden_sweep, tmp_path,
     assert read("a", ".full.json") != read("b", ".full.json")
 
 
-def test_golden_sweep_names_a_case_with_another_exit_code(golden_sweep,
-                                                          tmp_path,
+def test_golden_sweep_names_a_case_with_another_exit_code(tmp_path,
                                                           monkeypatch):
+    argv = "analyze --generator cylinder --n 4"
     monkeypatch.setattr(golden_sweep, "CASES", [
-        ("error-small-n", 0, "analyze --generator cylinder --n 4", None)])
+        ("error-small-n", 0, argv, None),
+        ("error-small-n", (1, "ConfigError", "quatsurf.cli", "analyze"), argv,
+         None)])
     assert golden_sweep.main_sweep(str(tmp_path)) == [
-        "01-error-small-n exit 1 (expected 0)"]
+        "01-error-small-n exit 1 (expected 0)",
+        "02-error-small-n exit 1 (operation 'parse', expected 'analyze')"]

@@ -147,7 +147,16 @@ def test_one_node_is_refused_as_the_grid_refuses_it(name):
 @pytest.mark.parametrize("name, params, message", [
     ("enneper", {"order": 0}, "order must be >= 1"),
     ("unduloid", {"neck": 2.0, "bulge": 1.0}, "need 0 < neck <= bulge"),
+    # the order is the surface's, not rounded to one
+    ("enneper", {"order": 2.5}, "order must be an integer, got 2.5"),
 ])
 def test_out_of_range_shape_parameter_is_refused(name, params, message):
     with pytest.raises(ValueError, match="^%s$" % message):
         make_surface(name, n=9, **params)
+
+
+def test_an_integral_float_order_is_that_order():
+    # --param order=2 passes the float 2.0
+    two, two_f = (make_surface("enneper", n=17, order=k) for k in (2, 2.0))
+    assert np.array_equal(two.imm.positions, two_f.imm.positions)
+    assert np.array_equal(two.q_known.phi, two_f.q_known.phi)

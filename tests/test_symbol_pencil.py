@@ -7,6 +7,7 @@ the normalized determinant.  Needs hypothesis (the ``test`` extra).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import quatsurf as qs
@@ -77,3 +78,25 @@ def test_pencil_angles_match_the_scan(case):
         assert circular_gap(t, want).min() <= 1e-12
         s = symbol(imm, tau, node, (np.cos(t), np.sin(t)))
         assert abs(s.normalized_det()) <= 1e-10
+
+
+# a rotated chart of each catalog surface that passes the default chart_tol
+ROTATED = [("sphere", 0.4), ("cylinder", 0.5), ("catenoid", 0.3),
+           ("unduloid", 0.7), ("enneper", 0.2),
+           ("ellipsoid_of_revolution", 0.3)]
+
+
+@pytest.mark.parametrize("n, bound", [(33, 1e-3), (65, 1e-4)])
+def test_row_symbol_determinant_is_the_sine_of_twice_the_stretch_angle(
+        n, bound, surf):
+    # the characteristic covectors sit on the stretch cross: for the row
+    # conormal (0, 1), |det| = |sin 2 theta| to fourth order, theta the
+    # row's angle to the horizontal foliation (undefined at a zero of q)
+    for name, rotation in ROTATED:
+        gen = surf(name, n, rotation=rotation)
+        tau = form_from_qdiff(gen.imm, gen.q_known)
+        det = symbol(gen.imm, tau, (slice(None), slice(None)),
+                     (0.0, 1.0)).normalized_det()
+        theta, _ = qs.stretch_directions(gen.q_known)
+        dev = np.abs(np.abs(det) - np.abs(np.sin(2 * theta)))
+        assert np.max(dev[~np.isnan(theta)]) < bound, name

@@ -21,12 +21,12 @@ the row-split threshold, so that the whole-grid kernels split their rows
 over two threads there: a Bonnet pair, and a dual, whose path integrals
 split as well.
 
-Each case names the exit code it must give.  A case that exits non-zero
-must also leave exactly one stderr line, a JSON object whose
-``exit_code`` is that code; a ``verify`` run is the exception, as it
-leaves its report instead.  ``main_sweep`` returns the cases that break
-either rule, and the script prints each as ``NN-name exit K (expected
-E)`` and exits 1.
+Each case names the exit code it must give and, where it leaves a JSON
+error line, that line's error class, module and operation.  Every run
+must also keep the command-line contract, which ``contract_breach``
+states and the CLI tests check with it.  ``main_sweep`` returns the
+cases that break either, and the script prints each as ``NN-name exit K
+(reason)`` and exits 1.
 
 Two sweeps of the same tree must agree byte for byte (``diff -r``); a
 sweep of a change against one of its parent shows every output the
@@ -87,8 +87,13 @@ def _setup_report_in_the_way():
     os.makedirs("out/analyze_report.json")
 
 
-# (name, expected exit code, argv, setup run in the case directory first
-# or None)
+# (name, expected, argv, setup run in the case directory first or None);
+# expected is the exit code, or the (exit code, error, module, operation)
+# of the JSON error line the case must leave, as these shared ones
+_PARSE = (1, "ConfigError", "quatsurf.cli", "parse")
+_MARCH = (2, "RuntimeError", "quatsurf.cauchy", "march_solve")
+_WELLPOSED = (2, "ValueError", "quatsurf.cauchy", "check_wellposed")
+_QDIFF = (1, "ConfigError", "quatsurf.cli", "dual")
 CASES = [
     ("generate-cylinder", 0,
      "generate --generator cylinder --n 33", None),
@@ -122,21 +127,22 @@ CASES = [
     ("solve-ivp-cylinder-row", 0,
      "solve-ivp --generator cylinder --param rotation=0.5 --n 33 --row 10 "
      "--steps 6 --det-tol 0.02", None),
-    ("solve-ivp-sphere-abort", 2,
+    ("solve-ivp-sphere-abort", _MARCH,
      "solve-ivp --generator sphere --param rotation=0.2 --n 33 --steps 12",
      None),
-    ("solve-ivp-sphere-upward-abort", 2,
+    ("solve-ivp-sphere-upward-abort", _MARCH,
      "solve-ivp --generator sphere --param rotation=0.15 --n 33 --row 22 "
      "--steps 14", None),
-    ("solve-ivp-sphere-downward-abort", 2,
+    ("solve-ivp-sphere-downward-abort", _MARCH,
      "solve-ivp --generator sphere --param rotation=0.2 --n 33 --row 24 "
      "--steps 14", None),
     # rejected initial rows: exit 2 from the non-characteristic test
-    ("solve-ivp-cylinder-characteristic", 2,
+    ("solve-ivp-cylinder-characteristic", _WELLPOSED,
      "solve-ivp --generator cylinder --q 1 --n 17", None),
-    ("solve-ivp-enneper-zero-row", 2, "solve-ivp --generator enneper --n 17",
-     None),
-    ("solve-ivp-enneper-characteristic", 2,
+    ("solve-ivp-enneper-zero-row",
+     (2, "ValueError", "quatsurf.quaddiff", "noncharacteristic"),
+     "solve-ivp --generator enneper --n 17", None),
+    ("solve-ivp-enneper-characteristic", _WELLPOSED,
      "solve-ivp --generator enneper --n 18", None),
     ("verify-all", 0, "verify --all", None),
     ("verify-checks", 0,
@@ -155,31 +161,35 @@ CASES = [
      "--levels 2 --q 1j --row 8 --steps 4 --det-tol 0.02 --closed-tol 1e-2 "
      "--chart-tol 2e-3", None),
     # configuration errors: exit 1 and one JSON line
-    ("error-small-n", 1, "analyze --generator cylinder --n 4", None),
-    ("error-eps-nan", 1, "bonnet --generator cylinder --n 17 --eps nan", None),
-    ("error-q-nan", 1, "dual --generator cylinder --n 17 --q nan", None),
-    ("error-unwritable-report", 1, "analyze --generator cylinder --n 17",
-     _setup_report_in_the_way),
-    ("error-generator", 1, "analyze --generator mobius", None),
-    ("error-kind", 1, "converge --kind foo --generator cylinder", None),
-    ("error-n-not-int", 1, "analyze --generator cylinder --n 4.5", None),
-    ("error-flag-of-another-command", 1,
-     "generate --generator cylinder --seed 1", None),
-    ("error-chart-tol-inf", 1,
-     "analyze --generator cylinder --n 17 --chart-tol inf", None),
-    ("error-check", 1, "verify --check nope", None),
-    ("error-all-and-check", 1, "verify --all --check quaternion_algebra",
+    ("error-small-n", _PARSE, "analyze --generator cylinder --n 4", None),
+    ("error-eps-nan", _PARSE, "bonnet --generator cylinder --n 17 --eps nan",
      None),
-    ("error-header-only", 1, "analyze --input header_only.csv",
-     _setup_header_only),
-    ("error-missing-input", 1, "analyze --input missing.csv", None),
-    ("error-row", 1, "solve-ivp --generator cylinder --n 17 --row 40", None),
-    ("error-param", 1,
+    ("error-q-nan", _PARSE, "dual --generator cylinder --n 17 --q nan", None),
+    ("error-unwritable-report",
+     (1, "ConfigError", "quatsurf.io", "write_report"),
+     "analyze --generator cylinder --n 17", _setup_report_in_the_way),
+    ("error-generator", _PARSE, "analyze --generator mobius", None),
+    ("error-kind", _PARSE, "converge --kind foo --generator cylinder", None),
+    ("error-n-not-int", _PARSE, "analyze --generator cylinder --n 4.5", None),
+    ("error-flag-of-another-command", _PARSE,
+     "generate --generator cylinder --seed 1", None),
+    ("error-chart-tol-inf", _PARSE,
+     "analyze --generator cylinder --n 17 --chart-tol inf", None),
+    ("error-check", _PARSE, "verify --check nope", None),
+    ("error-all-and-check", _PARSE, "verify --all --check quaternion_algebra",
+     None),
+    ("error-header-only",
+     (1, "ConfigError", "quatsurf.io", "read_positions_csv"),
+     "analyze --input header_only.csv", _setup_header_only),
+    ("error-missing-input", _PARSE, "analyze --input missing.csv", None),
+    ("error-row", (1, "ConfigError", "quatsurf.cli", "solve-ivp"),
+     "solve-ivp --generator cylinder --n 17 --row 40", None),
+    ("error-param", _PARSE,
      "generate --generator sphere --n 17 --param radius=2", None),
-    ("error-qdiff-grid", 1,
+    ("error-qdiff-grid", _QDIFF,
      "dual --generator cylinder --n 17 --qdiff qdiff.csv", _setup_qdiff),
     # as many nodes as the surface's grid, but another spacing and origin
-    ("error-qdiff-placement", 1,
+    ("error-qdiff-placement", _QDIFF,
      "dual --generator cylinder --n 33 --qdiff qdiff_sphere.csv",
      lambda: _setup_qdiff("qdiff_sphere.csv", "sphere")),
 ]
@@ -220,25 +230,50 @@ def run_case(casedir, argv, setup):
     return code, err.getvalue()
 
 
-def _complaint(casedir, argv, code, expected, err):
-    """How a case's exit breaks the contract, or None."""
-    if code != expected:
-        return "expected %d" % expected
-    report = os.path.join(casedir, "out", "verify_report.json")
-    if code == 0 or (argv.split()[0] == "verify" and os.path.exists(report)):
-        return None
+def contract_breach(argv, code, err, outdir):
+    """How a CLI run of argv (without ``--outdir``) that exited with code,
+    wrote err to stderr and had the output directory outdir breaks the
+    command-line contract, or None.  The contract: the code is 0, 1 or 2;
+    exit 0, or a ``verify`` run that left ``verify_report.json``, leaves
+    stderr empty; any other exit leaves exactly one stderr line, a JSON
+    object whose ``exit_code`` is the code; an error of operation
+    ``parse`` leaves no output directory."""
+    if code not in (0, 1, 2):
+        return "exit code %r is not 0, 1 or 2" % (code,)
+    if code == 0 or (argv[:1] == ["verify"] and os.path.exists(
+            os.path.join(outdir, "verify_report.json"))):
+        return None if err == "" else "expected an empty stderr"
     lines = err.splitlines()
     try:
-        if len(lines) == 1 and json.loads(lines[0])["exit_code"] == code:
-            return None
-    except (ValueError, TypeError, KeyError):
-        pass
-    return "expected one JSON error line"
+        payload = json.loads(lines[0]) if len(lines) == 1 else None
+    except ValueError:
+        payload = None
+    if not (isinstance(payload, dict) and payload.get("exit_code") == code):
+        return "expected one JSON error line"
+    if payload.get("operation") == "parse" and os.path.exists(outdir):
+        return "a parse error left %s" % outdir
+    return None
+
+
+def _complaint(casedir, argv, code, expected, err):
+    """How a case's exit breaks its expectation or the contract, or None."""
+    expected = expected if isinstance(expected, tuple) else (expected,)
+    if code != expected[0]:
+        return "expected %d" % expected[0]
+    breach = contract_breach(argv.split(), code, err,
+                             os.path.join(casedir, "out"))
+    if breach is not None or len(expected) == 1:
+        return breach
+    payload = json.loads(err or "{}")
+    for key, want in zip(("error", "module", "operation"), expected[1:]):
+        if payload.get(key) != want:
+            return "%s %r, expected %r" % (key, payload.get(key), want)
+    return None
 
 
 def main_sweep(outdir):
-    """Run every case into ``outdir``; return ``NN-name exit K (expected
-    ...)`` for each case that breaks the contract."""
+    """Run every case into ``outdir``; return ``NN-name exit K (reason)``
+    for each case that breaks its expectation or the contract."""
     os.makedirs(outdir, exist_ok=True)
     broken = []
     for k, (name, expected, argv, setup) in enumerate(CASES, start=1):
