@@ -37,8 +37,8 @@ from .bonnet import SpinField, _integrate_spin, _spin_transform
 
 # largest condition number of a row's 4x4 systems the march accepts
 _COND_LIMIT = 1e8
-# default least |normalized symbol determinant| of check_wellposed
-_DET_TOL = 0.01
+# fewest rows of a marched band that reconstruct can differentiate
+_MIN_BAND_ROWS = 5
 
 
 # The Hamilton product's table on the basis (1, i, j, k), taken from
@@ -129,8 +129,8 @@ def _integer(value, name):
 
 
 class CauchyProblem:
-    """Background immersion + differential + initial grid row, checked
-    by the non-characteristic test of that row."""
+    """Background immersion + differential + initial grid row, with the
+    row's stretch margin (margin_ok, margin_deg): its one test."""
 
     def __init__(self, background, q, row):
         self.imm = background
@@ -141,32 +141,28 @@ class CauchyProblem:
         self.margin_ok, self.margin_deg = noncharacteristic(q, self.row)
 
 
-def check_wellposed(prob, det_tol=_DET_TOL):
-    """Well-posedness of marching off the initial row.
-
-    Evaluates the normalized symbol determinant for the row conormal
-    xi = (0, 1) at every node of the row and the angular margin between
-    the row and the stretch foliations; raises on a characteristic row.
-    The determinant is |sin 2 theta| to fourth order (theta the row's angle
-    to the horizontal foliation), at least sin 10 deg ~ 0.174 on a row the
-    margin accepts: only a det_tol above that decides, the default never.
-    """
+def check_wellposed(prob):
+    """Raise on a characteristic initial row (stretch margin below
+    _MIN_MARGIN_DEG), else report the margin and the least normalized
+    symbol determinant over the row for xi = (0, 1), which is |sin 2 theta|
+    (|fx| / |fy|)^(3/2), theta the row's angle to the horizontal foliation:
+    the margin times the local stretch, a health figure, not a test."""
+    if not prob.margin_ok:
+        raise ValueError("characteristic initial curve: margin %.2f deg "
+                         "(need >= %.2f)" % (prob.margin_deg, _MIN_MARGIN_DEG))
     dets = symbol(prob.imm, prob.tau, (prob.row, slice(None)),
                   (0.0, 1.0)).normalized_det()
-    min_det = float(np.min(np.abs(dets)))
-    report = {
+    return {
         "row": prob.row,
-        "min_normalized_det": min_det,
+        "min_normalized_det": float(np.min(np.abs(dets))),
         "angular_margin_deg": prob.margin_deg,
-        "det_tol": det_tol,
         "min_margin_deg": _MIN_MARGIN_DEG,
     }
-    if not prob.margin_ok or min_det < det_tol:
-        raise ValueError(
-            "characteristic initial curve: margin %.2f deg "
-            "(need >= %.2f), min normalized |det| %.3e (need >= %.3e)"
-            % (prob.margin_deg, _MIN_MARGIN_DEG, min_det, det_tol))
-    return report
+
+
+def _march_span(row, steps, ny):
+    """(first, last) row a march of steps rows per side off row reaches."""
+    return max(row - steps, 0), min(row + steps, ny - 1)
 
 
 def _certified(M):
@@ -301,8 +297,7 @@ def march_solve(prob, steps, lam0=None):
         # march of the upward side before the downward side meets
         march((1,))
         march((-1,))
-    span = (max(prob.row - n, 0), min(prob.row + n, grid.ny - 1))
-    return SpinField(grid, lam, row_span=span)
+    return SpinField(grid, lam, row_span=_march_span(prob.row, n, grid.ny))
 
 
 def reconstruct(prob, spin, closed_tol=_CLOSED_TOL, chart_tol=_CHART_TOL):
@@ -318,9 +313,9 @@ def reconstruct(prob, spin, closed_tol=_CLOSED_TOL, chart_tol=_CHART_TOL):
     grid = prob.imm.grid
     j_lo, j_hi = spin.band_rows()
     nrows = j_hi - j_lo + 1
-    if nrows < 5:
-        raise ValueError("marched band too thin to differentiate "
-                         "(need at least 5 rows, have %d)" % nrows)
+    if nrows < _MIN_BAND_ROWS:
+        raise ValueError("marched band too thin to differentiate (need at "
+                         "least %d rows, have %d)" % (_MIN_BAND_ROWS, nrows))
     band = slice(j_lo, j_hi + 1)
     sub = GridChart(grid.nx, nrows, grid.hx, grid.hy, grid.x0,
                     grid.y0 + j_lo * grid.hy)

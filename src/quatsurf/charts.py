@@ -277,7 +277,7 @@ def build_immersion(grid, samples, chart_tol=_CHART_TOL):
     inner = interior(conf)
     worst = float(np.max(inner))
     if worst > chart_tol:
-        j, i = map(int, np.argwhere(conf == worst)[0])
+        j, i = map(int, np.argwhere(inner == worst)[0] + 2)
         raise ValueError(
             "chart is not conformal: residual %.3e > %.3e at node (j=%d, i=%d)"
             % (worst, chart_tol, j, i))

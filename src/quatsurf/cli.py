@@ -28,12 +28,12 @@ from .charts import (_CHART_TOL, _UMBILIC_TOL, GridChart,
                      umbilics, weingarten_residual, weingarten_split)
 from .quaternions import qconj, qmul, qnorm, quat, to_vec
 from .quaddiff import QuadDifferential, check_holomorphic
-from .duality import (_CLASSIFY_TOL, _CLOSED_TOL, classify_christoffel,
-                      integrate_dual, verify_duality)
+from .duality import (_CLOSED_TOL, classify_christoffel, integrate_dual,
+                      verify_duality)
 from .bonnet import (bonnet_pair, shape_distortion_check,
                      umbilic_branch_correspondence)
-from .cauchy import (_DET_TOL, CauchyProblem, check_wellposed, march_solve,
-                     reconstruct)
+from .cauchy import (_MIN_BAND_ROWS, CauchyProblem, _march_span,
+                     check_wellposed, march_solve, reconstruct)
 from .generators import _SPANS, CATALOG, GeneratorResult, make_surface
 from .align import similarity_distance
 from .io import (ConfigError, config_hash, ensure_outdir, read_positions_csv,
@@ -50,8 +50,7 @@ _CLI_MODULE = "quatsurf.cli"
 _NODE_RE = re.compile(r"\(j=(\d+),\s*i=(\d+)\)")
 
 # the RunConfig fields that are tolerances, reported together
-_TOLERANCES = ("closed_tol", "chart_tol", "umbilic_tol", "classify_tol",
-               "det_tol")
+_TOLERANCES = ("closed_tol", "chart_tol", "umbilic_tol")
 
 # errors that end a run as a numerical failure (exit 2), ArithmeticError
 # for the FloatingPointError of run()'s np.errstate
@@ -87,8 +86,6 @@ class RunConfig:
     closed_tol: float = _CLOSED_TOL
     chart_tol: float = _CHART_TOL
     umbilic_tol: float = _UMBILIC_TOL
-    classify_tol: float = _CLASSIFY_TOL
-    det_tol: float = _DET_TOL
     outdir: str | None = None
     seed: int = 0
     checks: list = field(default_factory=list)
@@ -303,16 +300,19 @@ def _solve_ivp(config, imm, q):
     row = config.row if config.row is not None else imm.grid.ny // 2
     if not (0 <= row < imm.grid.ny):
         raise ConfigError("row %d outside grid (ny=%d)" % (row, imm.grid.ny))
+    lo, hi = _march_span(row, config.steps, imm.grid.ny)
+    if hi - lo + 1 < _MIN_BAND_ROWS:
+        raise ConfigError("band of rows %d-%d too thin to differentiate "
+                          "(need at least %d rows)" % (lo, hi, _MIN_BAND_ROWS))
     prob = CauchyProblem(imm, q, row)
-    well = check_wellposed(prob, det_tol=config.det_tol)
+    well = check_wellposed(prob)
     spin = march_solve(prob, config.steps)
     band, rep = reconstruct(prob, spin, closed_tol=config.closed_tol,
                             chart_tol=config.chart_tol)
-    lo, hi = spin.band_rows()
     return band, {
         "row": row,
         "steps": config.steps,
-        "rows_solved": [int(lo), int(hi)],
+        "rows_solved": [lo, hi],
         "wellposed": well,
         "spin_norm": field_stats(qnorm(spin.lam[lo:hi + 1]),
                                  interior_only=False),
@@ -374,8 +374,7 @@ def _cmd_dual(config, outdir):
         istar = dual.as_immersion(chart_tol=config.chart_tol)
         flip = qnorm(istar.N + surf.imm.N)
         results["normal_flip_rms"] = float(rms(interior(flip)))
-        results["classify"] = classify_christoffel(
-            surf.imm, istar, tol=config.classify_tol)
+        results["classify"] = classify_christoffel(surf.imm, istar)
     if surf.dual_known is not None:
         results["known_dual_rms"] = _centred_rms(dual.positions,
                                                  surf.dual_known)
@@ -744,8 +743,6 @@ _FLAGS = {
                         "(default %g)" % RunConfig.chart_tol),
     "--umbilic-tol": dict(type=float, help="umbilic tolerance (default %g)"
                           % RunConfig.umbilic_tol),
-    "--det-tol": dict(type=float, help="symbol determinant tolerance "
-                      "(default %g)" % RunConfig.det_tol),
     "--seed": dict(type=int, help="random seed (default %d)" % RunConfig.seed),
     "--kind": dict(help="which residual family to refine: %s"
                    % ", ".join(_KINDS)),
@@ -769,13 +766,13 @@ _COMMAND_FLAGS = {
     "bonnet": ("build a Bonnet mate pair",
                _SOURCE + _QDIFF + ("--eps", "--umbilic-tol")),
     "solve-ivp": ("march the Cauchy problem off an initial row",
-                  _SOURCE + _QDIFF + ("--row", "--steps", "--det-tol")),
+                  _SOURCE + _QDIFF + ("--row", "--steps")),
     "verify": ("run built-in self checks",
                ("--all", "--check", "--n", "--outdir", "--seed")),
     "converge": ("grid refinement ladder with observed orders",
                  ("--kind", "--levels", "--generator", "--param", "--n",
                   "--outdir", "--chart-tol", "--q", "--closed-tol", "--eps",
-                  "--row", "--steps", "--det-tol")),
+                  "--row", "--steps")),
 }
 COMMANDS = tuple(_COMMAND_FLAGS)
 

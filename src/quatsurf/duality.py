@@ -21,7 +21,7 @@ from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
 from .quaternions import (QForm, _split_rows, from_real, qdot, qinv, qmul,
                           qnorm, qnormsq, quat, to_vec, wedge)
 
-# default tolerances of the closedness gate and of classify_christoffel
+# default tolerance of the closedness gate; classify_christoffel's fixed one
 _CLOSED_TOL = 5e-3
 _CLASSIFY_TOL = 1e-3
 
@@ -200,21 +200,22 @@ def verify_duality(imm, dual, curv):
     }
 
 
-def classify_christoffel(immA, immB, tol=_CLASSIFY_TOL):
+def classify_christoffel(immA, immB):
     """Classify a pair of immersions on one grid.
 
     Returns "dual_pair" when dfB is anti-conformal tangential with
     respect to A's normal, "scaling" when dfB is a constant real
     multiple of dfA, and "unrelated" otherwise (including whenever the
-    tangent planes fail to be parallel).
+    tangent planes fail to be parallel); each test holds to the fixed
+    _CLASSIFY_TOL.
     """
     _same_grid(immA.grid, immB.grid)
     dot = np.abs(np.sum(to_vec(immA.N) * to_vec(immB.N), axis=-1))
-    if float(np.max(1.0 - dot)) > 100 * tol:
+    if float(np.max(1.0 - dot)) > 100 * _CLASSIFY_TOL:
         return "unrelated"
 
     dfB = immB.df
-    if max(_hopf_defects(dfB, immA.N)) < tol:
+    if max(_hopf_defects(dfB, immA.N)) < _CLASSIFY_TOL:
         return "dual_pair"
 
     # dfB = (a + b N) dfA with a + i b fitted pointwise
@@ -224,8 +225,8 @@ def classify_christoffel(immA, immB, tol=_CLASSIFY_TOL):
     coeff = from_real(a) + b[..., None] * immA.N
     pred = QForm(qmul(coeff, immA.fx), qmul(coeff, immA.fy))
     misfit = _relative(form_rms(dfB - pred), form_rms(dfB))
-    a_scale = max(1.0, float(np.mean(np.abs(a))))
-    if (misfit < tol and float(np.std(a)) < tol * a_scale
-            and rms(b) < tol * a_scale):
+    # the bound on the fit's spread and imaginary part, at a's size
+    bound = _CLASSIFY_TOL * max(1.0, float(np.mean(np.abs(a))))
+    if misfit < _CLASSIFY_TOL and float(np.std(a)) < bound and rms(b) < bound:
         return "scaling"
     return "unrelated"

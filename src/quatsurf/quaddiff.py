@@ -161,12 +161,14 @@ def noncharacteristic(q, row):
     stretch foliations: (ok, margin_deg), margin the least angle over
     the row's nodes, ok when margin >= _MIN_MARGIN_DEG.  A row touching
     the zero locus (|phi| < 1e-8 max|phi|), where the foliations
-    degenerate, is rejected."""
+    degenerate, is rejected, naming its first zero node."""
     if not 0 <= row < q.grid.ny:
         raise ValueError("row index out of range")
     vals = q.phi[row]
-    if np.any(np.abs(vals) < _ZERO_TOL * _zero_scale(q)):
-        raise ValueError("curve touches the zero locus of the differential")
+    zeros = np.flatnonzero(np.abs(vals) < _ZERO_TOL * _zero_scale(q))
+    if zeros.size:
+        raise ValueError("curve touches the zero locus of the differential "
+                         "at node (j=%d, i=%d)" % (row, zeros[0]))
     horiz = np.mod(-0.5 * np.angle(vals), np.pi)
     d_h = _line_angle_distance(0.0, horiz)
     d_v = _line_angle_distance(0.0, np.mod(horiz + 0.5 * np.pi, np.pi))

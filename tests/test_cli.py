@@ -94,8 +94,7 @@ def test_analyze_report_structure(tmp_path):
     # unset flags fall through to the RunConfig defaults
     assert (rep["config"]["eps"], rep["config"]["steps"]) == (1.0, 8)
     assert set(rep["tolerances"]) == {"closed_tol", "chart_tol",
-                                      "umbilic_tol", "classify_tol",
-                                      "det_tol"}
+                                      "umbilic_tol"}
     res = rep["results"]
     assert res["H"]["mean"] == pytest.approx(0.5, abs=1e-4)
     assert res["umbilic_count"] == 0
@@ -236,7 +235,8 @@ def test_error_node_is_machine_readable(tmp_path):
     assert "not conformal" in payload["message"]
     node = payload["node"]
     assert isinstance(node, list) and len(node) == 2
-    assert all(isinstance(v, int) and 0 <= v < 7 for v in node)
+    # a node the gate checked: the interior, two rings in from the edge
+    assert all(isinstance(v, int) and 2 <= v <= 4 for v in node)
 
 
 def test_flat_input(tmp_path):
@@ -428,9 +428,13 @@ IVP = ["--generator", "cylinder", "--n", "17",
     (["converge", "--kind", "dual"], "parse", "converge resamples the "
      "surface at each level and therefore needs --generator"),
     (["verify", "--seed", "-1"], "parse", "seed must be non-negative"),
+    (["solve-ivp"] + IVP + ["--row", "0", "--steps", "3"], "solve-ivp",
+     "band of rows 0-3 too thin to differentiate"),
+    (["converge", "--kind", "ivp", "--levels", "2"] + IVP + ["--steps", "1"],
+     "converge", "band of rows 7-9 too thin to differentiate"),
 ], ids=["dual-q", "solve-ivp-row", "verify-check", "converge-row",
         "levels-0", "steps-0", "dual-no-source", "converge-no-generator",
-        "seed-negative"])
+        "seed-negative", "solve-ivp-band", "converge-band"])
 def test_cli_errors_name_the_command(argv, operation, message, tmp_path):
     # flag values are refused before the outdir exists; a --row outside
     # the grid only once the surface is read
@@ -544,8 +548,6 @@ def test_tolerance_flags_change_the_outcome(tmp_path):
                        "--chart-tol", "1e-14"], 2, out)
     assert (payload["module"], payload["operation"]) \
         == ("quatsurf.generators", "make_surface")
-    assert refused(["solve-ivp"] + IVP + ["--det-tol", "2"], 2,
-                   out)["operation"] == "check_wellposed"
     counts = []
     for extra in ([], ["--umbilic-tol", "0.05"]):
         assert main(["analyze", "--generator", "enneper", "--param",
@@ -706,7 +708,6 @@ GOOD_VALUES = {
     "--closed-tol": ["1e-2"],
     "--chart-tol": ["1e-2"],
     "--umbilic-tol": ["1e-3"],
-    "--det-tol": ["0.01"],
     "--seed": ["0", "3"],
     "--kind": ["weingarten", "dual", "bonnet", "ivp"],
     "--levels": ["1", "2"],

@@ -38,20 +38,17 @@ def test_public_names_are_pinned():
     assert sorted(quatsurf.__all__) == PUBLIC
 
 
-# The five tolerance defaults, each a constant of the module that applies
+# The three tolerance defaults, each a constant of the module that applies
 # its check, keyed by the RunConfig field that carries it on the CLI.
 TOLERANCE_OWNERS = {
     "chart_tol": (quatsurf.charts, "_CHART_TOL"),
     "umbilic_tol": (quatsurf.charts, "_UMBILIC_TOL"),
     "closed_tol": (quatsurf.duality, "_CLOSED_TOL"),
-    "classify_tol": (quatsurf.duality, "_CLASSIFY_TOL"),
-    "det_tol": (quatsurf.cauchy, "_DET_TOL"),
 }
-# public functions whose plain ``tol`` keyword is one of the five
+# public functions whose plain ``tol`` keyword is one of the three
 TOL_KEYWORDS = {
     quatsurf.umbilics: "umbilic_tol",
     quatsurf.umbilic_branch_correspondence: "umbilic_tol",
-    quatsurf.classify_christoffel: "classify_tol",
 }
 
 
@@ -83,10 +80,9 @@ def test_every_tolerance_default_is_its_owning_constant():
                 seen[name].append((fn, name))
         if fn in TOL_KEYWORDS:
             seen[TOL_KEYWORDS[fn]].append((fn, "tol"))
-    # 19 keyword defaults; with RunConfig's fields, 24 reads of 5 constants
+    # 17 keyword defaults; with RunConfig's fields, 20 reads of 3 constants
     assert {name: len(uses) for name, uses in seen.items()} == {
-        "chart_tol": 11, "umbilic_tol": 2, "closed_tol": 4,
-        "classify_tol": 1, "det_tol": 1}
+        "chart_tol": 11, "umbilic_tol": 2, "closed_tol": 4}
     for name, (module, constant) in TOLERANCE_OWNERS.items():
         value = getattr(module, constant)
         for fn, keyword in seen[name]:

@@ -123,6 +123,17 @@ def test_noncharacteristic_margin():
     assert not ok
 
 
+def test_noncharacteristic_names_the_first_zero_on_the_row():
+    # phi = z (z - 1/2) vanishes at nodes (j=4, i=4) and (j=4, i=6)
+    q = QuadDifferential.from_function(centered_grid(9),
+                                       lambda z: z * (z - 0.5))
+    with pytest.raises(ValueError, match=r"zero locus of the differential "
+                       r"at node \(j=4, i=4\)$"):
+        noncharacteristic(q, 4)
+    # the row below misses both zeros: it gets a margin, not an error
+    assert np.isfinite(noncharacteristic(q, 3)[1])
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(theta=st.floats(-4.0, 4.0), row=st.integers(0, 8))
 def test_constant_differential_margin_is_the_distance_to_its_cross(theta,

@@ -91,12 +91,19 @@ def test_row_symbol_determinant_is_the_sine_of_twice_the_stretch_angle(
         n, bound, surf):
     # the characteristic covectors sit on the stretch cross: for the row
     # conormal (0, 1), |det| = |sin 2 theta| to fourth order, theta the
-    # row's angle to the horizontal foliation (undefined at a zero of q)
+    # row's angle to the horizontal foliation (undefined at a zero of q),
+    # and exactly |sin 2 theta| (|fx| / |fy|)^(3/2): the stretch margin
+    # alone decides whether a row is characteristic
     for name, rotation in ROTATED:
         gen = surf(name, n, rotation=rotation)
         tau = form_from_qdiff(gen.imm, gen.q_known)
         det = symbol(gen.imm, tau, (slice(None), slice(None)),
                      (0.0, 1.0)).normalized_det()
         theta, _ = qs.stretch_directions(gen.q_known)
+        defined = ~np.isnan(theta)
         dev = np.abs(np.abs(det) - np.abs(np.sin(2 * theta)))
-        assert np.max(dev[~np.isnan(theta)]) < bound, name
+        assert np.max(dev[defined]) < bound, name
+        exact = np.abs(np.sin(2 * theta)) \
+            * (qs.qnorm(gen.imm.fx) / qs.qnorm(gen.imm.fy)) ** 1.5
+        rel = np.abs(np.abs(det) - exact)[defined] / exact[defined]
+        assert np.max(rel) < 1e-10, name

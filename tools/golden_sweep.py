@@ -126,7 +126,7 @@ CASES = [
      "solve-ivp --generator cylinder --param rotation=0.5 --n 33", None),
     ("solve-ivp-cylinder-row", 0,
      "solve-ivp --generator cylinder --param rotation=0.5 --n 33 --row 10 "
-     "--steps 6 --det-tol 0.02", None),
+     "--steps 6", None),
     ("solve-ivp-sphere-abort", _MARCH,
      "solve-ivp --generator sphere --param rotation=0.2 --n 33 --steps 12",
      None),
@@ -158,8 +158,8 @@ CASES = [
      "--eps 0.7 --closed-tol 1e-2 --chart-tol 2e-3", None),
     ("converge-ivp", 0,
      "converge --kind ivp --generator cylinder --param rotation=0.5 --n 17 "
-     "--levels 2 --q 1j --row 8 --steps 4 --det-tol 0.02 --closed-tol 1e-2 "
-     "--chart-tol 2e-3", None),
+     "--levels 2 --q 1j --row 8 --steps 4 --closed-tol 1e-2 --chart-tol 2e-3",
+     None),
     # configuration errors: exit 1 and one JSON line
     ("error-small-n", _PARSE, "analyze --generator cylinder --n 4", None),
     ("error-eps-nan", _PARSE, "bonnet --generator cylinder --n 17 --eps nan",
@@ -192,6 +192,10 @@ CASES = [
     ("error-qdiff-placement", _QDIFF,
      "dual --generator cylinder --n 33 --qdiff qdiff_sphere.csv",
      lambda: _setup_qdiff("qdiff_sphere.csv", "sphere")),
+    # three rows marched: refused before the march, not after it
+    ("error-band", (1, "ConfigError", "quatsurf.cli", "solve-ivp"),
+     "solve-ivp --generator cylinder --param rotation=0.5 --n 17 --steps 1",
+     None),
 ]
 
 
