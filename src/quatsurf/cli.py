@@ -699,7 +699,6 @@ def run(config):
             "config": cfg,
             "config_hash": config_hash(cfg),
             "grid": grid.spec() if grid is not None else None,
-            "tolerances": cfg["tolerances"],
             "results": results,
         }
         name = config.command.replace("-", "_") + "_report.json"
@@ -710,7 +709,7 @@ def run(config):
         if config.command == "verify" and not results["passed"]:
             return 2
         return 0
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         return _emit_error(exc, 1, config.command)
     except _NUMERICAL as exc:
         return _emit_error(exc, 2, config.command)

@@ -168,18 +168,16 @@ def read_qdiff_csv(path):
 
 def _jsonable(obj):
     """Round-trip-safe JSON payload: numpy scalars/arrays to Python,
-    floats rounded to 12 significant digits, non-finite to strings."""
+    floats at full precision, non-finite to strings."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(obj[k]) for k in obj}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
-        if not np.isfinite(f):
-            return repr(f)
-        return float("%.12g" % f)
+        return f if np.isfinite(f) else repr(f)
     # bool before int: bool subclasses int and would serialize as 0/1
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
@@ -191,7 +189,8 @@ def _jsonable(obj):
 
 
 def canonical_json(obj):
-    """Deterministic JSON text: sorted keys, rounded floats, newline."""
+    """Deterministic JSON text: sorted keys, floats at full precision (the
+    shortest decimal that reads back to the same double), newline."""
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 

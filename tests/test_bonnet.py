@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 import quatsurf as qs
 from quatsurf import (build_immersion, from_real, interior, qnorm, qnormsq,
@@ -217,6 +218,32 @@ def test_distortion_pairs_with_rotated_dual(surf, dual_of):
     _, rel = qs.shape_distortion_check(g.imm, dual, pair)
     assert rel < 5e-3
     assert pair.D_cr_rel < 5e-3
+
+
+def test_dual_and_mates_follow_a_rigid_motion():
+    """Moving the surface by p -> p R^T + t moves its dual by R and
+    leaves the mates' figures unchanged, on a randomly rotated chart."""
+    rng = np.random.default_rng(6)
+    for name in ("sphere", "cylinder", "catenoid", "enneper", "unduloid"):
+        gen = qs.make_surface(name, n=33, rotation=rng.uniform(0, np.pi))
+        R = Rotation.random(random_state=rng).as_matrix()
+        moved = qs.build_immersion(gen.imm.grid, gen.imm.positions @ R.T
+                                   + rng.normal(size=3))
+        figures = []
+        for imm in (gen.imm, moved):
+            dual = qs.integrate_dual(imm, gen.q_known)
+            pair = qs.bonnet_pair(imm, dual, eps=0.7)
+            figures.append((dual.positions, pair.congruence_rms,
+                            pair.metric_rel,
+                            qs.shape_distortion_check(imm, dual, pair)[1]))
+        (dual, cong, metric, dist), (dual2, cong2, metric2, dist2) = figures
+        assert np.abs(dual2 - dual @ R.T).max() < 1e-12 * np.abs(dual).max(), \
+            name
+        assert abs(cong2 - cong) < 1e-12 * cong, name
+        # metric_rel and the distortion figure are already relative to
+        # their identity's scale, and both are residuals near 0
+        assert abs(metric2 - metric) < 1e-12, name
+        assert abs(dist2 - dist) < 1e-12, name
 
 
 def test_umbilic_branch_correspondence(surf, dual_of):

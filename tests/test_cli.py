@@ -17,7 +17,7 @@ from quatsurf.charts import build_immersion
 from quatsurf.cli import (_FLAGS, _KINDS, COMMANDS, ConfigError,
                           RunConfig, _parse_complex, main, run)
 from quatsurf.generators import CATALOG, make_surface
-from quatsurf.io import write_field_csv, write_report
+from quatsurf.io import write_field_csv
 
 
 def read_report(outdir, command):
@@ -87,14 +87,14 @@ def test_analyze_report_structure(tmp_path):
                  "--outdir", out]) == 0
     rep = read_report(out, "analyze")
     assert set(rep) == {"command", "config", "config_hash", "grid",
-                        "tolerances", "results"}
+                        "results"}
     assert rep["command"] == "analyze"
     assert len(rep["config_hash"]) == 16
     assert rep["grid"]["ny"] == rep["grid"]["nx"] == 65
     # unset flags fall through to the RunConfig defaults
     assert (rep["config"]["eps"], rep["config"]["steps"]) == (1.0, 8)
-    assert set(rep["tolerances"]) == {"closed_tol", "chart_tol",
-                                      "umbilic_tol"}
+    assert set(rep["config"]["tolerances"]) == {"closed_tol", "chart_tol",
+                                                "umbilic_tol"}
     res = rep["results"]
     assert res["H"]["mean"] == pytest.approx(0.5, abs=1e-4)
     assert res["umbilic_count"] == 0
@@ -693,6 +693,22 @@ def test_verify_stops_at_a_configuration_error(tmp_path, monkeypatch):
     assert not (out / "verify_report.json").exists()
 
 
+def test_out_of_memory_exits_1_with_one_json_line(tmp_path, monkeypatch):
+    import quatsurf.cli as cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "make_surface", too_large)
+    out = tmp_path / "g"
+    payload = refused(["generate", "--generator", "sphere", "--n", "17"], 1,
+                      out)
+    assert (payload["error"], payload["operation"]) == ("MemoryError",
+                                                        "generate")
+    assert "74.5 GiB" in payload["message"]
+    assert not (out / "generate_report.json").exists()
+
+
 # a value for each flag that the command line accepts on its own, and
 # values that no numeric flag accepts; n stays <= 17 and levels <= 2
 GOOD_VALUES = {
@@ -801,16 +817,15 @@ def test_golden_sweep_keeps_reports_at_full_precision(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_bonnet", nudged)
     golden_sweep.run_case(str(tmp_path / "b"), argv, setup)
-    # the sweep puts the CLI's own writer back after each case
-    assert cli.write_report is write_report
 
-    def read(case, suffix):
-        path = tmp_path / case / "out" / ("bonnet_report" + suffix)
-        return path.read_bytes()
+    def read(case):
+        return (tmp_path / case / "out" / "bonnet_report.json").read_bytes()
 
-    # the report rounds the one-ulp change away; its full copy keeps it
-    assert read("a", ".json") == read("b", ".json")
-    assert read("a", ".full.json") != read("b", ".full.json")
+    # the report itself keeps the one-ulp change
+    assert read("a") != read("b")
+    assert (json.loads(read("b"))["results"]["metric_rel"]
+            == np.nextafter(json.loads(read("a"))["results"]["metric_rel"],
+                            1.0))
 
 
 def test_golden_sweep_names_a_case_with_another_exit_code(tmp_path,

@@ -175,11 +175,22 @@ def test_canonical_json_special_values():
     assert data["z"] == {"re": 1.5, "im": -2.0}
 
 
-def test_canonical_json_rounds_floats():
-    # values differing beyond 12 significant digits hash identically
-    assert config_hash({"v": 0.1234567890123456}) \
-        == config_hash({"v": 0.1234567890123999})
+def test_canonical_json_keeps_every_bit():
+    v = 0.1234567890123456
+    assert json.loads(canonical_json({"v": v}))["v"] == v
+    # values one ulp apart hash differently
+    assert config_hash({"v": v}) != config_hash({"v": np.nextafter(v, 1)})
     assert config_hash({"v": 0.1}) != config_hash({"v": 0.2})
+
+
+def test_canonical_json_zero_dimensional_arrays(tmp_path):
+    zero_d = {"f": np.array(2.5), "b": np.array(True), "i": np.array(3),
+              "nan": np.array(np.nan)}
+    text = canonical_json({"f": 2.5, "b": True, "i": 3, "nan": float("nan")})
+    assert canonical_json(zero_d) == text
+    assert config_hash(zero_d) == config_hash(json.loads(text))
+    path = write_report(str(tmp_path / "r.json"), zero_d)
+    assert open(path).read() == text
 
 
 def test_config_hash_order_independent():

@@ -9,17 +9,15 @@ working directory set to its own subdirectory ``OUTDIR/NN-name`` and
 and two sweeps into different directories give the same bytes.  Each
 case directory holds ``argv.txt``, ``stdout.txt``, ``stderr.txt``,
 ``exit_code.txt`` and the artifacts under ``out/``; OUTDIR is made if
-missing, and a case directory already there is an error.  Beside each
-``<name>.json`` report the sweep also keeps ``<name>.full.json``, the
-same report at full float precision (the report itself rounds its floats
-to 12 significant digits), so a one-ulp change to a report figure shows
-in the sweep too.  The list
-covers every command and every flag at least once, at n <= 33,
-including the configuration errors (exit 1), the rejected initial rows
-and the sphere march aborts (exit 2).  Two cases run at n = 257, past
-the row-split threshold, so that the whole-grid kernels split their rows
-over two threads there: a Bonnet pair, and a dual, whose path integrals
-split as well.
+missing, and a case directory already there is an error.  Every float of
+every artifact reads back to the same double (``%.17g`` in CSV and OBJ,
+the shortest round-trip decimal in JSON), so a one-ulp change to a
+report figure shows in the sweep.  The list covers every command and
+every flag at least once, at n <= 33, including the configuration errors
+(exit 1), the rejected initial rows and the sphere march aborts (exit
+2).  Two cases run at n = 257, past the row-split threshold, so that the
+whole-grid kernels split their rows over two threads there: a Bonnet
+pair, and a dual, whose path integrals split as well.
 
 Each case names the exit code it must give and, where it leaves a JSON
 error line, that line's error class, module and operation.  Every run
@@ -54,7 +52,6 @@ import warnings
 
 import numpy as np
 
-import quatsurf.cli
 from quatsurf.cli import main
 from quatsurf.generators import make_surface
 from quatsurf.io import write_field_csv
@@ -204,15 +201,6 @@ def run_case(casedir, argv, setup):
     os.makedirs(casedir)
     here = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
-    write_report = quatsurf.cli.write_report
-
-    def write_both(path, report):
-        write_report(path, report)
-        with open(os.path.splitext(path)[0] + ".full.json", "w") as fh:
-            json.dump(report, fh, sort_keys=True, default=lambda o: (
-                o.tolist() if hasattr(o, "tolist") else repr(o)))
-
-    quatsurf.cli.write_report = write_both
     try:
         os.chdir(casedir)
         if setup is not None:
@@ -223,7 +211,6 @@ def run_case(casedir, argv, setup):
             warnings.simplefilter("default")
             code = main(argv.split() + ["--outdir", "out"])
     finally:
-        quatsurf.cli.write_report = write_report
         os.chdir(here)
     for name, text in (("argv.txt", argv + "\n"),
                        ("stdout.txt", out.getvalue()),
