@@ -140,13 +140,6 @@ class RunConfig:
             if self.kind not in _KINDS:
                 raise ConfigError("converge needs --kind from %s"
                                   % (", ".join(_KINDS)))
-            if self.generator is None:
-                raise ConfigError("converge resamples the surface at each "
-                                  "level and therefore needs --generator")
-            if self.qdiff_path is not None:
-                raise ConfigError("converge cannot refine a fixed --qdiff "
-                                  "file; use --q or a generator with a "
-                                  "known differential")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         names = [name for name, _ in VERIFY_CHECKS]
@@ -418,29 +411,36 @@ _KINDS = {
 }
 
 
-def _ladder(config):
-    n0 = config.n
-    return [n0 + (n0 - 1) * (2 ** k - 1) for k in range(config.levels)]
-
-
 def _orders(values):
-    return [round(float(np.log2(a / b)), 2) if a > 0 and b > 0
-            else float("inf") for a, b in zip(values, values[1:])]
+    return [float(np.log2(a / b)) if a > 0 and b > 0 else float("inf")
+            for a, b in zip(values, values[1:])]
 
 
 def _cmd_converge(config, outdir):
     stage, takes_q, names = _KINDS[config.kind]
-    ns = _ladder(config)
+    # every rung is a nested slice of one sample at the finest rung (--n
+    # names the first): rung k keeps every s-th node, s = 2**(levels-1-k)
+    top = 2 ** (config.levels - 1)
+    surf = _load_surface(replace(config, n=(config.n - 1) * top + 1))
+    fine = surf.imm.grid
+    if any((m - 1) % top or m < 4 * top + 1 for m in (fine.nx, fine.ny)):
+        raise ConfigError("converge --levels %d needs k*%d+1 nodes on each "
+                          "axis with k >= 4, got nx=%d, ny=%d"
+                          % (config.levels, top, fine.nx, fine.ny))
+    q = _load_qdiff(config, surf) if takes_q else None
     series = {name: [] for name in names}
-    grid = None
-    for k, n in enumerate(ns):
+    grids = []
+    for k in range(config.levels):
+        s = top >> k
+        grid = GridChart(1 + (fine.nx - 1) // s, 1 + (fine.ny - 1) // s,
+                         fine.hx * s, fine.hy * s, fine.x0, fine.y0)
+        imm = build_immersion(grid, surf.imm.positions[::s, ::s],
+                              chart_tol=config.chart_tol)
+        args = (QuadDifferential(grid, q.phi[::s, ::s]),) if takes_q else ()
         # --row names the first rung's row: the same curve on rung k
-        rung = replace(config, n=n, row=config.row and config.row * 2 ** k)
-        surf = _load_surface(rung)
-        if grid is None:
-            grid = surf.imm.grid  # the report grid is the first rung's
-        args = (_load_qdiff(rung, surf),) if takes_q else ()
-        _, results = stage(rung, surf.imm, *args)
+        rung = replace(config, row=config.row and config.row * 2 ** k)
+        _, results = stage(rung, imm, *args)
+        grids.append(grid)
         if config.kind == "ivp":
             # max | |lam| - 1 | over the band, from its min and max
             stats = results["spin_norm"]
@@ -450,7 +450,8 @@ def _cmd_converge(config, outdir):
             series[name].append(float(results[name]))
     table = {name: {"residuals": vals, "orders": _orders(vals)}
              for name, vals in series.items()}
-    return {"kind": config.kind, "grid_sizes": ns, "series": table}, grid
+    return {"kind": config.kind, "grid_sizes": [g.nx for g in grids],
+            "series": table}, grids[0]
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +770,8 @@ _COMMAND_FLAGS = {
     "verify": ("run built-in self checks",
                ("--all", "--check", "--n", "--outdir", "--seed")),
     "converge": ("grid refinement ladder with observed orders",
-                 ("--kind", "--levels", "--generator", "--param", "--n",
-                  "--outdir", "--chart-tol", "--q", "--closed-tol", "--eps",
-                  "--row", "--steps")),
+                 ("--kind", "--levels") + _SOURCE + _QDIFF
+                 + ("--eps", "--row", "--steps")),
 }
 COMMANDS = tuple(_COMMAND_FLAGS)
 

@@ -7,13 +7,14 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatsurf.bonnet import bonnet_pair
-from quatsurf.charts import build_immersion
+from quatsurf.charts import GridChart, build_immersion
 from quatsurf.cli import (_FLAGS, _KINDS, COMMANDS, ConfigError,
                           RunConfig, _parse_complex, main, run)
 from quatsurf.generators import CATALOG, make_surface
@@ -392,15 +393,12 @@ def test_runconfig_validation(tmp_path):
     # as the --check flag is
     with pytest.raises(ConfigError, match="unknown check 'nope'"):
         RunConfig(command="verify", checks=["quaternion_algebra", "nope"])
-    # converge has no --qdiff flag, but a RunConfig built in code can name
-    # a file
+    # converge takes a --qdiff file as every command with --qdiff does;
+    # its rows are read only when the command runs
     path = tmp_path / "qdiff.csv"
     path.write_text("x,y,re_phi,im_phi\n")
-    with pytest.raises(ConfigError, match="^converge cannot refine a fixed "
-                       "--qdiff file; use --q or a generator with a known "
-                       "differential$"):
-        RunConfig(command="converge", kind="dual", generator="cylinder",
-                  qdiff_path=str(path))
+    RunConfig(command="converge", kind="dual", generator="cylinder",
+              qdiff_path=str(path)).validate()
     cfg = RunConfig(command="analyze", generator="cylinder")
     cfg.validate()
     d = cfg.as_dict()
@@ -425,8 +423,8 @@ IVP = ["--generator", "cylinder", "--n", "17",
      "steps must be at least 1"),
     (["dual", "--q", "1"], "parse",
      "command 'dual' needs --generator or --input"),
-    (["converge", "--kind", "dual"], "parse", "converge resamples the "
-     "surface at each level and therefore needs --generator"),
+    (["converge", "--kind", "dual"], "parse",
+     "command 'converge' needs --generator or --input"),
     (["verify", "--seed", "-1"], "parse", "seed must be non-negative"),
     (["solve-ivp"] + IVP + ["--row", "0", "--steps", "3"], "solve-ivp",
      "band of rows 0-3 too thin to differentiate"),
@@ -540,6 +538,108 @@ def test_converge_row_names_the_same_curve_on_every_rung(tmp_path):
     assert results[0] == results[1]
 
 
+def _write_positions(path, grid, positions):
+    write_field_csv(str(path), grid, {"px": positions[..., 0],
+                                      "py": positions[..., 1],
+                                      "pz": positions[..., 2]})
+    return str(path)
+
+
+# per kind: the catalog surface, its parameters, the first rung's n, the
+# levels, and the flags both sources take (a --q, so that the input file,
+# which carries no differential, runs with the same one)
+LADDERS = {
+    "weingarten": ("sphere", {"rotation": 0.4}, 9, 3, []),
+    "dual": ("catenoid", {}, 17, 2, ["--q", "-1"]),
+    "bonnet": ("cylinder", {}, 17, 2, ["--q", "1", "--eps", "0.7",
+                                       "--closed-tol", "1e-2",
+                                       "--chart-tol", "2e-3"]),
+    "ivp": ("cylinder", {"rotation": 0.5}, 17, 2,
+            ["--q", "1j", "--row", "8", "--steps", "4", "--closed-tol",
+             "1e-2", "--chart-tol", "2e-3"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LADDERS))
+def test_converge_of_an_input_file_is_converge_of_its_generator(kind,
+                                                                tmp_path):
+    import quatsurf.cli as cli
+    name, params, n, levels, flags = LADDERS[kind]
+    argv = ["converge", "--kind", kind, "--levels", str(levels)] + flags
+    fine = make_surface(name, n=(n - 1) * 2 ** (levels - 1) + 1,
+                        **params).imm
+    sources = {
+        "generator": ["--generator", name, "--n", str(n)]
+        + ["--param=%s=%r" % item for item in params.items()],
+        "input": ["--input", _write_positions(tmp_path / "fine.csv",
+                                              fine.grid, fine.positions)]}
+    reports = {}
+    for source, extra in sources.items():
+        # the surface is sampled once, at the finest rung, and every rung
+        # is a slice of that sample
+        with mock.patch.object(cli, "make_surface",
+                               wraps=make_surface) as sampled:
+            out = str(tmp_path / source)
+            assert main(argv + extra + ["--outdir", out]) == 0
+        assert sampled.call_count == (source == "generator")
+        reports[source] = read_report(out, "converge")
+    gen, inp = (reports[s] for s in ("generator", "input"))
+    assert gen["results"]["grid_sizes"] == [(n - 1) * 2 ** k + 1
+                                            for k in range(levels)]
+    assert inp["results"] == gen["results"]
+    assert inp["grid"] == gen["grid"]
+
+
+def test_converge_of_a_qdiff_file_is_converge_of_its_constant(tmp_path):
+    grid = make_surface("cylinder", n=33).imm.grid
+    path = str(tmp_path / "qdiff.csv")
+    write_field_csv(path, grid, {"re_phi": np.ones((grid.ny, grid.nx)),
+                                 "im_phi": np.zeros((grid.ny, grid.nx))})
+    argv = ["converge", "--kind", "dual", "--generator", "cylinder", "--n",
+            "17", "--levels", "2", "--closed-tol", "1e-2"]
+    reports = []
+    for k, flags in enumerate((["--qdiff", path], ["--q", "1"])):
+        assert main(argv + flags + ["--outdir", str(tmp_path / str(k))]) == 0
+        reports.append(read_report(str(tmp_path / str(k)), "converge"))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["grid"] == reports[1]["grid"]
+
+
+def _cylinder_csv(path, nx, ny):
+    grid = GridChart.from_bounds(0.0, 2.0 * np.pi, -1.0, 1.0, nx, ny)
+    X, Y = grid.mesh()
+    return _write_positions(path, grid,
+                            np.stack([np.cos(X), np.sin(X), -Y], axis=-1))
+
+
+def test_converge_runs_a_nested_ladder_on_a_non_square_file(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["converge", "--kind", "weingarten", "--input",
+                 _cylinder_csv(tmp_path / "c.csv", 65, 33),
+                 "--outdir", out]) == 0
+    rep = read_report(out, "converge")
+    assert rep["results"]["grid_sizes"] == [17, 33, 65]
+    assert (rep["grid"]["nx"], rep["grid"]["ny"]) == (17, 9)
+
+
+@pytest.mark.parametrize("nx, ny, levels", [(19, 19, 3), (33, 33, 5),
+                                            (33, 19, 3)])
+def test_converge_refuses_a_sample_that_does_not_nest(nx, ny, levels,
+                                                      tmp_path):
+    import quatsurf.cli as cli
+    path = _cylinder_csv(tmp_path / "c.csv", nx, ny)
+    with mock.patch.object(cli, "weingarten_split") as split:
+        payload = refused(["converge", "--kind", "weingarten", "--input",
+                           path, "--levels", str(levels)], 1, tmp_path / "o")
+    assert (payload["error"], payload["module"], payload["operation"]) \
+        == ("ConfigError", "quatsurf.cli", "converge")
+    assert payload["message"] == (
+        "converge --levels %d needs k*%d+1 nodes on each axis with k >= 4, "
+        "got nx=%d, ny=%d" % (levels, 2 ** (levels - 1), nx, ny))
+    # refused before any stage runs
+    assert split.call_count == 0
+
+
 def test_tolerance_flags_change_the_outcome(tmp_path):
     out = str(tmp_path / "t")
     refused(["dual", "--generator", "catenoid", "--n", "33", "--closed-tol",
@@ -647,8 +747,7 @@ UNREAD_FLAGS = (
     + [(c, "--closed-tol") for c in ("generate", "analyze", "verify")]
     + [(c, "--umbilic-tol") for c in ("generate", "dual", "solve-ivp",
                                        "verify", "converge")]
-    + [("verify", "--chart-tol"), ("converge", "--input"),
-       ("converge", "--qdiff")])
+    + [("verify", "--chart-tol")])
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)

@@ -160,3 +160,28 @@ def test_an_integral_float_order_is_that_order():
     two, two_f = (make_surface("enneper", n=17, order=k) for k in (2, 2.0))
     assert np.array_equal(two.imm.positions, two_f.imm.positions)
     assert np.array_equal(two.q_known.phi, two_f.q_known.phi)
+
+
+# the ellipsoid's rotated chart misses chart_tol at n=17 (see its docstring)
+NESTED = [(name, n, rotation) for name in sorted(CATALOG) for n in (17, 33)
+          for rotation in (0.0, 0.4)
+          if (name, n, rotation) != ("ellipsoid_of_revolution", 17, 0.4)]
+
+
+@pytest.mark.parametrize("name, n, rotation", NESTED)
+def test_every_other_node_of_the_finer_sample_is_the_coarser_sample(
+        name, n, rotation):
+    # converge builds each rung as a slice of one sample at the finest rung,
+    # and gives the ladder of per-rung samples only while this holds bit for
+    # bit
+    coarse, fine = (make_surface(name, n=m, rotation=rotation)
+                    for m in (n, 2 * n - 1))
+    spec = dict(fine.imm.grid.spec(), nx=n, ny=n, hx=2 * fine.imm.grid.hx,
+                hy=2 * fine.imm.grid.hy)
+    assert coarse.imm.grid.spec() == spec
+    assert np.array_equal(coarse.imm.positions,
+                          fine.imm.positions[::2, ::2])
+    assert np.array_equal(coarse.q_known.phi, fine.q_known.phi[::2, ::2])
+    assert (coarse.dual_known is None) == (fine.dual_known is None)
+    if coarse.dual_known is not None:
+        assert np.array_equal(coarse.dual_known, fine.dual_known[::2, ::2])

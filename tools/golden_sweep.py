@@ -193,6 +193,20 @@ CASES = [
     ("error-band", (1, "ConfigError", "quatsurf.cli", "solve-ivp"),
      "solve-ivp --generator cylinder --param rotation=0.5 --n 17 --steps 1",
      None),
+    # converge on a sampled surface and a sampled differential: every rung
+    # is a slice of the one sample at the finest rung
+    ("converge-input", 0,
+     "converge --kind weingarten --input %s --levels 2" % _FIELDS, None),
+    ("converge-qdiff", 0,
+     "converge --kind dual --generator cylinder --n 17 --levels 2 "
+     "--qdiff qdiff.csv --closed-tol 1e-2", _setup_qdiff),
+    # 33 nodes are not k * 64 + 1 with k >= 4
+    ("error-converge-nodes", (1, "ConfigError", "quatsurf.cli", "converge"),
+     "converge --kind weingarten --input %s --levels 7" % _FIELDS, None),
+    # the 9-node first rung of a 33-node cylinder misses chart_tol
+    ("error-converge-rung-chart",
+     (2, "ValueError", "quatsurf.charts", "build_immersion"),
+     "converge --kind weingarten --input %s --levels 3" % _FIELDS, None),
 ]
 
 
