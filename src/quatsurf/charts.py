@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (QForm, _split_rows, anticonformal_defect,
-                          check_unit_imaginary, from_vec, qdot, qmul, qnorm,
+from .quaternions import (QForm, _check_unit, _qdot_rows, _qempty, _qmul_rows,
+                          _qnormsq_rows, _split_rows, _unit_rows,
+                          anticonformal_defect, from_vec, qdot, qnorm,
                           qnormsq, split_tangential, to_vec)
 
 # default tolerances of build_immersion's chart test and of umbilics
@@ -133,12 +134,17 @@ def interior(field):
 
 def rms(values):
     """Root-mean-square over all entries."""
-    return float(np.sqrt(np.mean(np.square(np.asarray(values, dtype=np.float64)))))
+    return _root_mean(np.square(np.asarray(values, dtype=np.float64)))
+
+
+def _root_mean(squares):
+    """sqrt(mean(squares)): rms of the values these squares come from."""
+    return float(np.sqrt(np.mean(squares)))
 
 
 def form_rms(form):
     """Chart RMS norm of a one-form: sqrt(mean(|ax|^2 + |ay|^2))."""
-    return float(np.sqrt(np.mean(qnormsq(form.ax) + qnormsq(form.ay))))
+    return _root_mean(qnormsq(form.ax) + qnormsq(form.ay))
 
 
 def _relative(num, den):
@@ -232,19 +238,29 @@ def raw_frame(grid, f):
     """
     fx = deriv_x(f, grid.hx)
     fy = deriv_y(f, grid.hy)
+    shape = fx.shape[:-1]
+    frame = _split_rows(_frame_rows, (np.empty_like(fx), np.empty(shape),
+                                      np.empty(shape), np.empty(shape)),
+                        (fx, fy))
+    return (fx, fy) + frame
+
+
+def _frame_rows(out, fx, fy):
+    """raw_frame's (N, |fx|, |fy|, |fx x fy|) into out."""
+    N, nfx, nfy, crossnorm = out
     ax, ay, az = fx[..., 1], fx[..., 2], fx[..., 3]
     bx, by, bz = fy[..., 1], fy[..., 2], fy[..., 3]
     cx = ay * bz - az * by
     cy = az * bx - ax * bz
     cz = ax * by - ay * bx
-    crossnorm = np.sqrt((cx * cx + cy * cy) + cz * cz)
-    N = np.empty_like(fx)
+    np.sqrt((cx * cx + cy * cy) + cz * cz, out=crossnorm)
     N[..., 0] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(cx, crossnorm, out=N[..., 1])
         np.divide(cy, crossnorm, out=N[..., 2])
         np.divide(cz, crossnorm, out=N[..., 3])
-    return fx, fy, N, qnorm(fx), qnorm(fy), crossnorm
+    np.sqrt(_qnormsq_rows(nfx, fx), out=nfx)
+    np.sqrt(_qnormsq_rows(nfy, fy), out=nfy)
 
 
 def build_immersion(grid, samples, chart_tol=_CHART_TOL):
@@ -309,19 +325,34 @@ def _symmetric_tensor(a11, a12, a22):
     return T
 
 
-def _mean_curvature_x(N, Nx, Ny, fx):
-    """(H, N Ny) with -H df the conformal part of dN = (Nx, Ny).
+def _mean_curvature_rows(out, N, Nx, Ny, fx):
+    """(H, N Ny, unit) into out, with -H df the conformal part of
+    dN = (Nx, Ny) and unit the _unit_rows of N.
 
     H is read off that part's d/dx component (Nx - N Ny)/2, in the
     operation order of split_conformal's kc.ax; the d/dy component is
-    not built.  N is validated as split_conformal validates it.  N Ny
-    is returned for weingarten_split to build omega in.
+    not built.  N Ny is kept for weingarten_split to build omega in.
     """
-    check_unit_imaginary(N)
-    nny = qmul(N, Ny)
+    H, nny, unit = out
+    _unit_rows(unit, N)
+    _qmul_rows(nny, N, Ny)
     kc = Nx - nny
     kc *= 0.5
-    return -qdot(kc, fx) / qnormsq(fx), nny
+    np.negative(_qdot_rows(H, kc, fx), out=H)
+    del kc
+    H /= _qnormsq_rows(np.empty_like(H), fx)
+
+
+def _mean_curvature_x(N, Nx, Ny, fx):
+    """H of _mean_curvature_rows, with N validated as split_conformal
+    validates it."""
+    shape = N.shape[:-1]
+    H, _, unit = _split_rows(
+        _mean_curvature_rows,
+        (np.empty(shape), _qempty(shape), np.empty((shape[0], 2))),
+        (N, Nx, Ny, fx))
+    _check_unit(*np.max(unit, axis=0))
+    return H
 
 
 def weingarten_split(imm):
@@ -336,19 +367,36 @@ def weingarten_split(imm):
     N = imm.N
     Nx = deriv_x(N, imm.grid.hx)
     Ny = deriv_y(N, imm.grid.hy)
-    H, wx = _mean_curvature_x(N, Nx, Ny, imm.fx)
+    shape = N.shape[:-1]
+    H, wx, wy, II, hopf_qd, unit = _split_rows(
+        _weingarten_rows,
+        (np.empty(shape), _qempty(shape), _qempty(shape),
+         np.empty(shape + (2, 2)), np.empty(shape, dtype=np.complex128),
+         np.empty((shape[0], 2))),
+        (N, Nx, Ny, imm.fx, imm.fy))
+    _check_unit(*np.max(unit, axis=0))
+    return CurvatureData(H, QForm(wx, wy), II, hopf_qd, QForm(Nx, Ny))
+
+
+def _weingarten_rows(out, N, Nx, Ny, fx, fy):
+    """weingarten_split's (H, omega.ax, omega.ay, II, hopf_qd, unit)
+    into out."""
+    H, wx, wy, II, hopf_qd, unit = out
+    _mean_curvature_rows((H, wx, unit), N, Nx, Ny, fx)
     wx += Nx
     wx *= 0.5
-    wy = qmul(N, Nx)
+    _qmul_rows(wy, N, Nx)
     np.subtract(Ny, wy, out=wy)
     wy *= 0.5
 
-    II11 = -qdot(Nx, imm.fx)
-    II22 = -qdot(Ny, imm.fy)
-    II12 = -0.5 * (qdot(Nx, imm.fy) + qdot(Ny, imm.fx))
-    II = _symmetric_tensor(II11, II12, II22)
-    hopf_qd = 0.25 * (II11 - II22) - 0.5j * II12
-    return CurvatureData(H, QForm(wx, wy), II, hopf_qd, QForm(Nx, Ny))
+    II11, II12, II22 = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
+    np.negative(_qdot_rows(II11, Nx, fx), out=II11)
+    np.negative(_qdot_rows(II22, Ny, fy), out=II22)
+    _qdot_rows(II12, Nx, fy)
+    II12 += _qdot_rows(np.empty_like(H), Ny, fx)
+    II12 *= -0.5
+    II[..., 1, 0] = II12
+    np.subtract(0.25 * (II11 - II22), 0.5j * II12, out=hopf_qd)
 
 
 def weingarten_residual(imm, curv):

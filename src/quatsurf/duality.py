@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import (_CHART_TOL, GridChart, _deriv_x_rows, _mean_curvature_x,
-                     _relative, _same_grid, build_immersion,
+                     _relative, _root_mean, _same_grid, build_immersion,
                      closedness_residual, deriv_x, deriv_y, form_rms,
                      raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
-from .quaternions import (QForm, _split_rows, from_real, qdot, qinv, qmul,
-                          qnorm, qnormsq, quat, to_vec, wedge)
+from .quaternions import (QForm, _qdot_rows, _qempty, _qnormsq_rows,
+                          _split_rows, _wedge_rows, from_real, qdot, qinv,
+                          qmul, quat, to_vec)
 
 # default tolerance of the closedness gate; classify_christoffel's fixed one
 _CLOSED_TOL = 5e-3
@@ -60,13 +61,27 @@ def integrate_form(grid, form, basepoint=(0, 0)):
     jr, ir = grid.ny // 2, grid.nx // 2
     Ax = _cumint_x(form.ax, grid.hx)
     By = _cumint_y(form.ay, grid.hy)
-    row_first = (Ax[jr:jr + 1] - Ax[jr:jr + 1, ir:ir + 1]) \
-        + (By - By[jr:jr + 1])
-    col_first = (By[:, ir:ir + 1] - By[jr:jr + 1, ir:ir + 1]) \
+    # the row-first routing at the basepoint, in the routing's own order
+    base = (Ax[jr:jr + 1, i0:i0 + 1] - Ax[jr:jr + 1, ir:ir + 1]) \
+        + (By[j0:j0 + 1, i0:i0 + 1] - By[jr:jr + 1, i0:i0 + 1])
+    shape = Ax.shape[:-1]
+    primitive, gap = _split_rows(_routing_rows,
+                                 (_qempty(shape), np.empty(shape)), (Ax, By),
+                                 Ax[jr:jr + 1], By[jr:jr + 1], ir, base)
+    return primitive, float(np.max(gap))
+
+
+def _routing_rows(out, Ax, By, Ax_center, By_center, ir, base):
+    """integrate_form's primitive and |row-first - column-first| per
+    node into out, from the cumulative integrals' rows and their center
+    row."""
+    primitive, gap = out
+    row_first = (Ax_center - Ax_center[:, ir:ir + 1]) + (By - By_center)
+    col_first = (By[:, ir:ir + 1] - By_center[:, ir:ir + 1]) \
         + (Ax - Ax[:, ir:ir + 1])
-    deviation = float(np.max(qnorm(row_first - col_first)))
-    primitive = row_first - row_first[j0:j0 + 1, i0:i0 + 1]
-    return primitive, deviation
+    np.subtract(row_first, col_first, out=col_first)
+    np.sqrt(_qnormsq_rows(gap, col_first), out=gap)
+    np.subtract(row_first, base, out=primitive)
 
 
 def _integrate_closed(grid, form, closed_tol, failure, basepoint=(0, 0)):
@@ -91,7 +106,7 @@ def _mean_curvature(grid, f):
     # a unit placeholder normal at degenerate nodes, which passes the
     # unit-N validation of the split
     N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
-    H, _ = _mean_curvature_x(N, deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx)
+    H = _mean_curvature_x(N, deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx)
     # nodes whose stencil touched a degenerate node are unreliable
     bad = ~ok
     for _ in range(2):
@@ -167,37 +182,71 @@ def verify_duality(imm, dual, curv):
     comparison (all chart-RMS normalized).
     """
     _same_grid(imm.grid, dual.grid)
-    tau = dual.tau
-    dN = curv.dN
-    Hs = dual.Hstar
-    ok = np.isfinite(Hs)
-
-    resid_a = dN - tau * Hs[..., None] + imm.df * curv.H[..., None]
-    rel_a = _relative(rms(resid_a.norm()[ok]), form_rms(dN))
-
-    W1 = wedge(tau, curv.omega)
-    W2 = wedge(curv.omega, tau)
-    rel_b = _relative(rms(qnorm(W1 - W2)), rms(qnorm(W1)))
-
-    # a is undefined where df* vanishes (the dual's branch points), so
-    # the fit skips those nodes, as (a) skips nodes where H* is NaN
-    num = qdot(curv.omega.ax, tau.ax) + qdot(curv.omega.ay, tau.ay)
-    den = qnormsq(tau.ax) + qnormsq(tau.ay)
-    fit = den > 0
-    a_fit = np.full(den.shape, np.nan)
-    a_fit[fit] = num[fit] / den[fit]
-    a = a_fit[fit][:, None]
-    resid_c = QForm(curv.omega.ax[fit] - a * tau.ax[fit],
-                    curv.omega.ay[fit] - a * tau.ay[fit])
-    rel_c = _relative(form_rms(resid_c), form_rms(curv.omega))
-
-    diff = np.abs(a_fit - Hs)[ok]
+    tau, omega, dN = dual.tau, curv.omega, curv.dN
+    shape = tau.ax.shape[:-1]
+    ok, fit, resid_a, dN_sq, wedge_gap, wedge_1, resid_c_sq, omega_sq, \
+        a_gap = _split_rows(
+            _duality_rows,
+            (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+            + tuple(np.empty(shape) for _ in range(7)),
+            (dN.ax, dN.ay, tau.ax, tau.ay, omega.ax, omega.ay, imm.fx, imm.fy,
+             curv.H, dual.Hstar))
+    # (a) and the comparison with H* skip the nodes where H* is NaN, the
+    # fit of (c) the nodes where df* vanishes (the dual's branch points)
+    rel_a = _relative(rms(resid_a[ok]), _root_mean(dN_sq))
+    rel_b = _relative(rms(wedge_gap), rms(wedge_1))
+    rel_c = _relative(_root_mean(resid_c_sq[fit]), _root_mean(omega_sq))
     return {
         "classical_rel": rel_a,
         "wedge_rel": rel_b,
         "real_multiple_rel": rel_c,
-        "fitted_vs_Hstar_rms": float(np.sqrt(np.mean(diff ** 2))),
+        "fitted_vs_Hstar_rms": float(np.sqrt(np.mean(a_gap[ok] ** 2))),
     }
+
+
+def _duality_rows(out, dNx, dNy, tx, ty, ox, oy, fx, fy, H, Hs):
+    """verify_duality's per-node fields into out: where H* is finite,
+    where df* is nonzero, |(a)|, |dN|^2, |(b)|, |df* ^ omega|, |(c)|^2,
+    |omega|^2 and |a - H*|; (c) and a are NaN where df* vanishes."""
+    ok, fit, resid_a, dN_sq, wedge_gap, wedge_1, resid_c_sq, omega_sq, \
+        a_gap = out
+    np.isfinite(Hs, out=ok)
+    t = np.empty(ok.shape)
+
+    # (a): |dN - H* df* + H df|, as QForm arithmetic orders it
+    rx = dNx - tx * Hs[..., None]
+    rx += fx * H[..., None]
+    ry = dNy - ty * Hs[..., None]
+    ry += fy * H[..., None]
+    _qnormsq_rows(resid_a, rx)
+    resid_a += _qnormsq_rows(t, ry)
+    np.sqrt(resid_a, out=resid_a)
+    _qnormsq_rows(dN_sq, dNx)
+    dN_sq += _qnormsq_rows(t, dNy)
+    del rx, ry
+
+    # (b): wedge(df*, omega) - wedge(omega, df*)
+    w1 = _wedge_rows(_qempty(ok.shape), tx, ty, ox, oy)
+    w2 = _wedge_rows(_qempty(ok.shape), ox, oy, tx, ty)
+    np.sqrt(_qnormsq_rows(wedge_1, w1), out=wedge_1)
+    np.subtract(w1, w2, out=w2)
+    np.sqrt(_qnormsq_rows(wedge_gap, w2), out=wedge_gap)
+    del w1, w2
+
+    # (c): omega - a df* with a the least-squares real coefficient
+    num = _qdot_rows(np.empty(ok.shape), ox, tx)
+    num += _qdot_rows(t, oy, ty)
+    den = _qnormsq_rows(np.empty(ok.shape), tx)
+    den += _qnormsq_rows(t, ty)
+    np.greater(den, 0, out=fit)
+    a = np.full(ok.shape, np.nan)
+    np.divide(num, den, out=a, where=fit)
+    del num, den
+    _qnormsq_rows(resid_c_sq, ox - a[..., None] * tx)
+    resid_c_sq += _qnormsq_rows(t, oy - a[..., None] * ty)
+    _qnormsq_rows(omega_sq, ox)
+    omega_sq += _qnormsq_rows(t, oy)
+    np.abs(np.subtract(a, Hs, out=a), out=a_gap)
 
 
 def classify_christoffel(immA, immB):

@@ -11,7 +11,8 @@ and anti-conformal tangential one-forms through an immersion's frame.
 import numpy as np
 
 from .charts import _relative, _same_grid, deriv_x, deriv_y, form_rms, rms
-from .quaternions import (QForm, anticonformal_defect, qdot, qinv, qmul,
+from .quaternions import (QForm, _qempty, _qinv_rows, _qmul_rows,
+                          _split_rows, anticonformal_defect, qdot, qmul,
                           split_tangential)
 
 # least angle (degrees) a non-characteristic row keeps from both
@@ -184,13 +185,20 @@ def form_from_qdiff(imm, q):
     Accepts a QuadDifferential or a bare complex field/scalar.
     """
     phi = QuadDifferential.coerce(imm.grid, q).phi
+    shape = phi.shape
+    return QForm(*_split_rows(_hopf_form_rows, (_qempty(shape), _qempty(shape)),
+                              (phi, imm.fx, imm.N)))
+
+
+def _hopf_form_rows(out, phi, fx, N):
+    """form_from_qdiff's (tau(d/dx), tau(d/dy)) into out."""
+    tx, ty = out
     a = np.ascontiguousarray(phi.real)[..., None]
     b = np.ascontiguousarray(phi.imag)[..., None]
-    fxinv = qinv(imm.fx)
-    val = a * np.array([1.0, 0, 0, 0]) + b * imm.N
-    tx = qmul(fxinv, val)
-    ty = -qmul(imm.N, tx)
-    return QForm(tx, ty)
+    val = a * np.array([1.0, 0, 0, 0]) + b * N
+    _qmul_rows(tx, _qinv_rows(_qempty(fx.shape[:-1]), fx), val)
+    del val
+    np.negative(_qmul_rows(ty, N, tx), out=ty)
 
 
 def _hopf_defects(tau, N):

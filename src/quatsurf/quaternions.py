@@ -9,12 +9,15 @@ positions, frames and normals all live in the same representation.
 Everything here is exact pointwise algebra; there are no grids and no
 tolerances except for unit-normal validation.
 
-The whole-grid kernels (qmul, qnormsq and qdot here; deriv_x, the spin
-rotation, _rotate and the cumulative integral elsewhere) fill their
-output through _split_rows, the one place that decides: rows split over
-two threads when every operand is an (ny, nx) or (ny, nx, k) field on
-the output's grid, the smallest holds _SPLIT_SIZE values or more, the
-call is not inside a half, and the process may use two CPUs.
+The whole-grid kernels (qmul, qnormsq, qdot and wedge here; deriv_x,
+the spin rotation, _rotate and the cumulative integral elsewhere) and
+the pointwise tails of weingarten_split, raw_frame, form_from_qdiff,
+integrate_form and verify_duality fill their output through
+_split_rows, the one place that decides: rows split over two threads
+when every operand is an (ny, nx) or (ny, nx, k) field on the output's
+grid, the smallest holds _SPLIT_SIZE values or more, the call is not
+inside a half, and the process may use two CPUs.  A fill calls only the
+private row kernels (_qmul_rows and the like), never a public function.
 """
 
 import contextvars
@@ -55,23 +58,36 @@ def _fill_half(fill, out, rows, args):
         _split_state.inside = False
 
 
+def _grid_of(out):
+    return (out[0] if isinstance(out, tuple) else out).shape[:2]
+
+
+def _cut(out, rows, s):
+    """out and rows restricted to the rows s, out as one array or a tuple."""
+    out = tuple(o[s] for o in out) if isinstance(out, tuple) else out[s]
+    return out, tuple(r[s] for r in rows)
+
+
 def _split_rows(fill, out, rows, *args):
     """fill(out, *rows, *args); returns out.
 
-    Rows split over two threads when every operand is an (ny, nx) or
-    (ny, nx, k) field on the output's grid, the smallest holds
-    _SPLIT_SIZE values or more, the call is not inside a half, and the
-    process may use two CPUs.  Axis 0 is the row axis: this thread fills
-    the lower half and one worker thread the upper half.  fill computes
-    each element from the same expression whatever rows it is handed, so
-    the result is the same bits as one inline call.  The worker runs in
-    a copy of the caller's context, so np.errstate holds there too; an
-    exception from either half reaches the caller once both are done.
+    out is one array or a tuple of arrays, each with the grid's rows on
+    axis 0 (a per-row array included); the first gives the grid, and a
+    fill handed a tuple fills each of its arrays.  Rows split over two
+    threads when every operand is an (ny, nx) or (ny, nx, k) field on
+    that grid, the smallest holds _SPLIT_SIZE values or more, the call
+    is not inside a half, and the process may use two CPUs.  This thread
+    fills the lower half of every output and one worker thread the upper
+    half.  fill computes each element from the same expression whatever
+    rows it is handed, so the result is the same bits as one inline
+    call; args pass whole to both halves.  The worker runs in a copy of
+    the caller's context, so np.errstate holds there too; an exception
+    from either half reaches the caller once both are done.
     """
     global _split_pool
     # rows[0]'s size first: a small call pays one comparison
     if (rows[0].size < _SPLIT_SIZE or getattr(_split_state, "inside", False)
-            or any(r.ndim not in (2, 3) or r.shape[:2] != out.shape[:2]
+            or any(r.ndim not in (2, 3) or r.shape[:2] != _grid_of(out)
                    or r.size < _SPLIT_SIZE for r in rows)
             or _cpu_count() < 2):
         fill(out, *rows, *args)
@@ -82,11 +98,11 @@ def _split_rows(fill, out, rows, *args):
             from concurrent.futures import ThreadPoolExecutor
             _split_pool = (os.getpid(), ThreadPoolExecutor(1))
         pool = _split_pool[1]
-    h = out.shape[0] // 2
+    h = _grid_of(out)[0] // 2
     upper = pool.submit(contextvars.copy_context().run, _fill_half, fill,
-                        out[h:], tuple(r[h:] for r in rows), args)
+                        *_cut(out, rows, slice(h, None)), args)
     try:
-        _fill_half(fill, out[:h], tuple(r[:h] for r in rows), args)
+        _fill_half(fill, *_cut(out, rows, slice(None, h)), args)
     except BaseException:
         upper.exception()  # the worker still writes into out: wait for it
         raise
@@ -190,7 +206,7 @@ def qnormsq(q):
 
 def _qnormsq_rows(out, q):
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    np.add((w * w + x * x) + y * y, z * z, out=out)
+    return np.add((w * w + x * x) + y * y, z * z, out=out)
 
 
 def qnorm(q):
@@ -205,16 +221,31 @@ def qiszero(q):
 
 def qinv(q):
     q = np.asarray(q, dtype=QUAT_DTYPE)
-    n2 = qnormsq(q)
+    _check_quaternions(q)
+    return _qinv_rows(_qempty(q.shape[:-1]), q)
+
+
+def _qinv_rows(out, q):
+    """qinv of a float64 quaternion array into out: conj(q) / |q|^2,
+    each component as qconj's q * -1.0 divided by |q|^2.  Each element
+    reads only its own quaternion, whatever rows are handed in."""
+    n2 = np.empty(q.shape[:-1])
+    _qnormsq_rows(n2, q)
     small = n2 == 0.0
-    if not np.any(small):
-        return qconj(q) / n2[..., None]
-    if np.any(qiszero(q[small])):
-        raise ZeroDivisionError("quaternion inverse of zero")
-    # |q|^2 underflowed: invert q / s, with s the largest |component|
-    s = np.where(small, np.max(np.abs(q), axis=-1), 1.0)[..., None]
-    p = q / s
-    return qconj(p) / (qnormsq(p)[..., None] * s)
+    if np.any(small):
+        if np.any(np.all(q[small] == 0.0, axis=-1)):
+            raise ZeroDivisionError("quaternion inverse of zero")
+        # |q|^2 underflowed: invert q / s, with s the largest |component|
+        # (s = 1 elsewhere, where q / s and |q / s|^2 s are exact)
+        s = np.where(small, np.max(np.abs(q), axis=-1), 1.0)
+        q = q / s[..., None]
+        _qnormsq_rows(n2, q)
+        n2 *= s
+    np.divide(q[..., 0], n2, out=out[..., 0])
+    for k in range(1, 4):
+        np.multiply(q[..., k], -1.0, out=out[..., k])
+        out[..., k] /= n2
+    return out
 
 
 def qdot(a, b):
@@ -230,18 +261,36 @@ def qdot(a, b):
 
 
 def _qdot_rows(out, a, b):
-    np.add((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-           + a[..., 2] * b[..., 2], a[..., 3] * b[..., 3], out=out)
+    return np.add((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+                  + a[..., 2] * b[..., 2], a[..., 3] * b[..., 3], out=out)
 
 
 def check_unit_imaginary(N):
     """Validate a unit imaginary quaternion field (a normal field)."""
     N = np.asarray(N)
-    if np.max(np.abs(N[..., 0])) > _NORMAL_TOL:
-        raise ValueError("normal field has a real part")
-    if np.max(np.abs(qnormsq(N) - 1.0)) > _NORMAL_TOL:
-        raise ValueError("normal field is not unit length")
+    _check_unit(np.max(np.abs(N[..., 0])), np.max(np.abs(qnormsq(N) - 1.0)))
     return N
+
+
+def _check_unit(real_max, norm_max):
+    """The test of check_unit_imaginary on the largest |Re N| and
+    | |N|^2 - 1 | of a normal field."""
+    if real_max > _NORMAL_TOL:
+        raise ValueError("normal field has a real part")
+    if norm_max > _NORMAL_TOL:
+        raise ValueError("normal field is not unit length")
+
+
+def _unit_rows(out, N):
+    """Each row's largest |Re N| and | |N|^2 - 1 | into the (rows, 2)
+    out; the largest over the rows is exact, so _check_unit on the
+    column maxima of out is check_unit_imaginary(N)."""
+    np.max(np.abs(N[..., 0]), axis=1, out=out[:, 0])
+    dev = np.empty(N.shape[:-1])
+    _qnormsq_rows(dev, N)
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    np.max(dev, axis=1, out=out[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -331,4 +380,14 @@ def wedge(alpha, beta):
 
     Order matters: alpha(d/dx) beta(d/dy) - alpha(d/dy) beta(d/dx).
     """
-    return qmul(alpha.ax, beta.ay) - qmul(alpha.ay, beta.ax)
+    rows = (alpha.ax, alpha.ay, beta.ax, beta.ay)
+    _check_quaternions(*rows)
+    shape = np.broadcast_shapes(*(r.shape for r in rows))
+    return _split_rows(_wedge_rows, _qempty(shape[:-1]), rows)
+
+
+def _wedge_rows(out, ax, ay, bx, by):
+    """wedge of the forms (ax, ay) and (bx, by) into out."""
+    _qmul_rows(out, ax, by)
+    out -= _qmul_rows(_qempty(out.shape[:-1]), ay, bx)
+    return out
