@@ -39,6 +39,8 @@ from .bonnet import SpinField, _integrate_spin, _spin_transform
 _COND_LIMIT = 1e8
 # fewest rows of a marched band that reconstruct can differentiate
 _MIN_BAND_ROWS = 5
+# the reference angles characteristic_angles chooses its pencil's s from
+_REFERENCE_ANGLES = np.arange(4) * (np.pi / 4)
 
 
 # The Hamilton product's table on the basis (1, i, j, k), taken from
@@ -102,20 +104,34 @@ def symbol(imm, tau, node, xi):
 
 def characteristic_angles(imm, tau, node):
     """Sorted angles t in [0, 2 pi) where the symbol at the covector
-    (cos t, sin t) is singular: with P1, P2 the symbols at xi = (1, 0),
-    (0, 1), each real eigenvalue alpha / beta of the pencil (P1, -P2)
-    gives the line t = atan2(alpha, beta), t + pi."""
-    import scipy.linalg
+    (cos t, sin t) is singular.
 
+    With P1, P2 the symbols at xi = (1, 0), (0, 1), the symbol at
+    t = s + phi is cos(phi) A + sin(phi) B for A = cos(s) P1 + sin(s) P2,
+    B = cos(s) P2 - sin(s) P1, so each real eigenvalue mu of A^-1 B gives
+    the line t = s + atan2(1, -mu), t + pi.  The reference angle s is the
+    one of 0, pi/4, pi/2, 3 pi/4 whose A has the largest |det|.  Refused
+    with ValueError: a node where the differential vanishes, and one
+    where all four A have det exactly 0 (a symbol singular for every
+    covector, so no angle is characteristic).
+    """
     j, i = node
     if not (np.any(tau.ax[j, i]) or np.any(tau.ay[j, i])):
         raise ValueError("the symbol pencil is singular at node (j=%d, i=%d):"
                          " the differential vanishes there" % (j, i))
     P1 = symbol(imm, tau, (j, i), (1.0, 0.0)).matrix
     P2 = symbol(imm, tau, (j, i), (0.0, 1.0)).matrix
-    alpha, beta = scipy.linalg.eigvals(P1, -P2, homogeneous_eigvals=True)
-    real = alpha.imag == 0
-    t = np.arctan2(alpha.real[real], beta.real[real])
+    c, s = np.cos(_REFERENCE_ANGLES), np.sin(_REFERENCE_ANGLES)
+    A = c[:, None, None] * P1 + s[:, None, None] * P2
+    dets = np.abs(np.linalg.det(A))
+    k = int(np.argmax(dets))
+    if dets[k] == 0.0:
+        raise ValueError("the symbol pencil is singular at node (j=%d, i=%d):"
+                         " the symbol is singular for every covector"
+                         % (j, i))
+    mu = np.linalg.eigvals(np.linalg.solve(A[k], c[k] * P2 - s[k] * P1))
+    real = mu.imag == 0
+    t = _REFERENCE_ANGLES[k] + np.arctan2(1.0, -mu.real[real])
     t = np.concatenate([t, t + np.pi]) % (2 * np.pi)
     # a root just below 0 rounds to 2 pi under the modulo
     return sorted(np.where(t < 2 * np.pi, t, 0.0))

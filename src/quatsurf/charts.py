@@ -452,6 +452,5 @@ def umbilics(curv, tol=_UMBILIC_TOL):
     has no umbilic on the chart at this tolerance, every node on a flat
     chart (II = 0), as on a totally umbilic one.
     """
-    hits = np.argwhere(_umbilic_mask(curv, tol))
-    return [(int(j), int(i)) for j, i in hits]
+    return list(map(tuple, np.argwhere(_umbilic_mask(curv, tol)).tolist()))
 

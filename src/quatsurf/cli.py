@@ -267,8 +267,9 @@ def _dual(config, imm, q):
     }
 
 
-def _bonnet(config, imm, q):
-    dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
+def _bonnet(config, imm, q, dual=None):
+    if dual is None:
+        dual = integrate_dual(imm, q, closed_tol=config.closed_tol)
     pair = bonnet_pair(imm, dual, config.eps, closed_tol=config.closed_tol,
                        chart_tol=config.chart_tol)
     _, dist_rel = shape_distortion_check(imm, dual, pair)
@@ -581,7 +582,8 @@ def _cmd_verify(config, outdir):
                 if not config.checks or m in config.checks]
 
     # per-run memos, so each is built once: a catalog surface at the run's
-    # n, and a command stage on the cylinder (with its q where it takes one)
+    # n, and a command stage on the cylinder (with its q where it takes
+    # one; the mates take the dual _dual integrated)
     @functools.cache
     def surface(name, **params):
         return make_surface(name, n=config.n, **params)
@@ -589,8 +591,11 @@ def _cmd_verify(config, outdir):
     @functools.cache
     def cylinder(stage):
         gen = surface("cylinder")
-        return stage(config, gen.imm, *(() if stage is _analyze
-                                         else (gen.q_known,)))
+        if stage is _analyze:
+            return stage(config, gen.imm)
+        if stage is _bonnet:
+            return stage(config, gen.imm, gen.q_known, cylinder(_dual)[0])
+        return stage(config, gen.imm, gen.q_known)
 
     outcomes = {}
     for name, fn in selected:

@@ -292,10 +292,25 @@ def test_verify_builds_each_surface_once_per_run(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, counted)
     assert main(["verify", "--all", "--n", "33",
                  "--outdir", str(tmp_path)]) == 0
-    # the cylinder, the catenoid and the rotated cylinder; the duals of
-    # the dual and bonnet stages, of the cylinder's dual and of the
-    # catenoid
-    assert calls == {"make_surface": 3, "integrate_dual": 4}
+    # the cylinder, the catenoid and the rotated cylinder; the dual of the
+    # dual stage (the bonnet stage takes it), of the cylinder's dual and
+    # of the catenoid
+    assert calls == {"make_surface": 3, "integrate_dual": 3}
+
+
+@pytest.mark.parametrize("argv, duals", [
+    (["bonnet", "--generator", "cylinder", "--n", "33"], 1),
+    # one dual per rung
+    (["converge", "--kind", "bonnet", "--generator", "cylinder", "--n", "17",
+      "--levels", "2", "--eps", "0.7", "--closed-tol", "1e-2",
+      "--chart-tol", "2e-3"], 2),
+])
+def test_bonnet_stage_integrates_its_dual_once(tmp_path, argv, duals):
+    import quatsurf.cli as cli
+    with mock.patch.object(cli, "integrate_dual",
+                           wraps=cli.integrate_dual) as counted:
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert counted.call_count == duals
 
 
 def test_verify_bonnet_check_reads_the_bonnet_command_figures(tmp_path):

@@ -121,15 +121,40 @@ def test_profile_ode_failure_raises(name, monkeypatch):
         make_surface(name, n=17)
 
 
-def test_import_loads_no_scipy():
+def scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(qs.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, quatsurf, quatsurf.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import quatsurf, quatsurf.cli") == "[]"
+
+
+def test_cauchy_path_and_cli_load_no_scipy(tmp_path):
+    # the Cauchy layer end to end on a non-ODE surface, then the CLI
+    # commands that need no ODE profile and find no zero or umbilic
+    code = """
+import quatsurf as qs
+from quatsurf import cli
+
+gen = qs.make_surface("cylinder", n=33, rotation=0.7)
+prob = qs.CauchyProblem(gen.imm, gen.q_known, 16)
+qs.check_wellposed(prob)
+band, report = qs.reconstruct(prob, qs.march_solve(prob, 4))
+angles = qs.characteristic_angles(gen.imm, prob.tau, (16, 16))
+assert len(qs.stretch_alignment(gen.q_known, (16, 16), angles)) == 4
+for command in ("generate", "analyze", "dual", "solve-ivp"):
+    assert cli.main([command, "--generator", "cylinder", "--param",
+                     "rotation=0.7", "--n", "33", "--outdir", %r]) == 0
+""" % str(tmp_path)
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_unknown_parameter_rejected():
