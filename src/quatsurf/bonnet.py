@@ -48,6 +48,9 @@ class SpinField:
         self.lam = lam
         self.row_span = row_span
         lo, hi = self.band_rows()
+        if not 0 <= lo <= hi < grid.ny:
+            raise ValueError("spin field row span (%d, %d) does not lie on "
+                             "a grid of %d rows" % (lo, hi, grid.ny))
         band = lam[lo:hi + 1]
         for bad, what in ((~np.isfinite(band).all(axis=-1), "is non-finite"),
                           (qiszero(band), "vanishes")):

@@ -20,15 +20,15 @@ the conormal of the row aligns with a principal stretch direction of
 q, which is what the symbol machinery below quantifies.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import (_qempty, qconj, qinv, qmul, qnorm, qnormsq,
-                          split_value, to_vec)
-from .charts import (_CHART_TOL, GridChart, _relative, deriv_x, deriv_y,
-                     floored_relative, form_rms, rms, weingarten_split)
+from .quaternions import (_qempty, _qmul_re, qconj, qinv, qmul, qnorm,
+                          qnormsq, split_value, to_vec)
+from .charts import (_CHART_TOL, GridChart, _integer, _relative, deriv_x,
+                     deriv_y, floored_relative, form_rms, rms,
+                     weingarten_split)
 from .quaddiff import (_MIN_MARGIN_DEG, QuadDifferential,
                        _line_angle_distance, form_from_qdiff,
                        noncharacteristic, stretch_directions)
@@ -137,13 +137,6 @@ def characteristic_angles(imm, tau, node):
     return sorted(np.where(t < 2 * np.pi, t, 0.0))
 
 
-def _integer(value, name):
-    """value as an int: integer types only (operator.index), not bool."""
-    if isinstance(value, bool):
-        raise TypeError("%s must be an integer, not bool" % name)
-    return operator.index(value)
-
-
 class CauchyProblem:
     """Background immersion + differential + initial grid row, with the
     row's stretch margin (margin_ok, margin_deg): its one test."""
@@ -193,13 +186,6 @@ def _certified(M):
         det = np.abs(np.linalg.det(M / norm))
     # NaN compares False, so a NaN determinant is not certified either
     return bool(np.all(det >= 2 / _COND_LIMIT))
-
-
-def _qmul_real(a, b):
-    """qmul(a, b)[..., 0] bit for bit: Re(a b) in qmul's operation order."""
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
-    return aw * bw - ((ax * bx + ay * by) + az * bz)
 
 
 def _stack(*qs):
@@ -268,8 +254,8 @@ def march_solve(prob, steps, lam0=None):
     grid = prob.imm.grid
     omega = weingarten_split(prob.imm).omega
     # Re(a b) == Re(b a) bit for bit: wz is twice Re(omega ^ tau) exactly
-    wz = 2.0 * (_qmul_real(omega.ax, prob.tau.ay)
-                - _qmul_real(omega.ay, prob.tau.ax))
+    wz = 2.0 * (_qmul_re(omega.ax, prob.tau.ay)
+                - _qmul_re(omega.ay, prob.tau.ax))
 
     lam = np.full((grid.ny, grid.nx, 4), np.nan)
     if lam0 is None:

@@ -7,32 +7,39 @@ finite differences: centered stencils in the interior, one-sided at the
 two boundary rows/columns on each side.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quaternions import (QForm, _check_unit, _qdot_rows, _qempty, _qmul_rows,
-                          _qnormsq_rows, _split_rows, _unit_rows,
-                          anticonformal_defect, from_vec, qdot, qnorm,
-                          qnormsq, split_tangential, to_vec)
+                          _split_rows, _unit_rows, anticonformal_defect,
+                          from_vec, qdot, qnorm, qnormsq, split_tangential,
+                          to_vec)
 
 # default tolerances of build_immersion's chart test and of umbilics
 _CHART_TOL = 1e-3
 _UMBILIC_TOL = 1e-6
 
 
+def _integer(value, name):
+    """value as an int: integer types only (operator.index), not bool."""
+    if isinstance(value, bool):
+        raise TypeError("%s must be an integer, not bool" % name)
+    return operator.index(value)
+
+
 class GridChart:
     """Uniform rectangular grid: node (j, i) sits at (x0 + i hx, y0 + j hy)."""
 
     def __init__(self, nx, ny, hx, hy, x0=0.0, y0=0.0):
-        if nx < 5 or ny < 5:
+        self.nx, self.ny = _integer(nx, "nx"), _integer(ny, "ny")
+        if self.nx < 5 or self.ny < 5:
             raise ValueError("grid needs nx, ny >= 5 for the stencils")
         if not np.isfinite([hx, hy, x0, y0]).all():
             raise ValueError("grid spacings and origin must be finite")
         if hx <= 0 or hy <= 0:
             raise ValueError("grid spacings must be positive")
-        self.nx = int(nx)
-        self.ny = int(ny)
         self.hx = float(hx)
         self.hy = float(hy)
         self.x0 = float(x0)
@@ -259,8 +266,8 @@ def _frame_rows(out, fx, fy):
         np.divide(cx, crossnorm, out=N[..., 1])
         np.divide(cy, crossnorm, out=N[..., 2])
         np.divide(cz, crossnorm, out=N[..., 3])
-    np.sqrt(_qnormsq_rows(nfx, fx), out=nfx)
-    np.sqrt(_qnormsq_rows(nfy, fy), out=nfy)
+    np.sqrt(_qdot_rows(nfx, fx, fx), out=nfx)
+    np.sqrt(_qdot_rows(nfy, fy, fy), out=nfy)
 
 
 def build_immersion(grid, samples, chart_tol=_CHART_TOL):
@@ -340,7 +347,7 @@ def _mean_curvature_rows(out, N, Nx, Ny, fx):
     kc *= 0.5
     np.negative(_qdot_rows(H, kc, fx), out=H)
     del kc
-    H /= _qnormsq_rows(np.empty_like(H), fx)
+    H /= _qdot_rows(np.empty_like(H), fx, fx)
 
 
 def _mean_curvature_x(N, Nx, Ny, fx):

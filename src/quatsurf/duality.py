@@ -18,9 +18,9 @@ from .charts import (_CHART_TOL, GridChart, _deriv_x_rows, _mean_curvature_x,
                      raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
-from .quaternions import (QForm, _qdot_rows, _qempty, _qnormsq_rows,
-                          _split_rows, _wedge_rows, from_real, qdot, qinv,
-                          qmul, quat, to_vec)
+from .quaternions import (QForm, _qdot_rows, _qempty, _split_rows,
+                          _wedge_rows, from_real, qdot, qinv, qmul, quat,
+                          to_vec)
 
 # default tolerance of the closedness gate; classify_christoffel's fixed one
 _CLOSED_TOL = 5e-3
@@ -80,7 +80,7 @@ def _routing_rows(out, Ax, By, Ax_center, By_center, ir, base):
     col_first = (By[:, ir:ir + 1] - By_center[:, ir:ir + 1]) \
         + (Ax - Ax[:, ir:ir + 1])
     np.subtract(row_first, col_first, out=col_first)
-    np.sqrt(_qnormsq_rows(gap, col_first), out=gap)
+    np.sqrt(_qdot_rows(gap, col_first, col_first), out=gap)
     np.subtract(row_first, base, out=primitive)
 
 
@@ -100,20 +100,21 @@ def _integrate_closed(grid, form, closed_tol, failure, basepoint=(0, 0)):
 
 def _mean_curvature(grid, f):
     """Mean curvature of a position array from the d/dx component of
-    the conformal part of dN, NaN where the frame degenerates."""
+    the conformal part of dN; NaN where the frame degenerates and where
+    any derivative stencil reads such a node, the one-sided edge
+    stencils (four nodes deep) included."""
     fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, f)
     ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
     # a unit placeholder normal at degenerate nodes, which passes the
     # unit-N validation of the split
     N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
     H = _mean_curvature_x(N, deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx)
-    # nodes whose stencil touched a degenerate node are unreliable
-    bad = ~ok
-    for _ in range(2):
-        p = np.pad(bad, 1)
-        bad = (p[1:-1, 1:-1] | p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2]
-               | p[1:-1, 2:])
-    return np.where(bad, np.nan, H)
+    if not ok.all():
+        # the stencils carry a NaN marker to every node that reads it
+        marker = np.where(ok, 0.0, np.nan)
+        marker += deriv_x(marker, grid.hx) + deriv_y(marker, grid.hy)
+        H[np.isnan(marker)] = np.nan
+    return H
 
 
 @dataclass(eq=False)
@@ -218,34 +219,36 @@ def _duality_rows(out, dNx, dNy, tx, ty, ox, oy, fx, fy, H, Hs):
     rx += fx * H[..., None]
     ry = dNy - ty * Hs[..., None]
     ry += fy * H[..., None]
-    _qnormsq_rows(resid_a, rx)
-    resid_a += _qnormsq_rows(t, ry)
+    _qdot_rows(resid_a, rx, rx)
+    resid_a += _qdot_rows(t, ry, ry)
     np.sqrt(resid_a, out=resid_a)
-    _qnormsq_rows(dN_sq, dNx)
-    dN_sq += _qnormsq_rows(t, dNy)
+    _qdot_rows(dN_sq, dNx, dNx)
+    dN_sq += _qdot_rows(t, dNy, dNy)
     del rx, ry
 
     # (b): wedge(df*, omega) - wedge(omega, df*)
     w1 = _wedge_rows(_qempty(ok.shape), tx, ty, ox, oy)
     w2 = _wedge_rows(_qempty(ok.shape), ox, oy, tx, ty)
-    np.sqrt(_qnormsq_rows(wedge_1, w1), out=wedge_1)
+    np.sqrt(_qdot_rows(wedge_1, w1, w1), out=wedge_1)
     np.subtract(w1, w2, out=w2)
-    np.sqrt(_qnormsq_rows(wedge_gap, w2), out=wedge_gap)
+    np.sqrt(_qdot_rows(wedge_gap, w2, w2), out=wedge_gap)
     del w1, w2
 
     # (c): omega - a df* with a the least-squares real coefficient
     num = _qdot_rows(np.empty(ok.shape), ox, tx)
     num += _qdot_rows(t, oy, ty)
-    den = _qnormsq_rows(np.empty(ok.shape), tx)
-    den += _qnormsq_rows(t, ty)
+    den = _qdot_rows(np.empty(ok.shape), tx, tx)
+    den += _qdot_rows(t, ty, ty)
     np.greater(den, 0, out=fit)
     a = np.full(ok.shape, np.nan)
     np.divide(num, den, out=a, where=fit)
     del num, den
-    _qnormsq_rows(resid_c_sq, ox - a[..., None] * tx)
-    resid_c_sq += _qnormsq_rows(t, oy - a[..., None] * ty)
-    _qnormsq_rows(omega_sq, ox)
-    omega_sq += _qnormsq_rows(t, oy)
+    rc = ox - a[..., None] * tx
+    _qdot_rows(resid_c_sq, rc, rc)
+    np.subtract(oy, np.multiply(a[..., None], ty, out=rc), out=rc)
+    resid_c_sq += _qdot_rows(t, rc, rc)
+    _qdot_rows(omega_sq, ox, ox)
+    omega_sq += _qdot_rows(t, oy, oy)
     np.abs(np.subtract(a, Hs, out=a), out=a_gap)
 
 

@@ -170,16 +170,21 @@ def qmul(a, b):
     return _split_rows(_qmul_rows, _qempty(shape[:-1]), (a, b))
 
 
+def _qmul_re(a, b):
+    """Re(a b) = qmul(a, b)[..., 0], in qmul's operation order."""
+    w = a[..., 0] * b[..., 0]
+    w -= ((a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])
+          + a[..., 3] * b[..., 3])
+    return w
+
+
 def _qmul_rows(out, a, b):
     """qmul of two float64 quaternion arrays into out."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    w = aw * bw
-    w -= (ax * bx + ay * by) + az * bz
-    out[..., 0] = w
     # one live plane fewer: on large fields, keeping w or writing the
     # components through out= measured slower than these copies
-    del w
+    out[..., 0] = _qmul_re(a, b)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
     out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
     out[..., 3] = (aw * bz + bw * az) + (ax * by - ay * bx)
@@ -198,15 +203,10 @@ def qnormsq(q):
     last axis, so bit-identical to np.sum(q**2, axis=-1) (tested)."""
     q = np.asarray(q, dtype=QUAT_DTYPE)
     _check_quaternions(q)
-    out = _split_rows(_qnormsq_rows, np.empty(q.shape[:-1]), (q,))
+    out = _split_rows(_qdot_rows, np.empty(q.shape[:-1]), (q, q))
     # np.add's scalar for one quaternion, else out itself: numpy reuses
     # a temporary in place only when it owns its data, as views do not
     return out if out.ndim else out[()]
-
-
-def _qnormsq_rows(out, q):
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.add((w * w + x * x) + y * y, z * z, out=out)
 
 
 def qnorm(q):
@@ -230,7 +230,7 @@ def _qinv_rows(out, q):
     each component as qconj's q * -1.0 divided by |q|^2.  Each element
     reads only its own quaternion, whatever rows are handed in."""
     n2 = np.empty(q.shape[:-1])
-    _qnormsq_rows(n2, q)
+    _qdot_rows(n2, q, q)
     small = n2 == 0.0
     if np.any(small):
         if np.any(np.all(q[small] == 0.0, axis=-1)):
@@ -239,7 +239,7 @@ def _qinv_rows(out, q):
         # (s = 1 elsewhere, where q / s and |q / s|^2 s are exact)
         s = np.where(small, np.max(np.abs(q), axis=-1), 1.0)
         q = q / s[..., None]
-        _qnormsq_rows(n2, q)
+        _qdot_rows(n2, q, q)
         n2 *= s
     np.divide(q[..., 0], n2, out=out[..., 0])
     for k in range(1, 4):
@@ -275,6 +275,8 @@ def check_unit_imaginary(N):
 def _check_unit(real_max, norm_max):
     """The test of check_unit_imaginary on the largest |Re N| and
     | |N|^2 - 1 | of a normal field."""
+    if not np.isfinite(real_max) or not np.isfinite(norm_max):
+        raise ValueError("normal field is not finite")
     if real_max > _NORMAL_TOL:
         raise ValueError("normal field has a real part")
     if norm_max > _NORMAL_TOL:
@@ -287,7 +289,7 @@ def _unit_rows(out, N):
     column maxima of out is check_unit_imaginary(N)."""
     np.max(np.abs(N[..., 0]), axis=1, out=out[:, 0])
     dev = np.empty(N.shape[:-1])
-    _qnormsq_rows(dev, N)
+    _qdot_rows(dev, N, N)
     dev -= 1.0
     np.abs(dev, out=dev)
     np.max(dev, axis=1, out=out[:, 1])

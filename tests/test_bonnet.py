@@ -102,6 +102,17 @@ def test_spin_field_band_validation(surf):
         SpinField(g.imm.grid, lam[:, 1:])
 
 
+@pytest.mark.parametrize("span", [(10, 5), (-3, 2), (20, 30)])
+def test_spin_field_band_lies_on_the_grid(surf, span):
+    # each span used to slice an empty band, so an all-NaN field passed
+    # and reconstruct then died with an IndexError
+    g = surf("cylinder", n=17)
+    lam = np.full((17, 17, 4), np.nan)
+    with pytest.raises(ValueError, match=r"^spin field row span \(%d, %d\) "
+                       "does not lie on a grid of 17 rows$" % span):
+        SpinField(g.imm.grid, lam, row_span=span)
+
+
 def test_bonnet_pair_cylinder(surf, dual_of):
     g = surf("cylinder")
     dual = dual_of("cylinder")

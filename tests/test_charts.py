@@ -1,5 +1,7 @@
 """Chart grids, stencils, immersion validation, and the curvature split."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from quatsurf.charts import (GridChart, build_immersion, closedness_residual,
                              deriv_x, deriv_y, field_stats, interior,
                              relate_hopf, rms, tangentiality_residual,
                              umbilics, weingarten_residual, weingarten_split)
-from quatsurf.quaternions import QForm, qconj, qmul, qnorm, from_vec, to_vec
+from quatsurf.quaternions import (QForm, from_vec, qconj, qmul, qnorm,
+                                  split_conformal, to_vec)
 
 RNG = np.random.default_rng(42)
 
@@ -74,6 +77,33 @@ def test_from_bounds_refuses_one_node_as_the_grid_does():
     with pytest.raises(ValueError,
                        match="^grid needs nx, ny >= 5 for the stencils$"):
         GridChart.from_bounds(0, 1, 0, 1, 1, 9)
+
+
+@pytest.mark.parametrize("nx, ny", [(7.9, 6), (6, 7.9), (np.float64(9.0), 9),
+                                    (9, True)])
+def test_grid_chart_takes_only_integer_node_counts(nx, ny):
+    # int() used to truncate 7.9 nodes to 7
+    with pytest.raises(TypeError, match="integer"):
+        GridChart(nx, ny, 0.1, 0.1)
+
+
+def test_grid_chart_takes_any_integer_type_as_a_node_count():
+    g = GridChart(np.int64(9), np.int32(7), 0.1, 0.1)
+    assert (g.nx, g.ny) == (9, 7)
+    assert type(g.nx) is int and type(g.ny) is int
+
+
+def test_a_non_finite_normal_is_refused(surf):
+    # NaN > tol is False: a NaN node used to pass the unit check and
+    # leave NaN curvature around it
+    imm = surf("cylinder", n=17).imm
+    N = imm.N.copy()
+    N[8, 8] = np.nan
+    with pytest.raises(ValueError, match="^normal field is not finite$"):
+        weingarten_split(SimpleNamespace(grid=imm.grid, fx=imm.fx,
+                                         fy=imm.fy, N=N))
+    with pytest.raises(ValueError, match="^normal field is not finite$"):
+        split_conformal(imm.df, N)
 
 
 def test_derivative_convergence_is_fourth_order():

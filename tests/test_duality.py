@@ -93,6 +93,24 @@ def test_branch_point_detection(surf, dual_of):
         dual.as_immersion()
 
 
+def test_dual_mean_curvature_is_nan_where_an_edge_stencil_reads_a_branch():
+    # the sphere's dual for q = z e^{0.7i} on a chart whose zero of q
+    # sits on node (16, 4): the one-sided stencils of columns 0 and 1
+    # read it, and H* there used to be finite (-24.8 and 8.4) and lift
+    # classical_rel to 2.9e-2
+    g = GridChart(nx=33, ny=33, hx=0.03, hy=0.03, x0=-4 * 0.03, y0=-0.48)
+    X, Y = g.mesh()
+    den = 1.0 + X ** 2 + Y ** 2
+    imm = build_immersion(g, np.stack(
+        [2 * X / den, 2 * Y / den, (X ** 2 + Y ** 2 - 1) / den], axis=-1))
+    q = qs.QuadDifferential.from_function(g, lambda z: z * np.exp(0.7j))
+    dual = qs.integrate_dual(imm, q)
+    assert dual.branch_nodes == [(16, 4)]
+    assert np.isnan(dual.Hstar[16, 0:2]).all()
+    report = qs.verify_duality(imm, dual, qs.weingarten_split(imm))
+    assert report["classical_rel"] < 1e-3
+
+
 def test_classify_christoffel(surf, dual_of):
     cyl = surf("cylinder", 33)
     cat = surf("catenoid", 33)

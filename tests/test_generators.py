@@ -33,6 +33,13 @@ def test_every_generator_builds_a_conformal_chart(name):
     assert gen.imm.diameter() > 0
 
 
+def test_make_surface_takes_only_an_integer_node_count():
+    # 33.5 used to sample 33 nodes at the spacing of 33.5, so the sphere's
+    # chart stopped at x = 0.5815 instead of its extent 0.6
+    with pytest.raises(TypeError, match="integer"):
+        make_surface("sphere", n=33.5)
+
+
 def test_mean_curvature_values(surf):
     cases = [("sphere", 1.0), ("cylinder", 0.5), ("catenoid", 0.0),
              ("unduloid", 2.0 / 3.0)]
