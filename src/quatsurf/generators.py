@@ -32,6 +32,8 @@ _SPANS = {"cylinder": (0.0, 2.0 * np.pi, -1.0, 1.0),
           "catenoid": (0.0, 2.0 * np.pi, -1.0, 1.0),
           "unduloid": (0.0, 1.6, -0.8, 0.8),
           "ellipsoid_of_revolution": (0.0, 2.0 * np.pi, -2.0, 2.0)}
+# largest RK4 step of the profile ODEs
+_PROFILE_STEP = 2e-3
 
 
 @dataclass(eq=False)
@@ -130,11 +132,12 @@ def enneper(n=65, order=2, extent=1.0, rotation=0.0, chart_tol=_CHART_TOL):
 
 
 def _two_sided_profile(rhs, s0, y, name):
-    """States (len(s0),) + y.shape of the profile ODE integrated from
-    y = 0: forward for y >= 0, backward for y < 0.  A side the chart
-    does not reach is not integrated."""
-    # imported on first use, so that import quatsurf loads no scipy
-    from scipy.integrate import solve_ivp
+    """States (len(s0),) + y.shape of the autonomous profile ODE
+    s' = rhs(*s) integrated from y = 0: forward for y >= 0, backward for
+    y < 0.  Each side takes classical RK4 steps of h = end/m, m =
+    ceil(|end|/_PROFILE_STEP), to its last y, and is read at y by cubic
+    Hermite interpolation from the lattice states and slopes.  A side
+    the chart does not reach is not integrated."""
     s0 = np.asarray(s0, dtype=float)
     out = np.empty(s0.shape + y.shape)
     for side, end in ((y >= 0, y.max()), (y < 0, y.min())):
@@ -143,11 +146,32 @@ def _two_sided_profile(rhs, s0, y, name):
         if end == 0.0:
             out[:, side] = s0[:, None]
             continue
-        sol = solve_ivp(rhs, (0.0, float(end)), s0, method="DOP853",
-                        rtol=1e-13, atol=1e-14, dense_output=True)
-        if not sol.success:
+        m = int(np.ceil(abs(end) / _PROFILE_STEP))
+        h = end / m
+        hh, h6 = 0.5 * h, h / 6.0
+        # numpy float64 scalars: cheap, and checked under np.errstate
+        s = list(s0)
+        states = [s]
+        for _ in range(m):
+            k1 = rhs(*s)
+            k2 = rhs(*[x + hh * d for x, d in zip(s, k1)])
+            k3 = rhs(*[x + hh * d for x, d in zip(s, k2)])
+            k4 = rhs(*[x + h * d for x, d in zip(s, k3)])
+            s = [x + h6 * (d1 + 2.0 * (d2 + d3) + d4)
+                 for x, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4)]
+            states.append(s)
+        states = np.array(states).T
+        if not np.isfinite(states).all():
             raise RuntimeError("%s profile integration failed" % name)
-        out[:, side] = sol.sol(y[side])
+        slopes = h * np.array(rhs(*states))
+        t = y[side] / h
+        i = np.minimum(t.astype(int), m - 1)
+        u = t - i
+        v = 1.0 - u
+        out[:, side] = (v * v * (1.0 + 2.0 * u) * states[:, i]
+                        + u * v * v * slopes[:, i]
+                        + u * u * (3.0 - 2.0 * u) * states[:, i + 1]
+                        - u * u * v * slopes[:, i + 1])
     return out
 
 
@@ -156,16 +180,17 @@ def _delaunay_profile(neck, bulge, y):
 
     States (r, z, w): r' = r cos(psi), z' = r sin(psi),
     psi' = 2 H r - sin(psi) with H = 1/(neck + bulge), plus the dual
-    height w' = -sin(psi)/r.  First integral: r sin(psi) - H r^2 =
+    height w' = -z'/r^2 (over |f_y|^2, as the ellipsoid's: an r^2 that
+    underflows divides by zero).  First integral: r sin(psi) - H r^2 =
     neck bulge H.  Starts at the neck: r = neck, psi = pi/2.
     """
-    H = 1.0 / (neck + bulge)
+    twice_H = 2.0 / (neck + bulge)
     s0 = [neck, 0.0, np.pi / 2, 0.0]  # (r, z, psi, w)
 
-    def rhs_full(_, s):
-        r, psi = s[0], s[2]
-        return [r * np.cos(psi), r * np.sin(psi), 2 * H * r - np.sin(psi),
-                -np.sin(psi) / r]
+    def rhs_full(r, _z, psi, _w):
+        sp = np.sin(psi)
+        zp = r * sp
+        return r * np.cos(psi), zp, twice_H * r - sp, -zp / (r * r)
 
     return _two_sided_profile(rhs_full, s0, y, "unduloid")
 
@@ -202,11 +227,13 @@ def ellipsoid_of_revolution(n=65, a=1.0, c=2.0, rotation=0.0,
     """
     grid, X, Y = _chart(n, _SPANS["ellipsoid_of_revolution"], rotation)
 
-    def rhs(_, s):
-        th = s[0]
-        ct, st = np.cos(th), np.sin(th)
-        thp = a * ct / np.hypot(a * st, c * ct)
-        return [thp, c * thp * ct / (a * a * ct * ct)]
+    a2, stretch = a * a, c * c - a * a
+
+    def rhs(th, _w):
+        # a^2 sin^2 + c^2 cos^2 = a^2 + (c^2 - a^2) cos^2
+        ct = np.cos(th)
+        thp = a * ct / np.sqrt(a2 + stretch * ct * ct)
+        return thp, c * thp / (a2 * ct)
 
     theta, w = _two_sided_profile(rhs, [0.0, 0.0], Y, "ellipsoid")
     kappa = np.cos(theta)

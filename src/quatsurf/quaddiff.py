@@ -96,15 +96,30 @@ def _zero_scale(q):
 def _group_minima(mask, mag):
     """One node per 8-connected group of mask: the group's smallest mag,
     ties to the first node in row-major order.  Returns the nodes as a
-    row-major sorted (k, 2) array and the size of the largest group."""
+    row-major sorted (k, 2) array and the size of the largest group.
+    Labelling: each hit links to its E, SE, S and SW hits; every hit takes
+    the least label over its links, then its label's label (pointer
+    jumping), until no label changes."""
     if not mask.any():
         return np.empty((0, 2), dtype=int), 0
-    # imported only once there is a group, so that import quatsurf and
-    # runs with empty masks load no scipy
-    from scipy import ndimage
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3)))
     hits = np.flatnonzero(mask)
-    groups = labels.flat[hits]
+    index = np.full(np.add(mask.shape, 2), -1)
+    rows, cols = np.unravel_index(hits, mask.shape)
+    index[rows + 1, cols + 1] = np.arange(hits.size)
+    links = []
+    for dj, di in ((0, 1), (1, 1), (1, 0), (1, -1)):
+        there = index[rows + 1 + dj, cols + 1 + di]
+        links.append((np.flatnonzero(there >= 0), there[there >= 0]))
+    groups, new = None, np.arange(hits.size)
+    while not np.array_equal(new, groups):
+        groups, new = new, new.copy()
+        # a hit has at most one link each way per direction, so neither
+        # index array repeats; a hit on both ends keeps the lesser label
+        for here, there in links:
+            low = np.minimum(new[here], new[there])
+            new[here] = low
+            new[there] = np.minimum(new[there], low)
+        new = new[new]
     # a stable sort, so that ties resolve alike on every platform
     order = np.lexsort((mag.flat[hits], groups))
     first = order[np.r_[True, np.diff(groups[order]) != 0]]
@@ -117,10 +132,11 @@ def zero_locus(q, tol=_ZERO_TOL):
     """Nodes with |phi| < tol * max|phi|, with winding multiplicities.
 
     Returns (nodes, multiplicities, isolated_flag).  8-adjacent below-tol
-    nodes are grouped into one zero (reported at the smallest |phi|);
-    a group larger than a 3x3 block flags non-isolation.  Multiplicity
-    is the winding of arg phi on the node loop of radius 2 around the
-    zero (radius 1 where that leaves the chart, 0 on the boundary).
+    nodes are grouped into one zero (reported at the smallest |phi|) by
+    min-label propagation in numpy; a group larger than a 3x3 block flags
+    non-isolation.  Multiplicity is the winding of arg phi on the node
+    loop of radius 2 around the zero (radius 1 where that leaves the
+    chart, 0 on the boundary).
     Raises on the zero differential.
     """
     mag = np.abs(q.phi)

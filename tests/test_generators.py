@@ -6,12 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 import quatsurf as qs
 from quatsurf.charts import interior, rms, weingarten_split
-from quatsurf.generators import CATALOG, make_surface
+from quatsurf.generators import _SPANS, CATALOG, _chart, make_surface
 from quatsurf.quaternions import qnorm
 
 
@@ -118,14 +118,84 @@ def test_sphere_extent_parameter():
 
 
 @pytest.mark.parametrize("name", ["unduloid", "ellipsoid_of_revolution"])
-def test_profile_ode_failure_raises(name, monkeypatch):
-    class Failed:
-        success = False
+def test_profile_ode_failure_raises(name):
+    # a radius whose square underflows makes the dual height's slope
+    # z'/radius^2 infinite from the first step, so the RK lattice holds
+    # non-finite states (numpy's divide warning is silenced, as it would
+    # fail the test before the refusal)
+    radius = {"unduloid": "neck", "ellipsoid_of_revolution": "a"}[name]
+    with np.errstate(divide="ignore"), \
+            pytest.raises(RuntimeError, match="profile integration failed"):
+        make_surface(name, n=17, **{radius: 1e-300})
 
-    # the generators import solve_ivp on first use, so patch it at its source
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: Failed())
-    with pytest.raises(RuntimeError, match="profile integration failed"):
-        make_surface(name, n=17)
+
+ROTATIONS = (0.0, 0.3, 1.1)
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+def test_unduloid_profile_keeps_its_first_integral(rotation):
+    neck, bulge = 0.5, 1.0
+    H = 1.0 / (neck + bulge)
+    _, _, Y = _chart(65, _SPANS["unduloid"], rotation)
+    r, _, psi, _ = qs.generators._delaunay_profile(neck, bulge, Y)
+    assert np.max(np.abs(r * np.sin(psi) - H * r * r - neck * bulge * H)) \
+        < 1e-12
+
+
+@pytest.mark.parametrize("rotation", ROTATIONS)
+def test_round_ellipsoid_latitude_is_the_gudermannian(rotation):
+    # a = c is the unit sphere in Mercator coordinates
+    gen = make_surface("ellipsoid_of_revolution", n=65, a=1.0, c=1.0,
+                       rotation=rotation)
+    f = gen.imm.positions
+    theta = np.arctan2(f[..., 2], np.hypot(f[..., 0], f[..., 1]))
+    _, _, Y = _chart(65, _SPANS["ellipsoid_of_revolution"], rotation)
+    assert np.max(np.abs(theta - 2 * np.arctan(np.tanh(Y / 2)))) < 1e-12
+
+
+def _dop853_positions(name, n, rotation):
+    """The surface's positions from a DOP853 profile (rtol 1e-13), with
+    the profile ODEs written out here as the generators document them."""
+    _, X, Y = _chart(n, _SPANS[name], rotation)
+    if name == "unduloid":
+        neck, bulge = 0.5, 1.0
+        s0 = [neck, 0.0, np.pi / 2]
+
+        def rhs(_, s):
+            r, psi = s[0], s[2]
+            return [r * np.cos(psi), r * np.sin(psi),
+                    2 * r / (neck + bulge) - np.sin(psi)]
+    else:
+        a, c = 1.0, 2.0
+        s0 = [0.0]
+
+        def rhs(_, s):
+            ct, st = np.cos(s[0]), np.sin(s[0])
+            return [a * ct / np.hypot(a * st, c * ct)]
+    prof = np.empty((len(s0),) + Y.shape)
+    for side, end in ((Y >= 0, Y.max()), (Y < 0, Y.min())):
+        sol = solve_ivp(rhs, (0.0, end), s0, method="DOP853", rtol=1e-13,
+                        atol=1e-14, dense_output=True)
+        prof[:, side] = sol.sol(Y[side])
+    if name == "unduloid":
+        r, z = prof[0], prof[1]
+        return np.stack([r * np.cos(X), r * np.sin(X), -z], axis=-1)
+    theta = prof[0]
+    return np.stack([a * np.cos(theta) * np.cos(X),
+                     -a * np.cos(theta) * np.sin(X), c * np.sin(theta)],
+                    axis=-1)
+
+
+# n = 513 for the unduloid only: mates jobs run it there, and the lattice
+# does not depend on n, only the Hermite reads do
+@pytest.mark.parametrize("name, n, rotation",
+                         [(name, 65, rot) for rot in ROTATIONS
+                          for name in ("unduloid", "ellipsoid_of_revolution")]
+                         + [("unduloid", 513, 0.3)])
+def test_profile_matches_a_dop853_reference(name, n, rotation):
+    got = make_surface(name, n=n, rotation=rotation).imm.positions
+    want = _dop853_positions(name, n, rotation)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def scipy_modules_after(code):
@@ -145,11 +215,16 @@ def test_import_loads_no_scipy():
 
 
 def test_cauchy_path_and_cli_load_no_scipy(tmp_path):
-    # the Cauchy layer end to end on a non-ODE surface, then the CLI
-    # commands that need no ODE profile and find no zero or umbilic
+    # the Cauchy layer end to end, CLI commands, the benchmark's mates job
+    # on all five of its surfaces, both profile ODEs, and a Bonnet pair
+    # whose umbilic masks are not empty
+    root = os.path.dirname(os.path.dirname(os.path.dirname(qs.__file__)))
     code = """
+import json, os, sys
+sys.path.insert(0, %r)
 import quatsurf as qs
 from quatsurf import cli
+from perfbench.workloads import MATES_SURFACES, mates_job
 
 gen = qs.make_surface("cylinder", n=33, rotation=0.7)
 prob = qs.CauchyProblem(gen.imm, gen.q_known, 16)
@@ -160,7 +235,16 @@ assert len(qs.stretch_alignment(gen.q_known, (16, 16), angles)) == 4
 for command in ("generate", "analyze", "dual", "solve-ivp"):
     assert cli.main([command, "--generator", "cylinder", "--param",
                      "rotation=0.7", "--n", "33", "--outdir", %r]) == 0
-""" % str(tmp_path)
+for generator, params in MATES_SURFACES:
+    mates_job({"generator": generator, "params": params, "n": 33,
+               "rotation": 0.3, "eps": 1.0}, None)
+qs.make_surface("ellipsoid_of_revolution", n=65, rotation=0.3)
+assert cli.main(["bonnet", "--generator", "enneper", "--n", "33",
+                 "--umbilic-tol", "5e-2", "--outdir", %r]) == 0
+with open(os.path.join(%r, "bonnet_report.json")) as fh:
+    results = json.load(fh)["results"]
+assert results["distortion_zeros"] and results["umbilic_branch_match"]
+""" % (root, str(tmp_path), str(tmp_path), str(tmp_path))
     assert scipy_modules_after(code) == "[]"
 
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import quatsurf as qs
 from quatsurf.charts import GridChart, interior, rms
-from quatsurf.quaddiff import (QuadDifferential, cr_residual,
+from quatsurf.quaddiff import (QuadDifferential, _group_minima, cr_residual,
                                check_holomorphic, form_from_qdiff,
                                noncharacteristic, qdiff_from_form,
                                stretch_directions, zero_locus)
@@ -89,6 +90,90 @@ def test_zero_locus_ties_go_to_the_first_node_in_row_major_order():
     nodes, _, isolated = zero_locus(QuadDifferential(g, phi))
     assert nodes == [(5, 6)]
     assert isolated
+
+
+def ndimage_group_minima(mask, mag):
+    """_group_minima's (nodes, largest) from scipy's 8-connected labels."""
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3)))
+    nodes, largest = [], 0
+    for label in range(1, count + 1):
+        members = np.flatnonzero(labels == label)
+        # argmin takes the first of equal values, in row-major order
+        nodes.append(members[np.argmin(mag.flat[members])])
+        largest = max(largest, members.size)
+    rows, cols = np.unravel_index(np.sort(np.array(nodes, dtype=int)),
+                                  mask.shape)
+    return np.column_stack([rows, cols]), largest
+
+
+def assert_groups_match_ndimage(mask, mag=None):
+    mag = np.zeros(mask.shape) if mag is None else mag
+    nodes, largest = _group_minima(mask, mag)
+    want_nodes, want_largest = ndimage_group_minima(mask, mag)
+    assert nodes.tolist() == want_nodes.tolist()
+    assert largest == want_largest
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_grouping_matches_ndimage_label(data):
+    ny, nx = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    density = data.draw(st.floats(0.0, 1.0))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    mask = rng.random((ny, nx)) < density
+    # few distinct magnitudes, so that ties are common
+    assert_groups_match_ndimage(mask, rng.integers(0, 3, (ny, nx)) * 1.0)
+
+
+def spiral(n):
+    """A one-node-wide square spiral walked inwards from (0, 0), one
+    empty node between its turns: a single 8-connected group."""
+    mask = np.zeros((n, n), dtype=bool)
+    j = i = 0
+    dj, di = 0, 1
+    mask[0, 0] = True
+    turns = 0
+    while turns < 2:
+        nj, ni = j + dj, i + di
+        ahead = (nj + dj, ni + di)
+        inside = 0 <= ahead[0] < n and 0 <= ahead[1] < n
+        if 0 <= nj < n and 0 <= ni < n and not mask[nj, ni] \
+                and not (inside and mask[ahead]):
+            j, i = nj, ni
+            mask[j, i] = True
+            turns = 0
+        else:
+            dj, di = di, -dj
+            turns += 1
+    return mask
+
+
+def u_shape():
+    mask = np.zeros((7, 9), dtype=bool)
+    mask[:, 0] = mask[:, -1] = mask[-1, :] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones((1, 9), dtype=bool),
+    np.arange(9)[None, :] % 3 != 1,
+    np.ones((9, 1), dtype=bool),
+    np.arange(9)[:, None] % 3 != 1,
+    np.ones((6, 8), dtype=bool),
+    np.eye(8, dtype=bool),
+    np.fliplr(np.eye(8, dtype=bool)),
+    u_shape(),
+    u_shape()[::-1],
+    spiral(15),
+], ids=["row", "row-runs", "column", "column-runs", "all", "diagonal",
+        "anti-diagonal", "u", "cap", "spiral"])
+def test_grouping_of_shapes_that_take_several_passes(mask):
+    assert_groups_match_ndimage(mask)
+    # a magnitude that falls along the mask's row-major order puts each
+    # group's minimum on its last node
+    assert_groups_match_ndimage(mask, -np.arange(mask.size, dtype=float)
+                                .reshape(mask.shape))
 
 
 def test_stretch_directions_convention():
