@@ -2,11 +2,12 @@
 
 Everything here is plain text and reproducible: fixed float formatting,
 sorted JSON keys, no timestamps, so identical inputs give byte-identical
-artifacts.
+artifacts.  OBJ/CSV %.17g text comes from exact scaled digits, or from %
+where they do not decide it; the tests' per-float writers stay the reference.
 """
 
 import contextlib
-import hashlib
+import functools
 import json
 import os
 import warnings
@@ -18,6 +19,7 @@ from .charts import GridChart
 FLOAT_FMT = "%.17g"
 # rows formatted per write by the OBJ and CSV writers
 _CHUNK = 4096
+_PIECE = 4096  # values per float kernel pass: its temporaries stay cached
 
 
 class ConfigError(ValueError):
@@ -26,12 +28,129 @@ class ConfigError(ValueError):
     line)."""
 
 
+def _word(text, at=0):  # little-endian uint64, text from byte `at` on
+    return int.from_bytes(b"\0" * at + text.encode(), "little")
+
+
+_EMIN, _EMAX, _KMIN = -292, 292, -277  # E laid out; least k = 16 - E
+_MASKS = np.array([(1 << 8 * b) - 1 for b in range(9)], np.uint64)
+
+
+@functools.cache  # built on the first write, not on import
+def _kernel_tables():
+    """5**k as double-doubles; per E, the "0.000" prefix, "e+XX" suffix,
+    digits before the point (0: none), and per digit word the mask below
+    the point and the "."; per 4-digit group, its ASCII and its length
+    without trailing zeros."""
+    p5, byexp = [], []
+    for k in range(_KMIN, 18 - _EMIN):
+        vn, vd = (5 ** k, 1) if k >= 0 else (1, 5 ** -k)
+        num, den = (vn / vd).as_integer_ratio()  # int / int rounds right
+        p5.append((num / den, (vn * den - num * vd) / (vd * den)))
+    for e in range(_EMIN, _EMAX + 1):
+        fixed = -4 <= e < 17
+        before = e + 1 if fixed and e >= 0 else 0 if fixed else 1
+        byexp.append([_word("0." + "0" * (-e - 1), 3) if before == 0 else 0,
+                      0 if fixed else _word("e%+03d" % e, 2), before])
+        for s in range(before, before - 17, -8):
+            byexp[-1] += [_MASKS[min(max(s, 0), 8)],
+                          46 << 8 * s if 0 <= s < 8 and before else 0]
+    q = np.arange(10000)
+    quad = sum(48 + q // 10 ** (3 - i) % 10 << 8 * i for i in range(4))
+    upto = np.where(q > 0, 4 - sum(q % 10 ** i == 0 for i in (1, 2, 3)), -64)
+    return (np.array(p5).T.copy(), list(np.array(byexp, np.uint64).T.copy()),
+            quad.astype(np.uint64), upto.astype(np.int8))
+
+
+def _scaled(a, e, p5):
+    """D = round-half-even(a * 10**(16 - e)) >= 1e16 from Dekker's exact
+    product p + t of ldexp(a, 16 - e) and 5**(16 - e), and which D are near
+    ties an inexact 5**k leaves undecided (p > 2**53 is even)."""
+    k = 16 - e
+    m = np.ldexp(a, k.astype(np.int32))
+    hi, lo = p5[0].take(k - _KMIN), p5[1].take(k - _KMIN)
+    p = m * hi
+    c, g = 134217729.0 * m, 134217729.0 * hi  # Veltkamp's 2**27 + 1
+    m1, h1 = c - (c - m), g - (g - hi)
+    m2, h2 = m - m1, hi - h1
+    t = (((m1 * h1 - p) + m1 * h2 + m2 * h1) + m2 * h2) + m * lo
+    r = np.rint(t)
+    return (p.astype(np.int64) + r.astype(np.int64),
+            (lo != 0) & (np.abs(np.abs(t - r) - 0.5) < 1e-9))
+
+
+def _digit_words(a):
+    """%.17g of 1e-290 <= a <= 1e290 as 4 uint64 words each (the text at
+    bytes 3-30, every other byte 0), and which a are undecided ties."""
+    p5, byexp, quad, upto = _kernel_tables()
+    # log10 can miss by an ulp next to a power of ten, so E starts low by
+    # one there and goes up where D reaches 1e17 (which a carry does too)
+    e = np.floor(np.log10(a) - 1e-12).astype(np.int64)
+    d, unsure = _scaled(a, e, p5)
+    high = d >= 10 ** 17
+    e += high
+    d[high], unsure[high] = _scaled(a[high], e[high], p5)
+    r = d // 10
+    d16, hi8 = d - 10 * r, r // 100000000
+    lo8 = r - hi8 * 100000000
+    q0, q2 = hi8 // 10000, lo8 // 10000
+    q1, q3 = hi8 - q0 * 10000, lo8 - q2 * 10000
+    pre, suf, before, *shift = (tab.take(e - _EMIN) for tab in byexp)
+    shown = np.maximum(before.astype(np.int64), np.where(d16 != 0, 17, np.max(
+        [upto.take(q) + 4 * i for i, q in enumerate((q0, q1, q2, q3))], 0)))
+    cut = shown + (shown > before)  # digit and point bytes shown
+    # d0-d7, d8-d15, d16: from the point on, each byte moves up by one
+    words, carry = [pre], np.uint64(0)
+    for w, digits in enumerate((quad.take(q0) | quad.take(q1) << 32,
+                                quad.take(q2) | quad.take(q3) << 32,
+                                d16.astype(np.uint64) + 48)):
+        below, dot = shift[2 * w:2 * w + 2]
+        up = digits & ~below
+        words.append(((digits & below) | up << 8 | carry | dot)
+                     & _MASKS.take(np.clip(cut - 8 * w, 0, 8)))
+        carry = up >> 56
+    words[3] |= suf
+    return np.stack(words, axis=1), unsure
+
+
+def _percent(text, values):
+    """text % the values, row-major: the float kernel's fallback."""
+    return text % tuple(values.ravel().tolist())
+
+
+def _format_floats(fmt, block):
+    """fmt % the rows of a float64 block (FLOAT_FMT fields, <= 2 bytes before
+    each and 1 after the last), byte for byte; one _percent call splices
+    in the text of the values left undecided."""
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a <= 1e290)
+    fallback = ~fast & (a != 0)
+    if fallback.all():
+        return _percent(fmt * len(block), x)
+    words = np.zeros((x.size, 4), np.uint64)
+    words[a == 0, 1] = ord("0")
+    sel = np.flatnonzero(fast)
+    for s in np.split(sel, range(_PIECE, sel.size, _PIECE)):
+        words[s], unsure = _digit_words(a[s])
+        fallback[s[unsure]] = True
+    words[fallback] = 0
+    parts = [_word(s) for s in fmt.split(FLOAT_FMT)]
+    words[:, 0] |= np.tile(np.array(parts[:-1], np.uint64), len(block))
+    words[:, 0] |= np.where(fallback, np.uint64(_word(FLOAT_FMT, 2)),
+                            np.signbit(x) * np.uint64(_word("-", 2)))
+    words[len(parts) - 2::len(parts) - 1, 3] |= np.uint64(parts[-1] << 56)
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    return _percent(text, x[fallback])
+
+
 def _write_rows(fh, fmt, table):
     """Write each row of a 2-D table as fmt % row, _CHUNK rows per write,
     so no more than one chunk of text exists at a time."""
     for start in range(0, len(table), _CHUNK):
         block = table[start:start + _CHUNK]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(_format_floats(fmt, block) if table.dtype == np.float64
+                 else _percent(fmt * len(block), block))
 
 
 @contextlib.contextmanager
@@ -62,7 +181,7 @@ def write_obj(path, positions, comment=None):
                      axis=1).reshape(-1, 3)
     with _open_for_write(path) as fh:
         if comment:
-            fh.write("# " + comment + "\n")
+            fh.write("".join("# %s\n" % c for c in comment.splitlines()))
         _write_rows(fh, "v " + " ".join([FLOAT_FMT] * 3) + "\n",
                     pos.reshape(-1, 3))
         _write_rows(fh, "f %d %d %d\n", faces)
@@ -196,6 +315,7 @@ def canonical_json(obj):
 
 def config_hash(config):
     """Short stable hash of a configuration mapping."""
+    import hashlib  # here, not at the top: it costs every import ~3 ms
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
