@@ -311,10 +311,12 @@ def build_immersion(grid, samples, chart_tol=_CHART_TOL):
 
 @dataclass(eq=False)
 class CurvatureData:
-    """Curvature extraction results: mean curvature H, the anti-conformal
-    tangential one-form omega from the normal's derivative, the second
-    fundamental form II, and the complex coefficient hopf_qd of its
-    trace-free (2,0) part in the chart coordinate."""
+    """Curvature extraction results: mean curvature H, the mean of the
+    normal curvatures II11/|fx|^2 and II22/|fy|^2 along the coordinate
+    directions; the anti-conformal tangential one-form omega from the
+    normal's derivative; the second fundamental form II; and the complex
+    coefficient hopf_qd of its trace-free (2,0) part in the chart
+    coordinate."""
 
     H: np.ndarray
     omega: QForm
@@ -332,44 +334,28 @@ def _symmetric_tensor(a11, a12, a22):
     return T
 
 
-def _mean_curvature_rows(out, N, Nx, Ny, fx):
-    """(H, N Ny, unit) into out, with -H df the conformal part of
-    dN = (Nx, Ny) and unit the _unit_rows of N.
-
-    H is read off that part's d/dx component (Nx - N Ny)/2, in the
-    operation order of split_conformal's kc.ax; the d/dy component is
-    not built.  N Ny is kept for weingarten_split to build omega in.
-    """
-    H, nny, unit = out
-    _unit_rows(unit, N)
-    _qmul_rows(nny, N, Ny)
-    kc = Nx - nny
-    kc *= 0.5
-    np.negative(_qdot_rows(H, kc, fx), out=H)
-    del kc
-    H /= _qdot_rows(np.empty_like(H), fx, fx)
-
-
-def _mean_curvature_x(N, Nx, Ny, fx):
-    """H of _mean_curvature_rows, with N validated as split_conformal
-    validates it."""
-    shape = N.shape[:-1]
-    H, _, unit = _split_rows(
-        _mean_curvature_rows,
-        (np.empty(shape), _qempty(shape), np.empty((shape[0], 2))),
-        (N, Nx, Ny, fx))
-    _check_unit(*np.max(unit, axis=0))
-    return H
+def _mean_curvature_rows(out, Nx, Ny, fx, fy):
+    """(H, II11, II22) into out: II11 = -<Nx, fx>, II22 = -<Ny, fy>
+    and H = (II11/|fx|^2 + II22/|fy|^2)/2, the mean of the normal
+    curvatures along d/dx and d/dy.  The chart transpose swaps the two
+    terms and negates each, so it maps H to -H bit for bit."""
+    H, II11, II22 = out
+    np.negative(_qdot_rows(II11, Nx, fx), out=II11)
+    np.negative(_qdot_rows(II22, Ny, fy), out=II22)
+    np.divide(II11, _qdot_rows(H, fx, fx), out=H)
+    H += II22 / _qdot_rows(np.empty_like(H), fy, fy)
+    H *= 0.5
 
 
 def weingarten_split(imm):
     """Split dN = -H df + omega and extract II and its (2,0) coefficient.
 
-    H is defined by the conformal part of dN being -H df; omega is the
-    anti-conformal remainder ((Nx + N Ny)/2, (Ny - N Nx)/2), the ka of
-    split_conformal in its operation order.  II(X, Y) = -<dN(X), df(Y)>
-    symmetrized; hopf_qd = (II11 - II22)/4 - (i/2) II12.  Reads only
-    imm.grid, imm.fx, imm.fy and imm.N.
+    II(X, Y) = -<dN(X), df(Y)> symmetrized; H = (II11/|fx|^2 +
+    II22/|fy|^2)/2, the mean of the normal curvatures along the two
+    coordinate directions; omega is the anti-conformal part of dN,
+    ((Nx + N Ny)/2, (Ny - N Nx)/2), the ka of split_conformal in its
+    operation order; hopf_qd = (II11 - II22)/4 - (i/2) II12.  Reads
+    only imm.grid, imm.fx, imm.fy and imm.N.
     """
     N = imm.N
     Nx = deriv_x(N, imm.grid.hx)
@@ -387,18 +373,18 @@ def weingarten_split(imm):
 
 def _weingarten_rows(out, N, Nx, Ny, fx, fy):
     """weingarten_split's (H, omega.ax, omega.ay, II, hopf_qd, unit)
-    into out."""
+    into out, with unit the _unit_rows of N."""
     H, wx, wy, II, hopf_qd, unit = out
-    _mean_curvature_rows((H, wx, unit), N, Nx, Ny, fx)
+    II11, II12, II22 = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
+    _mean_curvature_rows((H, II11, II22), Nx, Ny, fx, fy)
+    _unit_rows(unit, N)
+    _qmul_rows(wx, N, Ny)
     wx += Nx
     wx *= 0.5
     _qmul_rows(wy, N, Nx)
     np.subtract(Ny, wy, out=wy)
     wy *= 0.5
 
-    II11, II12, II22 = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
-    np.negative(_qdot_rows(II11, Nx, fx), out=II11)
-    np.negative(_qdot_rows(II22, Ny, fy), out=II22)
     _qdot_rows(II12, Nx, fy)
     II12 += _qdot_rows(np.empty_like(H), Ny, fx)
     II12 *= -0.5

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (_CHART_TOL, GridChart, _deriv_x_rows, _mean_curvature_x,
-                     _relative, _root_mean, _same_grid, build_immersion,
-                     closedness_residual, deriv_x, deriv_y, form_rms,
-                     raw_frame, rms)
+from .charts import (_CHART_TOL, GridChart, _deriv_x_rows,
+                     _mean_curvature_rows, _relative, _root_mean, _same_grid,
+                     build_immersion, closedness_residual, deriv_x, deriv_y,
+                     form_rms, raw_frame, rms)
 from .quaddiff import (QuadDifferential, _hopf_defects, _zero_scale,
                        form_from_qdiff, zero_locus)
 from .quaternions import (QForm, _qdot_rows, _qempty, _split_rows,
@@ -99,16 +99,19 @@ def _integrate_closed(grid, form, closed_tol, failure, basepoint=(0, 0)):
 
 
 def _mean_curvature(grid, f):
-    """Mean curvature of a position array from the d/dx component of
-    the conformal part of dN; NaN where the frame degenerates and where
-    any derivative stencil reads such a node, the one-sided edge
-    stencils (four nodes deep) included."""
-    fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, f)
+    """Mean curvature of a position array, weingarten_split's H from the
+    diagonal of II; NaN where the frame degenerates and where any
+    derivative stencil reads such a node, the one-sided edge stencils
+    (four nodes deep) included."""
+    fx, fy, N, nfx, nfy, crossnorm = raw_frame(grid, f)
     ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
-    # a unit placeholder normal at degenerate nodes, which passes the
-    # unit-N validation of the split
+    # a unit placeholder normal at degenerate nodes, so that the
+    # derivatives of N stay finite there
     N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
-    H = _mean_curvature_x(N, deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx)
+    # three arrays, not views of one: H alone outlives the call
+    H = _split_rows(_mean_curvature_rows,
+                    tuple(np.empty(ok.shape) for _ in range(3)),
+                    (deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx, fy))[0]
     if not ok.all():
         # the stencils carry a NaN marker to every node that reads it
         marker = np.where(ok, 0.0, np.nan)

@@ -171,10 +171,10 @@ MATES_SURFACES = [("sphere", {}), ("cylinder", {}), ("catenoid", {}),
                   ("enneper", {"order": 2}), ("unduloid", {})]
 
 
-def conformal_H(dN, N, fx):
-    """H with -H df the conformal part of dN, through split_conformal."""
-    kc, omega = split_conformal(dN, N)
-    return -qdot(kc.ax, fx) / qnormsq(fx), omega
+def half_H(Nx, Ny, fx, fy):
+    """H as the mean of the normal curvatures -<Nx, fx>/|fx|^2 and
+    -<Ny, fy>/|fy|^2, written out per node with qdot."""
+    return 0.5 * (-qdot(Nx, fx) / qdot(fx, fx) - qdot(Ny, fy) / qdot(fy, fy))
 
 
 @pytest.mark.parametrize("name, params", MATES_SURFACES)
@@ -182,12 +182,12 @@ def test_weingarten_split_matches_the_split_conformal_route(name, params):
     imm = qs.make_surface(name, n=33, rotation=0.3, **params).imm
     Nx = deriv_x(imm.N, imm.grid.hx)
     Ny = deriv_y(imm.N, imm.grid.hy)
-    H, omega = conformal_H(QForm(Nx, Ny), imm.N, imm.fx)
+    _, omega = split_conformal(QForm(Nx, Ny), imm.N)
     II11 = -qdot(Nx, imm.fx)
     II22 = -qdot(Ny, imm.fy)
     II12 = -0.5 * (qdot(Nx, imm.fy) + qdot(Ny, imm.fx))
     curv = weingarten_split(imm)
-    assert np.array_equal(curv.H, H)
+    assert np.array_equal(curv.H, half_H(Nx, Ny, imm.fx, imm.fy))
     assert np.array_equal(curv.omega.ax, omega.ax)
     assert np.array_equal(curv.omega.ay, omega.ay)
     assert np.array_equal(curv.II[..., 0, 0], II11)
@@ -204,11 +204,10 @@ def test_dual_mean_curvature_matches_the_split_conformal_route(name,
     gen = qs.make_surface(name, n=33, **params)
     grid = gen.imm.grid
     fstar = qs.integrate_dual(gen.imm, gen.q_known).fstar
-    fx, _, N, nfx, nfy, crossnorm = raw_frame(grid, fstar)
+    fx, fy, N, nfx, nfy, crossnorm = raw_frame(grid, fstar)
     ok = crossnorm > 1e-12 * float(np.max(nfx * nfy))
     N = np.where(ok[..., None], N, quat(0.0, 0.0, 0.0, 1.0))
-    H, _ = conformal_H(QForm(deriv_x(N, grid.hx), deriv_y(N, grid.hy)),
-                       N, fx)
+    H = half_H(deriv_x(N, grid.hx), deriv_y(N, grid.hy), fx, fy)
     reads_bad = np.array([[(~ok[j, stencil_nodes(grid.nx, i)]).any()
                            or (~ok[stencil_nodes(grid.ny, j), i]).any()
                            for i in range(grid.nx)] for j in range(grid.ny)])

@@ -300,9 +300,8 @@ def stage_fills(rng, ny, nx):
                      np.empty((ny, 2))),
             (N, f[0], f[1], f[2], f[3]), ()),
         "mean_curvature": (
-            _mean_curvature_rows,
-            lambda: (np.empty(shape), _qempty(shape), np.empty((ny, 2))),
-            (N, f[0], f[1], f[2]), ()),
+            _mean_curvature_rows, lambda: real(3), (f[0], f[1], f[2], f[3]),
+            ()),
         "frame": (_frame_rows, lambda: (_qempty(shape),) + real(3),
                   (f[0], f[1]), ()),
         "hopf_form": (_hopf_form_rows, lambda: (_qempty(shape), _qempty(shape)),
